@@ -1,4 +1,4 @@
-"""Minimal scalar automatic differentiation with batched payloads.
+"""Minimal automatic differentiation over numpy payloads.
 
 Two differentiation modes, composable with each other:
 
@@ -15,10 +15,17 @@ graph underneath still exposes parameter gradients through one backward
 sweep. This is how the training loop differentiates physics residuals that
 contain time derivatives of the network outputs.
 
-Payloads are python floats or 1-d numpy arrays. An array payload means the
-same scalar expression evaluated at a batch of points in lockstep; the
-semantics stay scalar, broadcasting only pairs a scalar leaf (a network
-weight) with a batch of evaluation points.
+Payloads are python floats or numpy arrays of up to two dimensions: a
+weight matrix, an ``(n, 1)`` bias column, an ``(n, N)`` block of
+activations at N evaluation points, or a 1-d batch of points. Elementwise
+ops broadcast as numpy does, and each gradient is summed back over the
+broadcast axes onto its operand's shape; ``@`` and row indexing are the
+only ops that mix elements.
+
+Each ``_backward`` closure refers to its own node, so a graph is a web of
+reference cycles until :meth:`Value.backward` has run; the sweep drops
+every closure after running it, and reference counting then frees the
+graph as soon as the caller drops the result.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ __all__ = [
     "sigmoid",
     "where",
     "maximum",
+    "matmul",
     "asum",
     "amean",
     "primal",
@@ -52,16 +60,28 @@ def _sigmoid_raw(x):
 
 
 def _reduce_to(grad, data):
-    """Collapse a broadcast gradient back onto the shape of ``data``."""
-    if np.ndim(data) == 0 and np.ndim(grad) > 0:
-        return grad.sum()
-    return grad
+    """Sum a broadcast gradient back onto the shape of ``data``.
+
+    Sums over the leading axes ``data`` lacks and over every axis where
+    ``data`` has length 1 (an ``(n, 1)`` bias column against ``(n, N)``
+    activations, a 0-d scalar against anything). A 0-d gradient
+    broadcasts onto any shape and passes through.
+    """
+    shape = np.shape(data)
+    grad_shape = np.shape(grad)
+    if grad_shape == shape or grad_shape == ():
+        return grad
+    lead = len(grad_shape) - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1
+    )
+    return np.sum(grad, axis=axes, keepdims=True).reshape(shape)
 
 
 class Value:
-    """Reverse-mode node. ``data`` is a float or a 1-d numpy array."""
+    """Reverse-mode node. ``data`` is a float or a numpy array (ndim <= 2)."""
 
-    __slots__ = ("data", "grad", "_backward", "_parents", "_op")
+    __slots__ = ("data", "grad", "_backward", "_parents", "_op", "__weakref__")
 
     # Keep numpy from consuming Value in mixed expressions; python then
     # falls back to our reflected operators.
@@ -153,6 +173,35 @@ class Value:
     def __rtruediv__(self, other):
         return Value(other) / self
 
+    def __matmul__(self, other):
+        """Matrix product of 2-d payloads."""
+        if isinstance(other, Dual):
+            return NotImplemented
+        other = other if isinstance(other, Value) else Value(other)
+        out = Value(self.data @ other.data, (self, other), "@")
+
+        def back():
+            self.grad = self.grad + out.grad @ other.data.T
+            other.grad = other.grad + self.data.T @ out.grad
+
+        out._backward = back
+        return out
+
+    def __rmatmul__(self, other):
+        return Value(other) @ self
+
+    def __getitem__(self, key):
+        """Basic indexing (a row, a column); the gradient scatters back."""
+        out = Value(self.data[key], (self,), "getitem")
+
+        def back():
+            grad = np.zeros(np.shape(self.data))
+            grad[key] = out.grad
+            self.grad = self.grad + grad
+
+        out._backward = back
+        return out
+
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
             raise TypeError("Value ** exponent supports constant exponents only")
@@ -213,7 +262,7 @@ class Value:
 
         def back():
             # Scalar incoming gradient broadcasts over the batch.
-            self.grad = self.grad + out.grad
+            self.grad = self.grad + np.broadcast_to(out.grad, np.shape(self.data))
 
         out._backward = back
         return out
@@ -224,7 +273,12 @@ class Value:
     # -- reverse sweep ------------------------------------------------------
 
     def backward(self, check_finite=False):
-        """Seed d(self)/d(self)=1 and accumulate gradients into all leaves."""
+        """Seed d(self)/d(self)=1 and accumulate gradients into all leaves.
+
+        Runs once per graph: every node's closure is dropped after it runs,
+        which breaks the node <-> closure cycles so the graph is freed by
+        reference counting instead of the cyclic garbage collector.
+        """
         if np.ndim(self.data) != 0:
             raise ValueError("backward() requires a scalar root")
         order = []
@@ -246,6 +300,7 @@ class Value:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward()
+                node._backward = None
             if check_finite and not np.all(np.isfinite(node.grad)):
                 raise BackwardError(
                     f"non-finite gradient at node type '{node._op}'"
@@ -329,6 +384,9 @@ class Dual:
         s = sigmoid(self.primal)
         return Dual(s, self.tangent * (s * (1.0 - s)))
 
+    def __getitem__(self, key):
+        return Dual(self.primal[key], self.tangent[key])
+
 
 # -- generic front-ends ------------------------------------------------------
 #
@@ -398,6 +456,14 @@ def where(mask, a, b):
 def maximum(x, floor):
     """max(x, floor) with subgradient 0 on the clamped side."""
     return where(primal(x) > primal(floor), x, floor)
+
+
+def matmul(a, b):
+    """``a @ b`` for arrays and Values; a Dual right operand maps to
+    ``Dual(a @ primal, a @ tangent)``, since the product is linear in it."""
+    if isinstance(b, Dual):
+        return Dual(a @ b.primal, a @ b.tangent)
+    return a @ b
 
 
 def asum(x):

@@ -21,8 +21,8 @@ from pathlib import Path
 from . import __version__
 from .config import RunConfig, config_hash, load_config
 from .errors import (
+    ArtifactFormatError,
     ConfigError,
-    DatasetFormatError,
     NumericalError,
     PempinnError,
 )
@@ -69,7 +69,12 @@ def _sha256(path: Path) -> str:
 def _append_manifest(out_dir: Path, command: str, cfg: RunConfig, outputs, inputs=()):
     manifest_path = out_dir / "manifest.json"
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ArtifactFormatError(f"{manifest_path}: not valid JSON ({exc})") from exc
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("runs"), list):
+            raise ArtifactFormatError(f"{manifest_path}: missing list 'runs'")
     else:
         manifest = {"runs": []}
     manifest["runs"].append(
@@ -367,7 +372,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except DatasetFormatError as exc:
+    except ArtifactFormatError as exc:
         print(f"data format error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 
 from .constants import (
@@ -87,6 +88,8 @@ def config_from_dict(data: dict) -> RunConfig:
             else:
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise ConfigError(key, f"expected a number, got {value!r}")
+                if not math.isfinite(value):
+                    raise ConfigError(key, f"expected a finite number, got {value!r}")
                 clean[key] = float(value)
         return cls(**clean)
 

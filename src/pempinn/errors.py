@@ -41,5 +41,10 @@ class TrainingError(NumericalError):
     """Training aborted, typically on a non-finite loss."""
 
 
-class DatasetFormatError(PempinnError):
+class ArtifactFormatError(PempinnError):
+    """A file written by an earlier run (checkpoint, manifest) is malformed;
+    the message names the file."""
+
+
+class DatasetFormatError(ArtifactFormatError):
     """Persisted dataset file is malformed."""

@@ -9,11 +9,14 @@ A single extra trainable scalar ``k5_hat`` (the normalized attack-rate
 constant, physical value k5_hat * 1e3 m3/(mol s)) lives alongside the
 weights so one optimizer updates everything jointly.
 
-The forward pass is written generically: weights may be numpy arrays or
-:class:`~pempinn.autodiff.Value` nodes, and the input may be a float, an
-array of times, a :class:`~pempinn.autodiff.Dual` (for time derivatives), or
-a Value. The same code therefore serves plain prediction, finite-difference
-oracles, and the differentiable training path.
+The forward pass is one ``W @ a + b`` per layer over an ``(n, N)`` block of
+activations, N being the number of evaluation points. It is written
+generically: weights may be numpy arrays or
+:class:`~pempinn.autodiff.Value` leaves (:class:`LiftedParameters` holds 7
+of them: W1, b1, W2, b2, W3, b3 and k5_hat), and the input may be a float,
+a 1-d array of times, or a :class:`~pempinn.autodiff.Dual` of either (for
+time derivatives). The same code therefore serves plain prediction,
+finite-difference oracles, and the differentiable training path.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import BackwardError, Dual, Value, sigmoid
-from .errors import ConfigError
+from .autodiff import BackwardError, Dual, Value, matmul, primal, sigmoid
+from .errors import ArtifactFormatError, ConfigError
 
 __all__ = [
     "LAYER_SIZES",
@@ -44,6 +47,10 @@ __all__ = [
 LAYER_SIZES = (1, 10, 5, 2)
 
 DEFAULT_V_REF = 2.0
+
+# Evaluation points per forward pass in predict(): bounds the activation
+# blocks of a large test split to a few hundred kB each.
+PREDICT_BLOCK = 4096
 
 CHECKPOINT_FORMAT = "pempinn-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -104,30 +111,48 @@ def init_parameters(
 
 
 def mlp_forward(weights, biases, x):
-    """Generic forward pass; sigmoid hidden layers, affine output layer."""
-    acts = [x]
+    """Generic forward pass; sigmoid hidden layers, affine output layer.
+
+    ``x`` is a float or a 1-d array of points (or a Dual of either); it is
+    laid out as one ``(1, N)`` row and each layer maps ``(fan_in, N)`` to
+    ``(fan_out, N)``. Returns one output per network output, each in the
+    shape of ``x``. Bias leaves of LiftedParameters are ``(n, 1)`` columns
+    already; plain ``(n,)`` biases are reshaped to columns here.
+    """
+    a = _as_row(x)
+    cols = slice(None) if np.ndim(primal(x)) else 0
     last = len(weights) - 1
-    for layer in range(len(weights)):
-        w = weights[layer]
-        b = biases[layer]
-        nxt = []
-        for j in range(len(w)):
-            s = b[j]
-            row = w[j]
-            for k in range(len(row)):
-                s = s + row[k] * acts[k]
-            if layer < last:
-                s = sigmoid(s)
-            nxt.append(s)
-        acts = nxt
-    return acts
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        a = matmul(w, a) + (b if isinstance(b, Value) else np.reshape(b, (-1, 1)))
+        if layer < last:
+            a = sigmoid(a)
+    return [a[i, cols] for i in range(np.shape(primal(weights[-1]))[0])]
+
+
+def _as_row(x):
+    if isinstance(x, Dual):
+        p = np.reshape(x.primal, (1, -1))
+        return Dual(p, np.broadcast_to(x.tangent, p.shape))
+    return np.reshape(x, (1, -1))
 
 
 def predict(params: NetworkParameters, t):
-    """Network outputs in physical units: (voltage V, thickness cm)."""
+    """Network outputs in physical units: (voltage V, thickness cm).
+
+    Arrays are evaluated in blocks of PREDICT_BLOCK points, so memory stays
+    flat however long the input is.
+    """
     tau = t / params.input_scale
-    y = mlp_forward(params.weights, params.biases, tau)
-    return params.v_ref * y[0], params.t_mem_ref * y[1]
+    if np.ndim(tau) == 0:
+        y_v, y_m = mlp_forward(params.weights, params.biases, tau)
+    else:
+        blocks = [
+            mlp_forward(params.weights, params.biases, tau[i : i + PREDICT_BLOCK])
+            for i in range(0, max(len(tau), 1), PREDICT_BLOCK)
+        ]
+        y_v = np.concatenate([y[0] for y in blocks])
+        y_m = np.concatenate([y[1] for y in blocks])
+    return params.v_ref * y_v, params.t_mem_ref * y_m
 
 
 def predict_with_time_derivative(params: NetworkParameters, t):
@@ -144,31 +169,31 @@ def predict_with_time_derivative(params: NetworkParameters, t):
 
 
 class LiftedParameters:
-    """NetworkParameters re-expressed as autodiff leaves, in flatten() order."""
+    """NetworkParameters re-expressed as 7 array autodiff leaves.
+
+    The leaves are W1, b1, W2, b2, W3, b3 and k5_hat, in flatten() order;
+    biases are lifted as ``(n, 1)`` columns so they broadcast over points.
+    """
 
     def __init__(self, params: NetworkParameters):
         self.source = params
         self.input_scale = params.input_scale
         self.v_ref = params.v_ref
         self.t_mem_ref = params.t_mem_ref
-        self._flat = []
-        self.weights = []
-        self.biases = []
-        for w, b in zip(params.weights, params.biases):
-            w_rows = []
-            for row in w:
-                vals = [Value(float(x)) for x in row]
-                self._flat.extend(vals)
-                w_rows.append(vals)
-            b_vals = [Value(float(x)) for x in b]
-            self._flat.extend(b_vals)
-            self.weights.append(w_rows)
-            self.biases.append(b_vals)
+        self.weights = [Value(w) for w in params.weights]
+        self.biases = [Value(np.reshape(b, (-1, 1))) for b in params.biases]
         self.k5_hat = Value(float(params.k5_hat))
-        self._flat.append(self.k5_hat)
+        self.leaves = [
+            leaf for pair in zip(self.weights, self.biases) for leaf in pair
+        ] + [self.k5_hat]
 
     def gradients(self) -> np.ndarray:
-        return np.array([float(v.grad) for v in self._flat])
+        """Gradient vector in flatten() order; a leaf the loss did not reach
+        (k5_hat without physics terms) contributes zeros."""
+        return np.concatenate([
+            np.ravel(v.grad) if np.ndim(v.grad) else np.full(np.size(v.data), v.grad)
+            for v in self.leaves
+        ])
 
     def forward(self, x):
         return mlp_forward(self.weights, self.biases, x)
@@ -253,26 +278,46 @@ def save_checkpoint(params: NetworkParameters, path) -> None:
 
 
 def load_checkpoint(path) -> NetworkParameters:
-    with open(path) as fh:
-        payload = json.load(fh)
+    """Read a checkpoint; a file that is not valid JSON or lacks a key, or
+    whose arrays do not chain into a 1-input, 2-output MLP, raises
+    ArtifactFormatError naming the file."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ArtifactFormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ArtifactFormatError(f"{path}: must hold a JSON object")
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError("format", f"not a checkpoint file: {path}")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ConfigError("version", f"unsupported version {payload.get('version')}")
-    weights = []
-    biases = []
-    for w, b in zip(payload["weights"], payload["biases"]):
-        aw = np.array(w, dtype=float)
-        ab = np.array(b, dtype=float)
-        aw.setflags(write=False)
-        ab.setflags(write=False)
-        weights.append(aw)
-        biases.append(ab)
-    return NetworkParameters(
-        weights=tuple(weights),
-        biases=tuple(biases),
-        k5_hat=float(payload["k5_hat"]),
-        input_scale=float(payload["input_scale"]),
-        v_ref=float(payload["v_ref"]),
-        t_mem_ref=float(payload["t_mem_ref"]),
-    )
+    try:
+        weights = tuple(_frozen(w) for w in payload["weights"])
+        biases = tuple(_frozen(b) for b in payload["biases"])
+        scalars = {
+            key: float(payload[key])
+            for key in ("k5_hat", "input_scale", "v_ref", "t_mem_ref")
+        }
+    except KeyError as exc:
+        raise ArtifactFormatError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ArtifactFormatError(f"{path}: malformed value ({exc})") from exc
+    fan_in = LAYER_SIZES[0]
+    for w, b in zip(weights, biases):
+        if b.ndim != 1 or w.shape != (b.size, fan_in):
+            raise ArtifactFormatError(f"{path}: layer shapes do not chain")
+        fan_in = b.size
+    if len(weights) != len(biases) or fan_in != LAYER_SIZES[-1]:
+        raise ArtifactFormatError(f"{path}: layer shapes do not chain")
+    if not all(np.all(np.isfinite(a)) for a in weights + biases) or not all(
+        np.isfinite(v) for v in scalars.values()
+    ):
+        raise ArtifactFormatError(f"{path}: non-finite parameter")
+    return NetworkParameters(weights=weights, biases=biases, **scalars)
+
+
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr

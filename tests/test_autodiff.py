@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from pempinn.autodiff import (
     asum,
     exp,
     log,
+    matmul,
     maximum,
     primal,
     sigmoid,
@@ -161,6 +164,89 @@ def test_numpy_left_operand_defers_to_value():
     out2 = np.array([1.0, 2.0]) * x
     assert isinstance(out2, Value)
     assert np.allclose(out2.data, [2.0, 4.0])
+
+
+# -- matrix payloads ----------------------------------------------------------
+
+
+def test_matmul_gradients_match_finite_differences():
+    rng = np.random.default_rng(4)
+    a0 = rng.normal(size=(3, 4))
+    b0 = rng.normal(size=(4, 5))
+    c = rng.normal(size=(3, 5))
+
+    def loss(a, b):
+        return (sigmoid(a @ b) * c).sum()
+
+    a, b = Value(a0), Value(b0)
+    loss(a, b).backward()
+    for leaf, base, f in (
+        (a, a0, lambda x: loss(x, b0)),
+        (b, b0, lambda x: loss(a0, x)),
+    ):
+        fd = np.zeros_like(base)
+        for idx in np.ndindex(base.shape):
+            e = np.zeros_like(base)
+            e[idx] = 1e-6
+            fd[idx] = (f(base + e) - f(base - e)) / 2e-6
+        assert leaf.grad.shape == base.shape
+        assert np.allclose(leaf.grad, fd, rtol=1e-7, atol=1e-9)
+
+
+def test_getitem_scatters_gradient_into_its_row():
+    x = Value(np.arange(6.0).reshape(2, 3))
+    out = (x[1] * np.array([1.0, 2.0, 3.0])).sum() + x[0, 2] * 5.0
+    out.backward()
+    assert np.array_equal(x.grad, [[0.0, 0.0, 5.0], [1.0, 2.0, 3.0]])
+
+
+def test_reduce_to_bias_column_and_scalar_leaf():
+    rng = np.random.default_rng(5)
+    acts = rng.normal(size=(4, 7))
+    weight = rng.normal(size=(4, 7))
+    bias = Value(rng.normal(size=(4, 1)))
+    k = Value(np.float64(0.3))
+    ((acts + bias) * k * weight).sum().backward()
+    assert bias.grad.shape == (4, 1)
+    assert np.allclose(bias.grad[:, 0], 0.3 * weight.sum(axis=1), rtol=1e-14)
+    assert np.shape(k.grad) == ()
+    expected = float(np.sum((acts + bias.data) * weight))
+    assert float(k.grad) == pytest.approx(expected, rel=1e-13)
+
+
+def test_forward_over_reverse_through_matmul():
+    # y = W @ x(s) with x carrying its s-derivative as a Dual of Values;
+    # L = sum(c * dy/ds) = sum(c * (W @ x')) gives dL/dW = c x'^T and
+    # dL/dx' = W^T c, and the primal path stays untouched.
+    rng = np.random.default_rng(6)
+    w0 = rng.normal(size=(3, 2))
+    p0 = rng.normal(size=(2, 4))
+    t0 = rng.normal(size=(2, 4))
+    c = rng.normal(size=(3, 4))
+    w, p, t = Value(w0), Value(p0), Value(t0)
+    y = matmul(w, Dual(p, t))
+    assert isinstance(y, Dual)
+    assert np.array_equal(y.primal.data, w0 @ p0)
+    (y.tangent * c).sum().backward()
+    assert np.allclose(w.grad, c @ t0.T, rtol=1e-13)
+    assert np.allclose(t.grad, w0.T @ c, rtol=1e-13)
+    assert np.all(np.asarray(p.grad) == 0.0)
+
+
+def test_backward_frees_graph_without_cyclic_gc():
+    x = Value(np.linspace(0.1, 1.0, 5))
+    inner = sigmoid(x * 2.0)
+    probe = weakref.ref(inner)
+    loss = (inner * inner).sum()
+    del inner
+    gc.disable()
+    try:
+        loss.backward()
+        del loss
+        assert probe() is None
+    finally:
+        gc.enable()
+    assert x.grad.shape == (5,)
 
 
 # -- forward over reverse -----------------------------------------------------

@@ -64,6 +64,33 @@ def test_config_reports_offending_key():
         config_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("learning_rate", float("nan")),
+        ("t_max", float("nan")),
+        ("learning_rate", float("inf")),
+        ("lambda_ic", float("-inf")),
+    ],
+)
+def test_config_rejects_non_finite_numbers(key, value):
+    data = config_to_dict(default_config())
+    data[key] = value
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict(data)
+
+
+def test_config_file_with_nan_exits_2(tmp_path, capsys):
+    data = config_to_dict(default_config())
+    data["learning_rate"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))  # serialized as the bare token NaN
+    assert "NaN" in path.read_text()
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "learning_rate" in capsys.readouterr().err
+
+
 def test_packaged_default_matches_dataclass_defaults():
     # The committed config file is generated from the dataclass defaults by
     # scripts/calibrate_closures.py; they must never drift apart.
@@ -153,6 +180,61 @@ def test_generate_then_train_then_evaluate(tmp_path, fast_config):
         assert key in metrics
     # 15 epochs of a shrunk config cannot fit anything: RMSE stays large.
     assert metrics["rmse_test_V"] > 0.05
+
+
+def _trained_checkpoint(tmp_path, fast_config):
+    data_dir = tmp_path / "data"
+    main(["generate-data", "--config", str(fast_config), "--out", str(data_dir)])
+    train_dir = tmp_path / "train"
+    main(
+        [
+            "train",
+            "--config", str(fast_config),
+            "--data", str(data_dir / "dataset.csv"),
+            "--out", str(train_dir),
+            "--epochs", "2",
+        ]
+    )
+    return data_dir / "dataset.csv", train_dir / "checkpoint.json"
+
+
+def test_damaged_checkpoint_exits_4(tmp_path, fast_config, capsys):
+    ds_path, ckpt = _trained_checkpoint(tmp_path, fast_config)
+    text = ckpt.read_text()
+    payload = json.loads(text)
+    del payload["k5_hat"]
+    damaged = {
+        "truncated": text[: len(text) // 2],
+        "missing_key": json.dumps(payload),
+    }
+    for name, body in damaged.items():
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(body)
+        capsys.readouterr()
+        code = main(
+            [
+                "evaluate",
+                "--config", str(fast_config),
+                "--checkpoint", str(bad),
+                "--data", str(ds_path),
+                "--out", str(tmp_path / "eval"),
+            ]
+        )
+        assert code == 4, name
+        assert str(bad) in capsys.readouterr().err, name
+
+
+def test_corrupt_manifest_exits_4(tmp_path, fast_config, capsys):
+    out = tmp_path / "sim"
+    out.mkdir()
+    manifest = out / "manifest.json"
+    for body in ('{"runs": [', '{"not_runs": []}'):
+        manifest.write_text(body)
+        capsys.readouterr()
+        code = main(["simulate", "--config", str(fast_config), "--out", str(out)])
+        assert code == 4, body
+        assert str(manifest) in capsys.readouterr().err, body
+        assert manifest.read_text() == body  # left as found
 
 
 def test_train_no_physics_flag(tmp_path, fast_config):

@@ -150,6 +150,22 @@ def test_checkpoint_roundtrip_preserves_outputs(tmp_path):
     assert loaded.k5_hat == net.k5_hat
 
 
+def test_checkpoint_with_bad_arrays_is_rejected(tmp_path):
+    import json
+
+    from pempinn.errors import ArtifactFormatError
+
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(make_net(13), path)
+    good = json.loads(path.read_text())
+    bad_shape = dict(good, biases=good["biases"][:1] + [[0.0]] + good["biases"][2:])
+    bad_value = dict(good, weights=[[[float("nan")]] * 10] + good["weights"][1:])
+    for payload in (bad_shape, bad_value, dict(good, k5_hat="x")):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ArtifactFormatError, match="ckpt.json"):
+            load_checkpoint(path)
+
+
 def test_gradient_isolated_k5_quadratic():
     net = make_net(1)
     net = unflatten(flatten(net) * 0.0 + 0.25, net)  # all params 0.25
@@ -195,8 +211,9 @@ def test_gradient_rejects_non_value_loss():
 def test_lifted_order_matches_flatten():
     net = make_net(6)
     lifted = LiftedParameters(net)
+    assert len(lifted.leaves) == 7
     assert np.array_equal(
-        np.array([float(v.data) for v in lifted._flat]), flatten(net)
+        np.concatenate([np.ravel(v.data) for v in lifted.leaves]), flatten(net)
     )
 
 
@@ -208,3 +225,42 @@ def test_forward_identical_between_plain_and_lifted():
     y = lifted.forward(tau)
     assert np.array_equal(np.asarray(y[0].data) * net.v_ref, plain[0])
     assert np.array_equal(np.asarray(y[1].data) * net.t_mem_ref, plain[1])
+
+
+def test_physics_off_gradient_has_zero_k5_entry(
+    params, cond, coeffs, small_dataset
+):
+    from pempinn.training import TrainingConfig, composite_loss
+
+    net = make_net(3)
+    cfg = TrainingConfig(physics_enabled=False, n_collocation=8)
+    g = gradient(
+        net,
+        lambda lifted: composite_loss(
+            lifted, small_dataset, cfg, coeffs, params, cond
+        )[0],
+    )
+    assert g.shape == (88,)
+    assert g[-1] == 0.0
+    assert np.all(g[:-1] != 0.0)
+
+
+def test_blocked_predict_matches_per_neuron_reference():
+    # The per-neuron loop the matrix form replaced, as the reference; the
+    # input spans more than one predict block.
+    from pempinn.network import PREDICT_BLOCK
+
+    net = make_net(4)
+    t = np.linspace(0.0, SCALE, PREDICT_BLOCK + 17)
+    acts = [t / SCALE]
+    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+        acts = [
+            b[j] + sum(w[j, k] * acts[k] for k in range(w.shape[1]))
+            for j in range(w.shape[0])
+        ]
+        if layer < len(net.weights) - 1:
+            acts = [1.0 / (1.0 + np.exp(-a)) for a in acts]
+    v, m = predict(net, t)
+    assert v.shape == m.shape == t.shape
+    assert np.allclose(v, net.v_ref * acts[0], rtol=1e-13, atol=0.0)
+    assert np.allclose(m, net.t_mem_ref * acts[1], rtol=1e-13, atol=1e-18)
