@@ -10,7 +10,6 @@ a completed reproduction run whose acceptance checks did not all pass).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -28,6 +27,7 @@ from .errors import (
 )
 from .network import load_checkpoint, save_checkpoint
 from .simulator import (
+    file_sha256,
     generate_dataset,
     integrate_trajectory,
     load_dataset,
@@ -62,10 +62,6 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _append_manifest(out_dir: Path, command: str, cfg: RunConfig, outputs, inputs=()):
     manifest_path = out_dir / "manifest.json"
     if manifest_path.exists():
@@ -88,7 +84,7 @@ def _append_manifest(out_dir: Path, command: str, cfg: RunConfig, outputs, input
                 "training": cfg.training.seed,
             },
             "inputs": [str(p) for p in inputs],
-            "outputs": {str(p.name): _sha256(p) for p in outputs},
+            "outputs": {str(p.name): file_sha256(p) for p in outputs},
         }
     )
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")

@@ -278,9 +278,10 @@ def save_checkpoint(params: NetworkParameters, path) -> None:
 
 
 def load_checkpoint(path) -> NetworkParameters:
-    """Read a checkpoint; a file that is not valid JSON or lacks a key, or
-    whose arrays do not chain into a 1-input, 2-output MLP, raises
-    ArtifactFormatError naming the file."""
+    """Read a checkpoint; a file that is not valid JSON, has the wrong
+    ``format`` or ``version``, lacks a key, or whose arrays do not chain
+    into a 1-input, 2-output MLP, raises ArtifactFormatError naming the
+    file."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -289,9 +290,13 @@ def load_checkpoint(path) -> NetworkParameters:
     if not isinstance(payload, dict):
         raise ArtifactFormatError(f"{path}: must hold a JSON object")
     if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError("format", f"not a checkpoint file: {path}")
+        raise ArtifactFormatError(
+            f"{path}: not a checkpoint file (format {payload.get('format')!r})"
+        )
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError("version", f"unsupported version {payload.get('version')}")
+        raise ArtifactFormatError(
+            f"{path}: unsupported checkpoint version {payload.get('version')!r}"
+        )
     try:
         weights = tuple(_frozen(w) for w in payload["weights"])
         biases = tuple(_frozen(b) for b in payload["biases"])

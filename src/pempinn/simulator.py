@@ -13,8 +13,10 @@ deviation of the clean full-horizon signal.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,12 @@ __all__ = [
 ]
 
 DATASET_COLUMNS = ("split", "t_hours", "voltage_V", "thickness_cm", "is_noisy")
+# The columns load_dataset parses into the Dataset, in its field order.
+_VALUE_COLUMNS = ("t_hours", "voltage_V", "thickness_cm")
+# One character wider than the longest split name: loadtxt cuts a longer
+# value to this width, and the cut value still matches no split name.
+_SPLIT_DTYPE = "U6"
+_HASH_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -290,40 +298,61 @@ def save_dataset(ds: Dataset, path, config_hash: str = "") -> str:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset CSV and its sidecar back into a Dataset."""
-    rows = {"train": [], "test": []}
+    """Read a dataset CSV and its sidecar back into a Dataset.
+
+    Columns are found by name in the header, in any order. numpy's C reader
+    parses the rows straight from the file, so no per-row Python object is
+    made, and each split keeps the file's row order. Everything read is
+    checked here; a fault raises DatasetFormatError naming the file, and the
+    line for a fault in a row:
+
+    - the header has every column of ``DATASET_COLUMNS``;
+    - every row parses, its values are finite, its split is ``train`` or
+      ``test``, and both splits occur;
+    - the sidecar ``<path>.meta.json`` exists and is a JSON object with
+      finite numbers ``noise_sigma_v``, ``noise_sigma_mem`` and
+      ``train_fraction``, a non-negative integer ``seed`` and a string
+      ``sha256``;
+    - that ``sha256`` is the digest of the CSV. It is compared after the
+      rows are parsed, so a bad row is reported with its line first.
+    """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        header = next(csv.reader(fh), [])
         for col in DATASET_COLUMNS:
             if col not in header:
                 raise DatasetFormatError(f"{path}: missing column '{col}'")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                split = row["split"]
-                record = (
-                    float(row["t_hours"]),
-                    float(row["voltage_V"]),
-                    float(row["thickness_cm"]),
-                )
-            except (TypeError, ValueError) as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: bad row ({exc})") from exc
-            if split not in rows:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: unknown split '{split}'"
-                )
-            rows[split].append(record)
-    if not rows["train"] or not rows["test"]:
+        has_rows = any(line.strip() for line in fh)
+    if not has_rows:
+        # Caught here because loadtxt warns about a file without data rows.
         raise DatasetFormatError(f"{path}: needs both train and test rows")
 
+    # Like csv.DictReader, a repeated column name means its last copy.
+    index = {name: i for i, name in enumerate(header)}
+    read = functools.partial(
+        np.loadtxt, path, delimiter=",", skiprows=1, comments=None
+    )
     try:
-        with open(str(path) + ".meta.json") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DatasetFormatError(f"{path}: missing sidecar {path}.meta.json") from exc
+        values = read(usecols=[index[col] for col in _VALUE_COLUMNS], ndmin=2)
+        split = read(usecols=index["split"], dtype=_SPLIT_DTYPE, ndmin=1)
+    except ValueError as exc:
+        raise _bad_row(path, index, exc) from exc
+    is_train = split == "train"
+    is_test = split == "test"
+    if not np.all(is_train | is_test) or not np.all(np.isfinite(values)):
+        raise _bad_row(path, index, None)
+    if not is_train.any() or not is_test.any():
+        raise DatasetFormatError(f"{path}: needs both train and test rows")
 
-    train = np.array(rows["train"])
-    test = np.array(rows["test"])
+    meta = _read_sidecar(path)
+    digest = file_sha256(path)
+    if digest != meta["sha256"]:
+        raise DatasetFormatError(
+            f"{path}: sha256 {digest} does not match {path}.meta.json "
+            f"(sha256 {meta['sha256']})"
+        )
+
+    train = values[is_train]
+    test = values[is_test]
     return Dataset(
         train_times=train[:, 0],
         train_voltages=train[:, 1],
@@ -333,9 +362,95 @@ def load_dataset(path) -> Dataset:
         test_thicknesses=test[:, 2],
         noise_sigma_v=float(meta["noise_sigma_v"]),
         noise_sigma_mem=float(meta["noise_sigma_mem"]),
-        seed=int(meta["seed"]),
+        seed=meta["seed"],
         train_fraction=float(meta["train_fraction"]),
     )
+
+
+def _bad_row(path, index, exc) -> DatasetFormatError:
+    """Error naming the first row of ``path`` that load_dataset rejects.
+
+    Runs on the error path only: it rescans the file row by row with the
+    csv module, because numpy's error text does not give a stable line
+    number. ``exc`` is numpy's error, reported if no row is found at fault.
+    """
+    width = max(index[col] for col in ("split", *_VALUE_COLUMNS)) + 1
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) < width:
+                return DatasetFormatError(
+                    f"{where}: bad row (needs {width} fields, has {len(row)})"
+                )
+            for col in _VALUE_COLUMNS:
+                field = row[index[col]]
+                try:
+                    value = float(field)
+                except ValueError as err:
+                    return DatasetFormatError(f"{where}: bad row ({err})")
+                if not math.isfinite(value):
+                    return DatasetFormatError(
+                        f"{where}: non-finite {col} ({field!r})"
+                    )
+            split = row[index["split"]]
+            if split not in ("train", "test"):
+                return DatasetFormatError(f"{where}: unknown split '{split}'")
+    return DatasetFormatError(f"{path}: bad row ({exc})")
+
+
+def _is_finite_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+_SIDECAR_KEYS = (
+    ("noise_sigma_v", _is_finite_number, "a finite number"),
+    ("noise_sigma_mem", _is_finite_number, "a finite number"),
+    ("train_fraction", _is_finite_number, "a finite number"),
+    (
+        "seed",
+        lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+        "a non-negative integer",
+    ),
+    ("sha256", lambda v: isinstance(v, str), "a string"),
+)
+
+
+def _read_sidecar(path) -> dict:
+    meta_path = f"{path}.meta.json"
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+    except FileNotFoundError as exc:
+        raise DatasetFormatError(f"{path}: missing sidecar {meta_path}") from exc
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"{meta_path}: not valid JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise DatasetFormatError(f"{meta_path}: must hold a JSON object")
+    for key, valid, kind in _SIDECAR_KEYS:
+        if key not in meta:
+            raise DatasetFormatError(f"{meta_path}: missing key '{key}'")
+        if not valid(meta[key]):
+            raise DatasetFormatError(
+                f"{meta_path}: key '{key}' must be {kind}, not {meta[key]!r}"
+            )
+    return meta
+
+
+def file_sha256(path) -> str:
+    """Hex sha256 of a file, read in fixed-size chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_HASH_CHUNK_BYTES), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def save_trajectory(traj: Trajectory, path, diagnostics_path=None) -> None:

@@ -224,6 +224,99 @@ def test_damaged_checkpoint_exits_4(tmp_path, fast_config, capsys):
         assert str(bad) in capsys.readouterr().err, name
 
 
+@pytest.mark.parametrize("field", ["format", "version"])
+def test_checkpoint_with_wrong_header_exits_4(tmp_path, fast_config, capsys, field):
+    ds_path, ckpt = _trained_checkpoint(tmp_path, fast_config)
+    payload = json.loads(ckpt.read_text())
+    payload[field] = {"format": "some-other-file", "version": 99}[field]
+    bad = tmp_path / "wrong_header.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(
+        [
+            "evaluate",
+            "--config", str(fast_config),
+            "--checkpoint", str(bad),
+            "--data", str(ds_path),
+            "--out", str(tmp_path / "eval"),
+        ]
+    )
+    assert code == 4
+    assert str(bad) in capsys.readouterr().err
+
+
+# -- dataset boundary ----------------------------------------------------------
+
+
+def _edit_field(ds_path: Path, line: int, column: str, edit) -> None:
+    """Apply ``edit`` to one field of a dataset CSV (line numbers from 1)."""
+    lines = ds_path.read_text().splitlines()
+    header = lines[0].split(",")
+    fields = lines[line - 1].split(",")
+    i = header.index(column)
+    fields[i] = edit(fields[i])
+    lines[line - 1] = ",".join(fields)
+    ds_path.write_text("\n".join(lines) + "\n")
+
+
+def _evaluate_and_train(tmp_path, fast_config, ds_path, ckpt):
+    """Exit codes of evaluate and train on one dataset."""
+    common = ["--config", str(fast_config), "--data", str(ds_path)]
+    return (
+        main(["evaluate", *common, "--checkpoint", str(ckpt),
+              "--out", str(tmp_path / "eval")]),
+        main(["train", *common, "--out", str(tmp_path / "retrain")]),
+    )
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_dataset_row_exits_4(tmp_path, fast_config, capsys, value):
+    ds_path, ckpt = _trained_checkpoint(tmp_path, fast_config)
+    _edit_field(ds_path, 3, "voltage_V", lambda _: value)
+    capsys.readouterr()
+    assert _evaluate_and_train(tmp_path, fast_config, ds_path, ckpt) == (4, 4)
+    err = capsys.readouterr().err
+    assert err.count(f"{ds_path}:3:") == 2
+    assert not (tmp_path / "eval" / "metrics.json").exists()
+
+
+def test_dataset_sha256_mismatch_exits_4(tmp_path, fast_config, capsys):
+    ds_path, ckpt = _trained_checkpoint(tmp_path, fast_config)
+    # One digit changed: the file still parses but no longer has the
+    # content the sidecar recorded.
+    _edit_field(
+        ds_path, 5, "voltage_V", lambda v: v[:3] + ("1" if v[3] != "1" else "2") + v[4:]
+    )
+    capsys.readouterr()
+    assert _evaluate_and_train(tmp_path, fast_config, ds_path, ckpt) == (4, 4)
+    err = capsys.readouterr().err
+    assert "sha256" in err
+    assert f"{ds_path}.meta.json" in err
+
+
+@pytest.mark.parametrize(
+    "damage, key",
+    [
+        (lambda text: text[: len(text) // 2], None),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                  if k != "seed"}), "seed"),
+        (lambda text: json.dumps({**json.loads(text), "noise_sigma_v": "high"}),
+         "noise_sigma_v"),
+    ],
+    ids=["bad_json", "missing_key", "non_numeric_value"],
+)
+def test_damaged_dataset_sidecar_exits_4(tmp_path, fast_config, capsys, damage, key):
+    ds_path, ckpt = _trained_checkpoint(tmp_path, fast_config)
+    meta_path = Path(f"{ds_path}.meta.json")
+    meta_path.write_text(damage(meta_path.read_text()))
+    capsys.readouterr()
+    assert _evaluate_and_train(tmp_path, fast_config, ds_path, ckpt) == (4, 4)
+    err = capsys.readouterr().err
+    assert err.count(str(meta_path)) == 2
+    if key is not None:
+        assert f"'{key}'" in err
+
+
 def test_corrupt_manifest_exits_4(tmp_path, fast_config, capsys):
     out = tmp_path / "sim"
     out.mkdir()

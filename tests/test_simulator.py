@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import json
 import math
 import os
 from pathlib import Path
@@ -9,6 +12,7 @@ from pempinn import _kernel
 from pempinn.degradation import steady_state_radicals, thinning_rate
 from pempinn.errors import ConfigError, DatasetFormatError, SimulationError
 from pempinn.simulator import (
+    DATASET_COLUMNS,
     dataset_csv_bytes,
     generate_dataset,
     integrate_trajectory,
@@ -190,15 +194,189 @@ def test_load_reports_bad_line_number(tmp_path, small_dataset):
 
 def test_golden_dataset_checksum():
     # Committed artifact generated once by scripts/make_golden_dataset.py.
-    import json
-
     path = GOLDEN_DIR / "golden_dataset.csv"
     meta = json.loads((GOLDEN_DIR / "golden_dataset.csv.meta.json").read_text())
-    import hashlib
-
     assert hashlib.sha256(path.read_bytes()).hexdigest() == meta["sha256"]
     ds = load_dataset(path)
     assert len(ds.train_times) == 12
+
+
+# -- loader parity with the csv module ----------------------------------------
+
+
+def _csv_reference(path):
+    """The csv.DictReader loop that load_dataset replaced, kept as the
+    reference: (n, 3) arrays of t_hours, voltage_V, thickness_cm per split."""
+    rows = {"train": [], "test": []}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            rows[row["split"]].append(
+                (
+                    float(row["t_hours"]),
+                    float(row["voltage_V"]),
+                    float(row["thickness_cm"]),
+                )
+            )
+    return {split: np.array(records) for split, records in rows.items()}
+
+
+def _write_with_sidecar(path, text):
+    """Write dataset CSV text plus a sidecar whose sha256 matches it."""
+    payload = text.encode()
+    path.write_bytes(payload)
+    meta = {
+        "config_hash": "",
+        "noise_sigma_mem": 0.002,
+        "noise_sigma_v": 0.01,
+        "seed": 11,
+        "sha256": hashlib.sha256(payload).hexdigest(),
+        "train_fraction": 1 / 3,
+    }
+    Path(f"{path}.meta.json").write_text(json.dumps(meta))
+
+
+def _reordered(text):
+    order = (3, 4, 1, 0, 2)  # thickness_cm,is_noisy,t_hours,split,voltage_V
+    lines = []
+    for line in text.splitlines():
+        fields = line.split(",")
+        lines.append(",".join(fields[i] for i in order))
+    return "\n".join(lines) + "\n"
+
+
+def _interleaved(text):
+    header, *rows = text.splitlines()
+    train = [r for r in rows if r.startswith("train")]
+    test = [r for r in rows if r.startswith("test")]
+    mixed = [r for pair in zip(test, train) for r in pair]
+    mixed += test[len(train):]
+    return "\n".join([header, *mixed]) + "\n"
+
+
+LAYOUTS = {
+    "reordered_columns": _reordered,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "trailing_blank_line": lambda text: text + "\n",
+    "interleaved_splits": _interleaved,
+}
+
+
+def _assert_matches_reference(path):
+    ds = load_dataset(path)
+    ref = _csv_reference(path)
+    for split in ("train", "test"):
+        got = np.column_stack(
+            [
+                getattr(ds, f"{split}_times"),
+                getattr(ds, f"{split}_voltages"),
+                getattr(ds, f"{split}_thicknesses"),
+            ]
+        )
+        assert got.dtype == ref[split].dtype
+        assert got.shape == ref[split].shape
+        assert got.tobytes() == ref[split].tobytes(), split
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_loader_matches_csv_reference(tmp_path, small_dataset, layout):
+    path = tmp_path / "ds.csv"
+    text = dataset_csv_bytes(small_dataset).decode()
+    _write_with_sidecar(path, LAYOUTS[layout](text))
+    _assert_matches_reference(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_loader_matches_csv_reference_beyond_one_chunk(tmp_path, trajectory):
+    # numpy's loadtxt works through files in chunks of 50 000 rows.
+    ds = generate_dataset(trajectory, 24, 60_001, 1 / 3, seed=5)
+    path = tmp_path / "long.csv"
+    save_dataset(ds, path)
+    _assert_matches_reference(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_loader_matches_csv_reference_on_golden_dataset():
+    _assert_matches_reference(GOLDEN_DIR / "golden_dataset.csv")
+
+
+def test_load_reports_short_row_line_number(tmp_path, small_dataset):
+    path = tmp_path / "ds.csv"
+    lines = dataset_csv_bytes(small_dataset).decode().splitlines()
+    lines[5] = "train,1.0,2.4"
+    _write_with_sidecar(path, "\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"ds\.csv:6: bad row"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_row(tmp_path, small_dataset, value):
+    path = tmp_path / "ds.csv"
+    lines = dataset_csv_bytes(small_dataset).decode().splitlines()
+    fields = lines[30].split(",")
+    fields[3] = value
+    lines[30] = ",".join(fields)
+    _write_with_sidecar(path, "\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"ds\.csv:31: .*thickness_cm"):
+        load_dataset(path)
+
+
+def test_load_reports_unknown_split_line_number(tmp_path, small_dataset):
+    path = tmp_path / "ds.csv"
+    lines = dataset_csv_bytes(small_dataset).decode().splitlines()
+    lines[7] = lines[7].replace("train", "trainee", 1)
+    _write_with_sidecar(path, "\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"ds\.csv:8: unknown split 'trainee'"):
+        load_dataset(path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", ["", "\n\n", "train,0.0,2.4,0.02,1\n"])
+def test_load_needs_both_splits(tmp_path, rows):
+    path = tmp_path / "ds.csv"
+    _write_with_sidecar(path, ",".join(DATASET_COLUMNS) + "\n" + rows)
+    with pytest.raises(DatasetFormatError, match="needs both train and test"):
+        load_dataset(path)
+
+
+def test_load_checks_sidecar_sha256(tmp_path, small_dataset):
+    path = tmp_path / "ds.csv"
+    save_dataset(small_dataset, path)
+    text = path.read_text()
+    path.write_text(text.replace("train,", "test,", 1))
+    with pytest.raises(DatasetFormatError, match=r"sha256.*ds\.csv\.meta\.json"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda meta: meta.pop("seed"), "seed"),
+        (lambda meta: meta.pop("sha256"), "sha256"),
+        (lambda meta: meta.update(noise_sigma_v="0.01"), "noise_sigma_v"),
+        (lambda meta: meta.update(train_fraction=float("nan")), "train_fraction"),
+        (lambda meta: meta.update(seed=1.5), "seed"),
+    ],
+    ids=["no_seed", "no_sha256", "string_sigma", "nan_fraction", "float_seed"],
+)
+def test_load_validates_sidecar_keys(tmp_path, small_dataset, edit, key):
+    path = tmp_path / "ds.csv"
+    save_dataset(small_dataset, path)
+    meta_path = Path(f"{path}.meta.json")
+    meta = json.loads(meta_path.read_text())
+    edit(meta)
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(DatasetFormatError, match=rf"ds\.csv\.meta\.json: .*'{key}'"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("body", ['{"seed": 11', "[]"])
+def test_load_rejects_sidecar_that_is_not_a_json_object(tmp_path, small_dataset, body):
+    path = tmp_path / "ds.csv"
+    save_dataset(small_dataset, path)
+    Path(f"{path}.meta.json").write_text(body)
+    with pytest.raises(DatasetFormatError, match=r"ds\.csv\.meta\.json: "):
+        load_dataset(path)
 
 
 def test_settings_validation():
