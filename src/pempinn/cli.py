@@ -66,8 +66,8 @@ def _append_manifest(out_dir: Path, command: str, cfg: RunConfig, outputs, input
     manifest_path = out_dir / "manifest.json"
     if manifest_path.exists():
         try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ArtifactFormatError(f"{manifest_path}: not valid JSON ({exc})") from exc
         if not isinstance(manifest, dict) or not isinstance(manifest.get("runs"), list):
             raise ArtifactFormatError(f"{manifest_path}: missing list 'runs'")
@@ -87,7 +87,9 @@ def _append_manifest(out_dir: Path, command: str, cfg: RunConfig, outputs, input
             "outputs": {str(p.name): file_sha256(p) for p in outputs},
         }
     )
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    manifest_path.write_text(
+        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
+    )
 
 
 def _write_history_csv(path: Path, history) -> None:

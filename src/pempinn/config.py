@@ -13,12 +13,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .constants import (
-    OperatingConditions,
-    PhysicsParameters,
-    conditions_to_dict,
-    parameters_to_dict,
-)
+from .constants import OperatingConditions, PhysicsParameters
 from .errors import ConfigError
 from .simulator import SimulationSettings
 from .training import TrainingConfig
@@ -52,9 +47,7 @@ def default_config() -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     out = {}
-    out.update(parameters_to_dict(cfg.physics))
-    out.update(conditions_to_dict(cfg.conditions))
-    for name, cls in _GROUPS[2:]:
+    for name, cls in _GROUPS:
         group = getattr(cfg, name)
         for f in fields(cls):
             out[f.name] = getattr(group, f.name)
@@ -110,16 +103,16 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigError("<file>", f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("<file>", f"{path} must hold a flat JSON object")

@@ -1,7 +1,10 @@
 """Central registry of physical constants and operating conditions.
 
 Every equation module reads its constants from here so the values are
-audited in one place.
+audited in one place. Each field is a key of the flat run config
+(:mod:`pempinn.config` reads and writes it), and every field is read by an
+equation; quantities derived from others, such as ``rho_naf_cgs``, are
+read-only properties rather than keys.
 
 Unit conventions (hybrid, following the degradation literature): time in
 hours, membrane thickness in cm, voltage in V, current density in A/cm2,
@@ -20,7 +23,6 @@ script if you change them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-import json
 import math
 
 from .errors import ConfigError
@@ -31,7 +33,6 @@ __all__ = [
     "default_parameters",
     "default_conditions",
     "membrane_molar_concentration",
-    "peroxide_formation_constant",
     "saturation_pressure_bar",
 ]
 
@@ -64,21 +65,11 @@ class PhysicsParameters:
     alpha_cat: float = 0.5      # cathode charge-transfer coefficient
     i0_an: float = 2.3e-7       # anode exchange current density, A/cm2
     i0_cat: float = 1.0e-3      # cathode exchange current density, A/cm2
-    i_lim: float = 6.0          # limiting current density, A/cm2 (stored, unused)
     lambda_hydration: float = 20.0
     EW: float = 1.100           # Nafion equivalent weight, kg/mol
     rho_naf_SI: float = 1980.0  # Nafion density, kg/m3
-    # Same material as rho_naf_SI, in g/cm3; the thinning-rate formula
-    # consumes this one. (A rounded 2 g/cm3 also circulates; we keep the
-    # value consistent with rho_naf_SI.)
-    rho_naf_cgs: float = 1.98
     MM_F: float = 18.998        # fluoride molar mass, g/mol
     e_cl: float = 1.0e-5        # cathode catalyst-layer thickness, m
-    gamma_cat: float = 150.0    # cathode rugosity, m2/m2 (stored, unused)
-    k1_0: float = 7.068e2       # H2O2 formation base constant, m7/(mol2 s)
-    A_H2O2: float = 42450.0     # ORR activation energy, J/mol
-    alpha_H2O2: float = 0.5     # ORR transfer coefficient
-    eta_2e: float = 0.695       # cathodic overpotential, V
     k2: float = 1.2e-7          # H2O2 homolysis, 1/s
     k3: float = 2.7e4           # H2O2 + HO., m3/(mol s)
     k4: float = 1.2e7           # O2 + HO., m3/(mol s)
@@ -89,6 +80,11 @@ class PhysicsParameters:
     v1: float = 5.566676316117318      # H2O2 formation rate, mol/(m3 s)
     kappa_w: float = 3.0e-6            # water velocity per current density, (m/s)/(A/cm2)
     c_O2: float = 0.1                  # O2 concentration at cathode CL, mol/m3
+
+    @property
+    def rho_naf_cgs(self) -> float:
+        """Nafion density in g/cm3, which the thinning-rate formula reads."""
+        return self.rho_naf_SI / 1000.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -108,7 +104,6 @@ class OperatingConditions:
     """Fixed exogenous inputs of a run."""
 
     T: float = 313.15        # K
-    p_cat: float = 30.0      # bar
     p_H2: float = 30.0       # bar (cathode side, taken at cathode pressure)
     p_O2: float = 1.0        # bar (anode side, near ambient)
     p_H2O: float = field(default=math.nan)  # bar; nan means saturation at T
@@ -122,7 +117,7 @@ class OperatingConditions:
             object.__setattr__(self, "p_H2O", saturation_pressure_bar(self.T))
         if self.T <= 273.15:
             raise ConfigError("T", "temperature must exceed 273.15 K")
-        for key in ("p_cat", "p_H2", "p_O2", "p_H2O"):
+        for key in ("p_H2", "p_O2", "p_H2O"):
             if getattr(self, key) <= 0.0:
                 raise ConfigError(key, "pressure must be positive")
         if self.P <= 0.0:
@@ -147,59 +142,3 @@ def default_conditions() -> OperatingConditions:
 def membrane_molar_concentration(params: PhysicsParameters) -> float:
     """Molar concentration of the membrane polymer, mol/m3 (density / EW)."""
     return params.rho_naf_SI / params.EW
-
-
-def peroxide_formation_constant(params: PhysicsParameters, T: float) -> float:
-    """Temperature-corrected H2O2 formation constant, m7/(mol2 s).
-
-    k1 = k1_0 * exp(-A_H2O2 / RT) * exp(-alpha * F * eta_2e / RT)
-    """
-    if T <= 0.0:
-        raise ConfigError("T", "absolute temperature must be positive")
-    rt = params.R * T
-    return (
-        params.k1_0
-        * math.exp(-params.A_H2O2 / rt)
-        * math.exp(-params.alpha_H2O2 * params.F * params.eta_2e / rt)
-    )
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def parameters_to_dict(params: PhysicsParameters) -> dict:
-    return {f.name: getattr(params, f.name) for f in fields(PhysicsParameters)}
-
-
-def conditions_to_dict(cond: OperatingConditions) -> dict:
-    return {f.name: getattr(cond, f.name) for f in fields(OperatingConditions)}
-
-
-def parameters_from_dict(data: dict) -> PhysicsParameters:
-    return _build_from_dict(PhysicsParameters, data)
-
-
-def conditions_from_dict(data: dict) -> OperatingConditions:
-    return _build_from_dict(OperatingConditions, data)
-
-
-def _build_from_dict(cls, data: dict):
-    known = {f.name for f in fields(cls)}
-    for key in data:
-        if key not in known:
-            raise ConfigError(key, f"unknown key for {cls.__name__}")
-    for key, value in data.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(key, f"expected a number, got {value!r}")
-    return cls(**{k: float(v) for k, v in data.items()})
-
-
-def save_parameters(params: PhysicsParameters, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(parameters_to_dict(params), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_parameters(path) -> PhysicsParameters:
-    with open(path) as fh:
-        return parameters_from_dict(json.load(fh))

@@ -272,20 +272,20 @@ def save_checkpoint(params: NetworkParameters, path) -> None:
         "v_ref": params.v_ref,
         "t_mem_ref": params.t_mem_ref,
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
 def load_checkpoint(path) -> NetworkParameters:
-    """Read a checkpoint; a file that is not valid JSON, has the wrong
+    """Read a checkpoint; a file that is not UTF-8 JSON, has the wrong
     ``format`` or ``version``, lacks a key, or whose arrays do not chain
     into a 1-input, 2-output MLP, raises ArtifactFormatError naming the
     file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ArtifactFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ArtifactFormatError(f"{path}: must hold a JSON object")

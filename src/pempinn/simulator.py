@@ -291,7 +291,7 @@ def save_dataset(ds: Dataset, path, config_hash: str = "") -> str:
         "config_hash": config_hash,
         "sha256": checksum,
     }
-    with open(str(path) + ".meta.json", "w") as fh:
+    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return checksum
@@ -306,6 +306,7 @@ def load_dataset(path) -> Dataset:
     checked here; a fault raises DatasetFormatError naming the file, and the
     line for a fault in a row:
 
+    - the CSV and the sidecar are UTF-8 text;
     - the header has every column of ``DATASET_COLUMNS``;
     - every row parses, its values are finite, its split is ``train`` or
       ``test``, and both splits occur;
@@ -316,7 +317,9 @@ def load_dataset(path) -> Dataset:
     - that ``sha256`` is the digest of the CSV. It is compared after the
       rows are parsed, so a bad row is reported with its line first.
     """
-    with open(path, newline="") as fh:
+    # Bytes that are not UTF-8 pass here as U+FFFD; loadtxt decodes strictly
+    # and sends them to _bad_row.
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         header = next(csv.reader(fh), [])
         for col in DATASET_COLUMNS:
             if col not in header:
@@ -329,7 +332,12 @@ def load_dataset(path) -> Dataset:
     # Like csv.DictReader, a repeated column name means its last copy.
     index = {name: i for i, name in enumerate(header)}
     read = functools.partial(
-        np.loadtxt, path, delimiter=",", skiprows=1, comments=None
+        np.loadtxt,
+        path,
+        delimiter=",",
+        skiprows=1,
+        comments=None,
+        encoding="utf-8",
     )
     try:
         values = read(usecols=[index[col] for col in _VALUE_COLUMNS], ndmin=2)
@@ -372,10 +380,11 @@ def _bad_row(path, index, exc) -> DatasetFormatError:
 
     Runs on the error path only: it rescans the file row by row with the
     csv module, because numpy's error text does not give a stable line
-    number. ``exc`` is numpy's error, reported if no row is found at fault.
+    number. ``exc`` is numpy's error, reported if no row is found at fault,
+    as for a byte that is not UTF-8 in a column that is not parsed.
     """
     width = max(index[col] for col in ("split", *_VALUE_COLUMNS)) + 1
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
@@ -426,11 +435,11 @@ _SIDECAR_KEYS = (
 def _read_sidecar(path) -> dict:
     meta_path = f"{path}.meta.json"
     try:
-        with open(meta_path) as fh:
+        with open(meta_path, encoding="utf-8") as fh:
             meta = json.load(fh)
     except FileNotFoundError as exc:
         raise DatasetFormatError(f"{path}: missing sidecar {meta_path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise DatasetFormatError(f"{meta_path}: not valid JSON ({exc})") from exc
     if not isinstance(meta, dict):
         raise DatasetFormatError(f"{meta_path}: must hold a JSON object")

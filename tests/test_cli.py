@@ -91,15 +91,43 @@ def test_config_file_with_nan_exits_2(tmp_path, capsys):
     assert "learning_rate" in capsys.readouterr().err
 
 
-def test_packaged_default_matches_dataclass_defaults():
+# Keys that no equation read, which older configs still hold, with the
+# values they held there.
+_REMOVED_KEYS = {
+    "i_lim": 6.0,
+    "gamma_cat": 150.0,
+    "k1_0": 706.8,
+    "A_H2O2": 42450.0,
+    "alpha_H2O2": 0.5,
+    "eta_2e": 0.695,
+    "p_cat": 30.0,
+    "rho_naf_cgs": 1.98,
+}
+
+
+@pytest.mark.parametrize("key", sorted(_REMOVED_KEYS))
+def test_config_with_removed_key_exits_2(tmp_path, capsys, key):
+    data = config_to_dict(default_config())
+    data[key] = _REMOVED_KEYS[key]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(data))
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_packaged_default_matches_dataclass_defaults(tmp_path):
     # The committed config file is generated from the dataclass defaults by
-    # scripts/calibrate_closures.py; they must never drift apart.
+    # scripts/calibrate_closures.py; they must never drift apart, and the
+    # file must be exactly what save_config writes.
     from importlib import resources
 
-    packaged = load_config(
-        Path(resources.files("pempinn") / "data" / "default_config.json")
-    )
+    path = Path(resources.files("pempinn") / "data" / "default_config.json")
+    packaged = load_config(path)
     assert config_hash(packaged) == config_hash(default_config())
+    fresh = tmp_path / "default_config.json"
+    save_config(default_config(), fresh)
+    assert path.read_bytes() == fresh.read_bytes()
 
 
 # -- commands ------------------------------------------------------------
@@ -328,6 +356,57 @@ def test_corrupt_manifest_exits_4(tmp_path, fast_config, capsys):
         assert code == 4, body
         assert str(manifest) in capsys.readouterr().err, body
         assert manifest.read_text() == body  # left as found
+
+
+def _invalid_utf8_at_last_line(path: Path) -> None:
+    raw = path.read_bytes()
+    start = raw.rstrip(b"\n").rfind(b"\n") + 1
+    path.write_bytes(raw[:start] + b"\xff" + raw[start:])  # 0xff is never UTF-8
+
+
+def _invalid_utf8_at_end(path: Path) -> None:
+    path.write_bytes(path.read_bytes().rstrip(b"\n") + b"\xff\n")
+
+
+@pytest.mark.parametrize(
+    "kind, damage, code",
+    [
+        ("config", _invalid_utf8_at_last_line, 2),
+        ("dataset", _invalid_utf8_at_last_line, 4),
+        ("dataset", _invalid_utf8_at_end, 4),  # in is_noisy, which is not parsed
+        ("sidecar", _invalid_utf8_at_last_line, 4),
+        ("checkpoint", _invalid_utf8_at_last_line, 4),
+        ("manifest", _invalid_utf8_at_last_line, 4),
+    ],
+    ids=["config", "dataset", "dataset_unparsed_column", "sidecar", "checkpoint",
+         "manifest"],
+)
+def test_input_that_is_not_utf8_exits_with_its_code(
+    tmp_path, fast_config, capsys, kind, damage, code
+):
+    ds_path, ckpt = _trained_checkpoint(tmp_path, fast_config)
+    out = tmp_path / "eval"
+    out.mkdir()
+    (out / "manifest.json").write_text('{"runs": []}\n')
+    target = {
+        "config": fast_config,
+        "dataset": ds_path,
+        "sidecar": Path(f"{ds_path}.meta.json"),
+        "checkpoint": ckpt,
+        "manifest": out / "manifest.json",
+    }[kind]
+    damage(target)
+    capsys.readouterr()
+    assert main(
+        [
+            "evaluate",
+            "--config", str(fast_config),
+            "--checkpoint", str(ckpt),
+            "--data", str(ds_path),
+            "--out", str(out),
+        ]
+    ) == code
+    assert str(target) in capsys.readouterr().err
 
 
 def test_train_no_physics_flag(tmp_path, fast_config):

@@ -1,4 +1,4 @@
-import math
+from dataclasses import fields
 
 import pytest
 
@@ -6,14 +6,10 @@ from pempinn.constants import (
     OperatingConditions,
     PhysicsParameters,
     default_parameters,
-    load_parameters,
     membrane_molar_concentration,
-    parameters_from_dict,
-    parameters_to_dict,
-    peroxide_formation_constant,
     saturation_pressure_bar,
-    save_parameters,
 )
+from pempinn.degradation import fluoride_release_rate, thinning_rate
 from pempinn.errors import ConfigError
 
 
@@ -24,16 +20,10 @@ def test_registry_literature_values(params):
     assert params.alpha_an == 0.5 and params.alpha_cat == 0.5
     assert params.i0_an == 2.3e-7
     assert params.i0_cat == 1.0e-3
-    assert params.i_lim == 6.0
     assert params.lambda_hydration == 20.0
     assert params.EW == 1.100
     assert params.rho_naf_SI == 1980.0
     assert params.e_cl == 1.0e-5
-    assert params.gamma_cat == 150.0
-    assert params.k1_0 == 7.068e2
-    assert params.A_H2O2 == 42450.0
-    assert params.alpha_H2O2 == 0.5
-    assert params.eta_2e == 0.695
     assert params.k2 == 1.2e-7
     assert params.k3 == 2.7e4
     assert params.k4 == 1.2e7
@@ -44,13 +34,23 @@ def test_registry_literature_values(params):
 
 
 def test_density_values_consistent(params):
-    # Both density fields describe the same material.
-    assert params.rho_naf_cgs == pytest.approx(params.rho_naf_SI / 1000.0, rel=1e-12)
+    # The default g/cm3 density is the literature 1.98 to the bit.
+    assert params.rho_naf_cgs == 1.98
+
+
+def test_cgs_density_follows_si_density():
+    # One density key; the g/cm3 value the thinning rate reads derives from it.
+    p = PhysicsParameters(rho_naf_SI=2000.0)
+    assert p.rho_naf_cgs == 2.0
+    assert not any(f.name == "rho_naf_cgs" for f in fields(PhysicsParameters))
+    frr = fluoride_release_rate(p, 3.0e-12, 0.0175)
+    tr = thinning_rate(p, 3.0e-12, 0.0175)
+    assert float(tr) == float(frr) * (1.0e-6 / (2.0 * 0.82))
 
 
 def test_all_constants_strictly_positive(params):
-    for key, value in parameters_to_dict(params).items():
-        assert value > 0.0, key
+    for f in fields(params):
+        assert getattr(params, f.name) > 0.0, f.name
 
 
 def test_k5_normalization_window(params):
@@ -64,63 +64,13 @@ def test_membrane_molar_concentration():
     p = default_parameters()
     assert membrane_molar_concentration(p) == pytest.approx(1800.0, rel=1e-12)
     # ratio identity
-    q = PhysicsParameters(rho_naf_SI=1.1, EW=1.1, rho_naf_cgs=0.0011)
+    q = PhysicsParameters(rho_naf_SI=1.1, EW=1.1)
     assert membrane_molar_concentration(q) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_zero_density_rejected():
     with pytest.raises(ConfigError, match="rho_naf_SI"):
         PhysicsParameters(rho_naf_SI=0.0)
-
-
-def test_peroxide_constant_trivial_exponents():
-    # Vanishing activation energy and overpotential leave the base constant.
-    # (Exactly zero violates positivity, so approach it numerically.)
-    p = default_parameters()
-    tiny = PhysicsParameters(A_H2O2=1e-300, eta_2e=1e-300)
-    assert peroxide_formation_constant(tiny, 313.15) == pytest.approx(
-        p.k1_0, rel=1e-12
-    )
-
-
-def test_peroxide_constant_golden(params):
-    # Independent scalar evaluation of the two exponentials.
-    rt = 8.314 * 313.15
-    expected = 7.068e2 * math.exp(-42450.0 / rt) * math.exp(
-        -0.5 * 96485.0 * 0.695 / rt
-    )
-    got = peroxide_formation_constant(params, 313.15)
-    assert got == pytest.approx(expected, rel=1e-14)
-    assert got == pytest.approx(1.4973480078878843e-10, rel=1e-12)
-
-
-def test_peroxide_constant_monotone_in_temperature(params):
-    assert peroxide_formation_constant(params, 330.0) > peroxide_formation_constant(
-        params, 310.0
-    )
-    values = [
-        peroxide_formation_constant(params, t) for t in range(280, 401, 5)
-    ]
-    assert all(v > 0.0 for v in values)
-    assert values == sorted(values)
-
-
-def test_parameters_roundtrip(tmp_path, params):
-    path = tmp_path / "params.json"
-    save_parameters(params, path)
-    loaded = load_parameters(path)
-    assert loaded == params  # bit-exact field equality
-
-
-def test_loader_names_offending_key():
-    data = parameters_to_dict(default_parameters())
-    data["k3"] = -1.0
-    with pytest.raises(ConfigError, match="k3"):
-        parameters_from_dict(data)
-    data = parameters_to_dict(default_parameters())
-    data["k3_typo"] = 1.0
-    with pytest.raises(ConfigError, match="k3_typo"):
-        parameters_from_dict(data)
 
 
 def test_dimensional_audit_conversion_factor():

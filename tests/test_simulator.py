@@ -2,13 +2,11 @@ import csv
 import hashlib
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pempinn import _kernel
 from pempinn.degradation import steady_state_radicals, thinning_rate
 from pempinn.errors import ConfigError, DatasetFormatError, SimulationError
 from pempinn.simulator import (
@@ -90,26 +88,6 @@ def test_membrane_vanish_aborts(params, cond):
     # an RK4 stage overshoot below zero thickness within one step.
     with pytest.raises(SimulationError, match="membrane"):
         integrate_trajectory(params, cond, n_steps=64, c_ho_override=1.0e-3)
-
-
-def test_kernel_python_and_jit_paths_agree(params, cond):
-    if not _kernel.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    args = None
-    # Build identical kernel calls through the public API by toggling env.
-    old = os.environ.get(_kernel.ENV_FLAG)
-    try:
-        os.environ[_kernel.ENV_FLAG] = "1"
-        t_py = integrate_trajectory(params, cond, n_steps=256)
-        os.environ.pop(_kernel.ENV_FLAG)
-        t_jit = integrate_trajectory(params, cond, n_steps=256)
-    finally:
-        if old is not None:
-            os.environ[_kernel.ENV_FLAG] = old
-        else:
-            os.environ.pop(_kernel.ENV_FLAG, None)
-    assert np.allclose(t_py.thicknesses, t_jit.thicknesses, rtol=1e-12, atol=0)
-    assert np.allclose(t_py.voltages, t_jit.voltages, rtol=1e-12, atol=0)
 
 
 # -- datasets ------------------------------------------------------------
