@@ -7,6 +7,19 @@ they gain nothing from numpy vectorization; they are plain python over
 floats. ``python3 perfbench/run.py --workload datagen_sweep --trace 1``
 times them (``kernel.rk4_s``).
 
+``rk4_thinning`` is one flat loop over (step, stage) with the safeguarded
+Newton solve, the peroxide/hydroxyl chemistry and the RK4 update written
+inline, so no Python call is made per stage. Every floating-point
+operation keeps the operands and the order of the standalone
+``solve_voltage`` and of the scalar chemistry, so the trajectories are
+bit-identical to a per-stage function-call form. The rewrites only hoist
+values that do not change within a call (the bracket end residual terms
+``lo - k1v - k2v*log(p/lo)`` and ``k3v*p/lo``, ``k3v*p``, ``0.5*dt``,
+``dt/6``, ``3*k2``) and replace ``abs``/``min`` by comparisons that pick
+the same float, NaN included. ``tests/test_simulator.py`` pins the loop
+to that per-stage reference (all arrays, status and counters, failure
+exits included) and pins its Newton iterates to ``solve_voltage``.
+
 Status codes returned by the kernels: 0 ok, 1 no sign-definite voltage
 bracket, 2 voltage solve did not converge, 3 membrane thickness reached
 zero. Callers translate these into exceptions.
@@ -59,98 +72,6 @@ def solve_voltage(k1v, k2v, k3v, p_over_a, t_mem, v_guess, tol, max_iter):
     return (x, max_iter, 2)
 
 
-def steady_chemistry(i, kappa_w, e_cl, k2, k3, kc, v1):
-    """Radical steady state at current density i (A/cm2).
-
-    Solves the peroxide quadratic with the sign-aware stable formula,
-    keeps the smallest strictly positive root, then evaluates the
-    hydroxyl concentration and clamps it at zero.
-    Returns (c_h2o2, c_ho, feasible, clamped).
-    """
-    w = kappa_w * i / e_cl
-    a = w - 3.0 * k2
-    s = kc - w
-    b = s * (w - k2) / k3 - v1
-    c = -s * v1 / k3
-
-    feasible = True
-    root = 0.0
-    if a == 0.0:
-        if b == 0.0:
-            feasible = False
-        else:
-            root = -c / b
-            feasible = root > 0.0
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            feasible = False
-        else:
-            sq = math.sqrt(disc)
-            if b >= 0.0:
-                q = -0.5 * (b + sq)
-            else:
-                q = -0.5 * (b - sq)
-            r1 = q / a
-            if q != 0.0:
-                r2 = c / q
-            else:
-                r2 = r1
-            if r1 > 0.0 and r2 > 0.0:
-                root = min(r1, r2)
-            elif r1 > 0.0:
-                root = r1
-            elif r2 > 0.0:
-                root = r2
-            else:
-                feasible = False
-
-    if not feasible:
-        return (0.0, 0.0, 0, 0)
-    c_ho = (w - k2) / k3 - v1 / (k3 * root)
-    clamped = 0
-    if c_ho < 0.0:
-        c_ho = 0.0
-        clamped = 1
-    return (root, c_ho, 1, clamped)
-
-
-def _derivative(
-    t_mem,
-    v_guess,
-    k1v,
-    k2v,
-    k3v,
-    p_over_a,
-    kappa_w,
-    e_cl,
-    k2,
-    k3,
-    kc,
-    v1,
-    frr_coeff,
-    tr_conv,
-    c_ho_override,
-    v_tol,
-):
-    """One right-hand-side evaluation; returns all per-stage diagnostics."""
-    v, iters, status = solve_voltage(
-        k1v, k2v, k3v, p_over_a, t_mem, v_guess, v_tol, V_MAX_ITER
-    )
-    if status != 0:
-        return (0.0, math.nan, iters, 0.0, 0.0, 0.0, 0.0, status, 0, 0)
-    i = p_over_a / v
-    c_h2o2, c_ho, feasible, clamped = steady_chemistry(
-        i, kappa_w, e_cl, k2, k3, kc, v1
-    )
-    infeasible = 0 if feasible == 1 else 1
-    if c_ho_override >= 0.0:
-        c_ho = c_ho_override
-    frr = frr_coeff * c_ho * t_mem
-    tr = tr_conv * frr
-    return (-tr, v, iters, c_h2o2, c_ho, tr, frr, 0, clamped, infeasible)
-
-
 def rk4_thinning(
     n_steps,
     dt,
@@ -172,9 +93,12 @@ def rk4_thinning(
 ):
     """Fixed-step classical RK4 on the membrane thickness.
 
-    The voltage is re-solved algebraically at every stage (warm-started
-    from the previous solve). Samples and diagnostics are recorded at
-    the n_steps+1 step boundaries.
+    The voltage is re-solved algebraically at every stage, warm-started
+    from the voltage recorded at the start of the step. Samples and
+    diagnostics are recorded at the n_steps+1 step boundaries; a negative
+    ``c_ho_override`` means no override. Returns (status, fail_step,
+    clamped, infeasible, times, volts, tmems, c_h2o2s, c_hos, trs, frrs,
+    iters); the arrays are valid up to ``fail_step`` when status != 0.
     """
     n_out = n_steps + 1
     times = np.empty(n_out)
@@ -186,92 +110,140 @@ def rk4_thinning(
     frrs = np.empty(n_out)
     iters = np.zeros(n_out, dtype=np.int64)
 
+    log = math.log
+    sqrt = math.sqrt
+    lo0 = V_BRACKET_LO
+    hi0 = V_BRACKET_HI
+    mid0 = 0.5 * (lo0 + hi0)
+    i_lo = p_over_a / lo0
+    g_lo_head = lo0 - k1v - k2v * log(i_lo)
+    g_lo_tail = k3v * i_lo
+    i_hi = p_over_a / hi0
+    g_hi_head = hi0 - k1v - k2v * log(i_hi)
+    g_hi_tail = k3v * i_hi
+    k3p = k3v * p_over_a
+    k2_3 = 3.0 * k2
+    override = c_ho_override >= 0.0
+    half_dt = 0.5 * dt
+    sixth_dt = dt / 6.0
+    newton_iters = range(1, V_MAX_ITER + 1)
+
     status = 0
     fail_step = -1
     clamp_count = 0
     infeasible_count = 0
-    tm = t_mem0
+    tm = t_mem0      # thickness at the start of the step
+    t_mem = tm       # thickness the current stage is evaluated at
     v_guess = 1.8
+    step = 0
+    stage = 0
 
-    for step in range(n_out):
-        d, v, it, ch, cho, tr, frr, st, cl, inf = _derivative(
-            tm, v_guess, k1v, k2v, k3v, p_over_a, kappa_w, e_cl,
-            k2, k3, kc, v1, frr_coeff, tr_conv, c_ho_override, v_tol,
-        )
-        if st != 0:
-            status = st
+    while True:
+        # Voltage: safeguarded Newton on g(V) = V - RHS(V) at t_mem.
+        g_lo = g_lo_head - g_lo_tail / t_mem
+        if g_lo > 0.0 or g_hi_head - g_hi_tail / t_mem < 0.0:
+            status = 1
             fail_step = step
             break
-        times[step] = step * dt
-        volts[step] = v
-        tmems[step] = tm
-        c_h2o2s[step] = ch
-        c_hos[step] = cho
-        trs[step] = tr
-        frrs[step] = frr
-        iters[step] = it
-        clamp_count += cl
-        infeasible_count += inf
-        v_guess = v
-        if step == n_steps:
+        lo = lo0
+        hi = hi0
+        x = v_guess
+        if x <= lo or x >= hi:
+            x = mid0
+        for it in newton_iters:
+            i_x = p_over_a / x
+            g_x = x - k1v - k2v * log(i_x) - k3v * i_x / t_mem
+            if -v_tol <= g_x <= v_tol:
+                break
+            if g_x > 0.0:
+                hi = x
+            else:
+                lo = x
+            x_new = x - g_x / (1.0 + k2v / x + k3p / (x * x * t_mem))
+            if x_new <= lo or x_new >= hi:
+                x_new = 0.5 * (lo + hi)
+            x = x_new
+        else:
+            status = 2
+            fail_step = step
             break
 
-        k_1 = d
-        tm2 = tm + 0.5 * dt * k_1
-        if tm2 <= 0.0:
+        # Chemistry: smallest positive root of the peroxide quadratic
+        # (sign-aware stable formula), then hydroxyl clamped at zero.
+        w = kappa_w * (p_over_a / x) / e_cl
+        wk2 = w - k2
+        a = w - k2_3
+        s = kc - w
+        b = s * wk2 / k3 - v1
+        c = -s * v1 / k3
+        root = 0.0
+        if a == 0.0:
+            if b != 0.0:
+                root = -c / b
+        else:
+            disc = b * b - 4.0 * a * c
+            if disc >= 0.0:
+                sq = sqrt(disc)
+                if b >= 0.0:
+                    q = -0.5 * (b + sq)
+                else:
+                    q = -0.5 * (b - sq)
+                r1 = q / a
+                r2 = c / q if q != 0.0 else r1
+                if r1 > 0.0 and r2 > 0.0:
+                    root = r2 if r2 < r1 else r1
+                elif r1 > 0.0:
+                    root = r1
+                elif r2 > 0.0:
+                    root = r2
+        if root > 0.0:
+            c_ho = wk2 / k3 - v1 / (k3 * root)
+            if c_ho < 0.0:
+                c_ho = 0.0
+                clamp_count += 1
+        else:
+            root = 0.0
+            c_ho = 0.0
+            infeasible_count += 1
+        if override:
+            c_ho = c_ho_override
+        frr = frr_coeff * c_ho * t_mem
+        tr = tr_conv * frr
+        d = -tr
+
+        # RK4 bookkeeping: record at the step boundary, then pick the
+        # thickness of the next stage.
+        if stage == 0:
+            times[step] = step * dt
+            volts[step] = x
+            tmems[step] = t_mem
+            c_h2o2s[step] = root
+            c_hos[step] = c_ho
+            trs[step] = tr
+            frrs[step] = frr
+            iters[step] = it
+            v_guess = x
+            if step == n_steps:
+                break
+            k_1 = d
+            t_mem = tm + half_dt * k_1
+            stage = 1
+        elif stage == 1:
+            k_2 = d
+            t_mem = tm + half_dt * k_2
+            stage = 2
+        elif stage == 2:
+            k_3 = d
+            t_mem = tm + dt * k_3
+            stage = 3
+        else:
+            tm = tm + sixth_dt * (k_1 + 2.0 * k_2 + 2.0 * k_3 + d)
+            t_mem = tm
+            step += 1
+            stage = 0
+        if t_mem <= 0.0:
             status = 3
             fail_step = step
-            break
-        d, v, it, ch, cho, tr, frr, st, cl, inf = _derivative(
-            tm2, v_guess, k1v, k2v, k3v, p_over_a, kappa_w, e_cl,
-            k2, k3, kc, v1, frr_coeff, tr_conv, c_ho_override, v_tol,
-        )
-        if st != 0:
-            status = st
-            fail_step = step
-            break
-        clamp_count += cl
-        infeasible_count += inf
-        k_2 = d
-
-        tm3 = tm + 0.5 * dt * k_2
-        if tm3 <= 0.0:
-            status = 3
-            fail_step = step
-            break
-        d, v, it, ch, cho, tr, frr, st, cl, inf = _derivative(
-            tm3, v_guess, k1v, k2v, k3v, p_over_a, kappa_w, e_cl,
-            k2, k3, kc, v1, frr_coeff, tr_conv, c_ho_override, v_tol,
-        )
-        if st != 0:
-            status = st
-            fail_step = step
-            break
-        clamp_count += cl
-        infeasible_count += inf
-        k_3 = d
-
-        tm4 = tm + dt * k_3
-        if tm4 <= 0.0:
-            status = 3
-            fail_step = step
-            break
-        d, v, it, ch, cho, tr, frr, st, cl, inf = _derivative(
-            tm4, v_guess, k1v, k2v, k3v, p_over_a, kappa_w, e_cl,
-            k2, k3, kc, v1, frr_coeff, tr_conv, c_ho_override, v_tol,
-        )
-        if st != 0:
-            status = st
-            fail_step = step
-            break
-        clamp_count += cl
-        infeasible_count += inf
-        k_4 = d
-
-        tm = tm + (dt / 6.0) * (k_1 + 2.0 * k_2 + 2.0 * k_3 + k_4)
-        if tm <= 0.0:
-            status = 3
-            fail_step = step + 1
             break
 
     return (
@@ -291,5 +263,5 @@ def rk4_thinning(
 
 
 def get_kernels():
-    """Return (solve_voltage, steady_chemistry, rk4_thinning)."""
-    return solve_voltage, steady_chemistry, rk4_thinning
+    """Return (solve_voltage, rk4_thinning)."""
+    return solve_voltage, rk4_thinning

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .network import load_checkpoint, save_checkpoint
 from .simulator import (
+    atomic_open,
     file_sha256,
     generate_dataset,
     integrate_trajectory,
@@ -87,9 +88,8 @@ def _append_manifest(out_dir: Path, command: str, cfg: RunConfig, outputs, input
             "outputs": {str(p.name): file_sha256(p) for p in outputs},
         }
     )
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    with atomic_open(manifest_path) as fh:
+        fh.write(json.dumps(manifest, indent=2) + "\n")
 
 
 def _write_history_csv(path: Path, history) -> None:

@@ -146,7 +146,7 @@ def solve_cell_voltage(
         raise ConfigError("t_mem", "membrane thickness must be positive")
     if coeffs.k2V == 0.0 and coeffs.k3V == 0.0:
         return coeffs.k1V
-    solve, _, _ = _kernel.get_kernels()
+    solve, _ = _kernel.get_kernels()
     v, iters, status = solve(
         coeffs.k1V,
         coeffs.k2V,

@@ -12,11 +12,13 @@ deviation of the clean full-horizon signal.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,16 +114,26 @@ def integrate_trajectory(
 ) -> Trajectory:
     """Integrate the coupled system over [0, t_max] with n_steps RK4 steps.
 
-    ``c_ho_override`` freezes the hydroxyl concentration at a fixed value
-    (diagnostic mode; the thinning ODE then has an exact exponential
-    solution, which the validation suite exploits).
+    ``c_ho_override`` freezes the hydroxyl concentration at a fixed finite,
+    non-negative value (diagnostic mode; the thinning ODE then has an exact
+    exponential solution, which the validation suite exploits).
     """
     if n_steps < 10:
         raise ConfigError("n_steps", "need at least 10 integration steps")
     if k5 is None:
         k5 = params.k5_true
-    if k5 < 0.0:
-        raise ConfigError("k5", "rate constant must be non-negative")
+    if not (math.isfinite(k5) and k5 >= 0.0):
+        raise ConfigError(
+            "k5", f"rate constant must be finite and non-negative, not {k5}"
+        )
+    if c_ho_override is None:
+        c_ho_override = -1.0  # the kernel's "no override"
+    elif not (math.isfinite(c_ho_override) and c_ho_override >= 0.0):
+        raise ConfigError(
+            "c_ho_override",
+            "hydroxyl concentration must be finite and non-negative, "
+            f"not {c_ho_override}",
+        )
 
     coeffs = electrochem.voltage_coefficients(params, cond)
     c_mem = membrane_molar_concentration(params)
@@ -132,7 +144,7 @@ def integrate_trajectory(
     tr_conv = 1.0e-6 / (params.rho_naf_cgs * params.fluorine_mass_fraction)
     dt = cond.t_max / n_steps
 
-    _, _, rk4 = _kernel.get_kernels()
+    _, rk4 = _kernel.get_kernels()
     (
         status,
         fail_step,
@@ -162,7 +174,7 @@ def integrate_trajectory(
         params.v1,
         frr_coeff,
         tr_conv,
-        -1.0 if c_ho_override is None else float(c_ho_override),
+        float(c_ho_override),
         _kernel.V_TOL_DEFAULT,
     )
 
@@ -278,10 +290,14 @@ def dataset_csv_bytes(ds: Dataset) -> bytes:
 
 
 def save_dataset(ds: Dataset, path, config_hash: str = "") -> str:
-    """Write the dataset CSV plus a metadata sidecar; returns the checksum."""
+    """Write the dataset CSV plus a metadata sidecar; returns the checksum.
+
+    Each file is written atomically (``atomic_open``): the CSV first, then
+    the sidecar holding its checksum.
+    """
     payload = dataset_csv_bytes(ds)
     checksum = hashlib.sha256(payload).hexdigest()
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(payload)
     meta = {
         "noise_sigma_v": ds.noise_sigma_v,
@@ -291,7 +307,7 @@ def save_dataset(ds: Dataset, path, config_hash: str = "") -> str:
         "config_hash": config_hash,
         "sha256": checksum,
     }
-    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
+    with atomic_open(str(path) + ".meta.json") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return checksum
@@ -453,6 +469,26 @@ def _read_sidecar(path) -> dict:
     return meta
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="w"):
+    """Open a temporary file beside ``path`` that replaces it on success.
+
+    Text mode writes UTF-8. If the body raises, the temporary file is
+    removed and ``path`` keeps its previous contents, so a failed or
+    killed write never leaves a half-written file under the final name.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    encoding = None if "b" in mode else "utf-8"
+    try:
+        with open(tmp, mode, encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def file_sha256(path) -> str:
     """Hex sha256 of a file, read in fixed-size chunks."""
     digest = hashlib.sha256()
@@ -463,13 +499,17 @@ def file_sha256(path) -> str:
 
 
 def save_trajectory(traj: Trajectory, path, diagnostics_path=None) -> None:
-    """Write the trajectory CSV (and optionally a diagnostics CSV)."""
-    with open(path, "w") as fh:
+    """Write the trajectory CSV (and optionally a diagnostics CSV).
+
+    Rows are streamed to each file, which is written atomically
+    (``atomic_open``).
+    """
+    with atomic_open(path) as fh:
         fh.write("t_hours,voltage_V,thickness_cm\n")
         for t, v, m in zip(traj.times, traj.voltages, traj.thicknesses):
             fh.write(f"{_format(t)},{_format(v)},{_format(m)}\n")
     if diagnostics_path is not None:
-        with open(diagnostics_path, "w") as fh:
+        with atomic_open(diagnostics_path) as fh:
             fh.write(
                 "t_hours,c_ho_mol_m3,c_h2o2_mol_m3,thinning_cm_h,"
                 "fluoride_ug_h_cm2,solver_iterations\n"

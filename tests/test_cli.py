@@ -463,6 +463,18 @@ def test_numerical_failure_exits_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["simulate", "generate-data"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_k5_exits_2(tmp_path, fast_config, capsys, command, value):
+    out = tmp_path / "o"
+    code = main(
+        [command, "--config", str(fast_config), "--out", str(out), "--k5", value]
+    )
+    assert code == 2
+    assert "config key 'k5'" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_seed_override_changes_dataset(tmp_path, fast_config):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -1,21 +1,30 @@
 import csv
+import functools
 import hashlib
+import inspect
 import json
 import math
+import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pempinn import _kernel
+from pempinn.constants import default_conditions, default_parameters
 from pempinn.degradation import steady_state_radicals, thinning_rate
+from pempinn.electrochem import voltage_coefficients
 from pempinn.errors import ConfigError, DatasetFormatError, SimulationError
 from pempinn.simulator import (
     DATASET_COLUMNS,
+    atomic_open,
     dataset_csv_bytes,
     generate_dataset,
     integrate_trajectory,
     load_dataset,
     save_dataset,
+    save_trajectory,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "data"
@@ -88,6 +97,338 @@ def test_membrane_vanish_aborts(params, cond):
     # an RK4 stage overshoot below zero thickness within one step.
     with pytest.raises(SimulationError, match="membrane"):
         integrate_trajectory(params, cond, n_steps=64, c_ho_override=1.0e-3)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"k5": math.nan},
+        {"k5": math.inf},
+        {"c_ho_override": math.nan},
+        {"c_ho_override": math.inf},
+        {"c_ho_override": -1.0},
+    ],
+    ids=["k5_nan", "k5_inf", "c_ho_nan", "c_ho_inf", "c_ho_negative"],
+)
+def test_integrate_rejects_non_finite_inputs(params, cond, kwargs):
+    (key,) = kwargs
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        integrate_trajectory(params, cond, n_steps=64, **kwargs)
+
+
+# -- kernel parity with the per-stage reference -------------------------------
+#
+# The per-stage form that rk4_thinning replaced, kept as the reference: one
+# _reference_derivative call per RK4 stage, each calling solve_voltage and
+# the scalar chemistry. The fused loop must reproduce it bit for bit.
+
+
+def _reference_steady_chemistry(i, kappa_w, e_cl, k2, k3, kc, v1):
+    w = kappa_w * i / e_cl
+    a = w - 3.0 * k2
+    s = kc - w
+    b = s * (w - k2) / k3 - v1
+    c = -s * v1 / k3
+
+    feasible = True
+    root = 0.0
+    if a == 0.0:
+        if b == 0.0:
+            feasible = False
+        else:
+            root = -c / b
+            feasible = root > 0.0
+    else:
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            feasible = False
+        else:
+            sq = math.sqrt(disc)
+            if b >= 0.0:
+                q = -0.5 * (b + sq)
+            else:
+                q = -0.5 * (b - sq)
+            r1 = q / a
+            if q != 0.0:
+                r2 = c / q
+            else:
+                r2 = r1
+            if r1 > 0.0 and r2 > 0.0:
+                root = min(r1, r2)
+            elif r1 > 0.0:
+                root = r1
+            elif r2 > 0.0:
+                root = r2
+            else:
+                feasible = False
+
+    if not feasible:
+        return (0.0, 0.0, 0, 0)
+    c_ho = (w - k2) / k3 - v1 / (k3 * root)
+    clamped = 0
+    if c_ho < 0.0:
+        c_ho = 0.0
+        clamped = 1
+    return (root, c_ho, 1, clamped)
+
+
+def _reference_derivative(
+    t_mem, v_guess, k1v, k2v, k3v, p_over_a, kappa_w, e_cl, k2, k3, kc, v1,
+    frr_coeff, tr_conv, c_ho_override, v_tol,
+):
+    v, iters, status = _kernel.solve_voltage(
+        k1v, k2v, k3v, p_over_a, t_mem, v_guess, v_tol, _kernel.V_MAX_ITER
+    )
+    if status != 0:
+        return (0.0, math.nan, iters, 0.0, 0.0, 0.0, 0.0, status, 0, 0)
+    i = p_over_a / v
+    c_h2o2, c_ho, feasible, clamped = _reference_steady_chemistry(
+        i, kappa_w, e_cl, k2, k3, kc, v1
+    )
+    infeasible = 0 if feasible == 1 else 1
+    if c_ho_override >= 0.0:
+        c_ho = c_ho_override
+    frr = frr_coeff * c_ho * t_mem
+    tr = tr_conv * frr
+    return (-tr, v, iters, c_h2o2, c_ho, tr, frr, 0, clamped, infeasible)
+
+
+def _reference_rk4_thinning(
+    n_steps,
+    dt,
+    t_mem0,
+    k1v,
+    k2v,
+    k3v,
+    p_over_a,
+    kappa_w,
+    e_cl,
+    k2,
+    k3,
+    kc,
+    v1,
+    frr_coeff,
+    tr_conv,
+    c_ho_override,
+    v_tol,
+):
+    n_out = n_steps + 1
+    times = np.empty(n_out)
+    volts = np.empty(n_out)
+    tmems = np.empty(n_out)
+    c_h2o2s = np.empty(n_out)
+    c_hos = np.empty(n_out)
+    trs = np.empty(n_out)
+    frrs = np.empty(n_out)
+    iters = np.zeros(n_out, dtype=np.int64)
+
+    status = 0
+    fail_step = -1
+    clamp_count = 0
+    infeasible_count = 0
+    tm = t_mem0
+    v_guess = 1.8
+
+    for step in range(n_out):
+        d, v, it, ch, cho, tr, frr, st, cl, inf = _reference_derivative(
+            tm, v_guess, k1v, k2v, k3v, p_over_a, kappa_w, e_cl,
+            k2, k3, kc, v1, frr_coeff, tr_conv, c_ho_override, v_tol,
+        )
+        if st != 0:
+            status = st
+            fail_step = step
+            break
+        times[step] = step * dt
+        volts[step] = v
+        tmems[step] = tm
+        c_h2o2s[step] = ch
+        c_hos[step] = cho
+        trs[step] = tr
+        frrs[step] = frr
+        iters[step] = it
+        clamp_count += cl
+        infeasible_count += inf
+        v_guess = v
+        if step == n_steps:
+            break
+
+        k_1 = d
+        tm2 = tm + 0.5 * dt * k_1
+        if tm2 <= 0.0:
+            status = 3
+            fail_step = step
+            break
+        d, v, it, ch, cho, tr, frr, st, cl, inf = _reference_derivative(
+            tm2, v_guess, k1v, k2v, k3v, p_over_a, kappa_w, e_cl,
+            k2, k3, kc, v1, frr_coeff, tr_conv, c_ho_override, v_tol,
+        )
+        if st != 0:
+            status = st
+            fail_step = step
+            break
+        clamp_count += cl
+        infeasible_count += inf
+        k_2 = d
+
+        tm3 = tm + 0.5 * dt * k_2
+        if tm3 <= 0.0:
+            status = 3
+            fail_step = step
+            break
+        d, v, it, ch, cho, tr, frr, st, cl, inf = _reference_derivative(
+            tm3, v_guess, k1v, k2v, k3v, p_over_a, kappa_w, e_cl,
+            k2, k3, kc, v1, frr_coeff, tr_conv, c_ho_override, v_tol,
+        )
+        if st != 0:
+            status = st
+            fail_step = step
+            break
+        clamp_count += cl
+        infeasible_count += inf
+        k_3 = d
+
+        tm4 = tm + dt * k_3
+        if tm4 <= 0.0:
+            status = 3
+            fail_step = step
+            break
+        d, v, it, ch, cho, tr, frr, st, cl, inf = _reference_derivative(
+            tm4, v_guess, k1v, k2v, k3v, p_over_a, kappa_w, e_cl,
+            k2, k3, kc, v1, frr_coeff, tr_conv, c_ho_override, v_tol,
+        )
+        if st != 0:
+            status = st
+            fail_step = step
+            break
+        clamp_count += cl
+        infeasible_count += inf
+        k_4 = d
+
+        tm = tm + (dt / 6.0) * (k_1 + 2.0 * k_2 + 2.0 * k_3 + k_4)
+        if tm <= 0.0:
+            status = 3
+            fail_step = step + 1
+            break
+
+    return (
+        status,
+        fail_step,
+        clamp_count,
+        infeasible_count,
+        times,
+        volts,
+        tmems,
+        c_h2o2s,
+        c_hos,
+        trs,
+        frrs,
+        iters,
+    )
+
+
+class _KernelCall(Exception):
+    pass
+
+
+def _kernel_args(params, cond, **kwargs):
+    """The arguments integrate_trajectory passes to rk4_thinning, by name."""
+
+    def capture(*args):
+        raise _KernelCall(args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "get_kernels", lambda: (_kernel.solve_voltage, capture))
+        with pytest.raises(_KernelCall) as call:
+            integrate_trajectory(params, cond, **kwargs)
+    names = inspect.signature(_kernel.rk4_thinning).parameters
+    return dict(zip(names, call.value.args[0]))
+
+
+def _linear_branch(args, dkc):
+    v, _, _ = _kernel.solve_voltage(
+        args["k1v"], args["k2v"], args["k3v"], args["p_over_a"], args["t_mem0"],
+        1.8, args["v_tol"], _kernel.V_MAX_ITER,
+    )
+    w = args["kappa_w"] * (args["p_over_a"] / v) / args["e_cl"]
+    assert w - 3.0 * (w / 3.0) == 0.0
+    return {"k2": w / 3.0, "kc": w + dkc}
+
+
+def _parity_cases():
+    params = default_parameters()
+    cond = default_conditions()
+    cases = {}
+    for n in (10, 64, 1024, 16384):
+        for k5 in (0.0, 700.0, 1300.0):
+            cases[f"n{n}_k5_{k5:g}"] = (
+                0, dict(params=params, cond=cond, k5=k5, n_steps=n), {}
+            )
+    fast = replace(params, v1=14.0)
+    cases["v1_14_k5_5e3"] = (
+        0, dict(params=fast, cond=cond, k5=5.0e3, n_steps=1024), {}
+    )
+    c_ho = steady_state_radicals(params, cond, 2.4264537682997105).c_ho
+    cases["frozen_c_ho"] = (
+        0, dict(params=params, cond=cond, n_steps=1024, c_ho_override=c_ho), {}
+    )
+    # Straight to the kernel: kc = 0 clamps the hydroxyl at every stage.
+    cases["clamped"] = (0, dict(params=params, cond=cond, n_steps=64), {"kc": 0.0})
+    # Straight to the kernel: with k5 = 0 every stage sees the same voltage,
+    # and k2 = w/3 zeroes the quadratic term, so the linear branch is taken;
+    # kc just above w gives it a negative root, just below w a positive one.
+    for name, dkc in (("linear_root_negative", 1.0), ("linear_root_positive", -1.0)):
+        cases[name] = (
+            0, dict(params=params, cond=cond, k5=0.0, n_steps=16),
+            functools.partial(_linear_branch, dkc=dkc),
+        )
+    cases["membrane_vanish"] = (
+        3, dict(params=params, cond=cond, n_steps=64, c_ho_override=1.0e-3), {}
+    )
+    far = replace(cond, t_max=8.0e6)
+    cases["no_bracket"] = (1, dict(params=params, cond=far, k5=1.0e7, n_steps=64), {})
+    # What k5 = nan would pass: a NaN stage derivative makes the next
+    # thickness NaN, and the Newton residual NaN must end in status 2.
+    cases["nan_k5"] = (
+        2, dict(params=params, cond=cond, n_steps=64),
+        {"kc": math.nan, "frr_coeff": math.nan},
+    )
+    return cases
+
+
+PARITY_CASES = _parity_cases()
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_fused_kernel_matches_per_stage_reference(case):
+    expected_status, integrate_kwargs, overrides = PARITY_CASES[case]
+    args = _kernel_args(**integrate_kwargs)
+    args.update(overrides(args) if callable(overrides) else overrides)
+    got = _kernel.rk4_thinning(**args)
+    ref = _reference_rk4_thinning(**args)
+    assert got[:4] == ref[:4]
+    assert got[0] == expected_status
+    status, fail_step = ref[:2]
+    end = fail_step if status != 0 else None
+    for g, r in zip(got[4:], ref[4:]):
+        assert g.dtype == r.dtype
+        assert g[:end].tobytes() == r[:end].tobytes()
+    stages = 4 * args["n_steps"] + 1
+    if case in ("clamped", "linear_root_positive"):
+        assert got[2] == stages
+    if case == "linear_root_negative":
+        assert got[3] == stages
+
+
+def test_inlined_newton_matches_solve_voltage(params, cond):
+    traj = integrate_trajectory(params, cond)
+    co = voltage_coefficients(params, cond)
+    volts = traj.voltages.tolist()
+    for k, t_mem in enumerate(traj.thicknesses.tolist()):
+        assert _kernel.solve_voltage(
+            co.k1V, co.k2V, co.k3V, co.P_over_A, t_mem,
+            volts[k - 1] if k else 1.8,
+            _kernel.V_TOL_DEFAULT, _kernel.V_MAX_ITER,
+        ) == (volts[k], int(traj.solver_iterations[k]), 0)
 
 
 # -- datasets ------------------------------------------------------------
@@ -170,13 +511,17 @@ def test_load_reports_bad_line_number(tmp_path, small_dataset):
         load_dataset(path)
 
 
-def test_golden_dataset_checksum():
+def test_golden_dataset_checksum(params, cond):
     # Committed artifact generated once by scripts/make_golden_dataset.py.
     path = GOLDEN_DIR / "golden_dataset.csv"
     meta = json.loads((GOLDEN_DIR / "golden_dataset.csv.meta.json").read_text())
     assert hashlib.sha256(path.read_bytes()).hexdigest() == meta["sha256"]
     ds = load_dataset(path)
     assert len(ds.train_times) == 12
+    # Rebuilt as the script does: pins the integrator's numbers too.
+    traj = integrate_trajectory(params, cond, n_steps=64)
+    fresh = generate_dataset(traj, n_train=12, n_test=30, train_fraction=1 / 3, seed=11)
+    assert dataset_csv_bytes(fresh) == path.read_bytes()
 
 
 # -- loader parity with the csv module ----------------------------------------
@@ -366,3 +711,39 @@ def test_settings_validation():
         SimulationSettings(n_steps=5)
     with pytest.raises(ConfigError, match="train_fraction"):
         SimulationSettings(train_fraction=1.5)
+
+
+# -- atomic writes -------------------------------------------------------------
+
+
+def test_atomic_open_replaces_only_on_success(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as fh:
+            fh.write("new, half written")
+            raise RuntimeError("writer failed")
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+    with atomic_open(path) as fh:
+        fh.write("µm\n")
+    assert path.read_bytes() == "µm\n".encode("utf-8")
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_failed_trajectory_write_keeps_previous_files(tmp_path, trajectory):
+    path = tmp_path / "trajectory.csv"
+    diag = tmp_path / "trajectory_diagnostics.csv"
+    save_trajectory(trajectory, path, diag)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    mid = len(trajectory.times) // 2
+    # A value that cannot be formatted halfway through each file.
+    volts = trajectory.voltages.astype(object)
+    volts[mid] = "not a number"
+    with pytest.raises(ValueError):
+        save_trajectory(replace(trajectory, voltages=volts), path, diag)
+    iters = trajectory.solver_iterations.astype(float)
+    iters[mid] = math.nan
+    with pytest.raises(ValueError):
+        save_trajectory(replace(trajectory, solver_iterations=iters), path, diag)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
