@@ -2,18 +2,21 @@
 
 Two differentiation modes, composable with each other:
 
+* ``Dual`` carries a ``(primal, tangent)`` pair through arithmetic, so the
+  tangent of the output is the directional derivative along the seeded
+  input direction (forward mode). The tangent may carry extra leading
+  axes: a ``(k, N)`` tangent over an ``(N,)`` primal tracks k directions
+  at once, which is how the training loss takes the per-point Jacobians
+  of its physics residuals in one evaluation.
 * ``Value`` is a node in a dynamically built computation graph. Calling
   :meth:`Value.backward` on a scalar result accumulates d(result)/d(leaf)
   into every leaf's ``grad`` (reverse mode).
-* ``Dual`` carries a ``(primal, tangent)`` pair through arithmetic, so the
-  tangent of the output is the directional derivative along the seeded
-  input direction (forward mode).
 
 A ``Dual`` whose components are ``Value`` nodes gives forward-over-reverse:
 the tangent tracks a derivative with respect to the network input while the
 graph underneath still exposes parameter gradients through one backward
-sweep. This is how the training loop differentiates physics residuals that
-contain time derivatives of the network outputs.
+sweep. Training no longer builds graphs; the tests keep the loss built this
+way as the reference its graph-free gradient is pinned to.
 
 Payloads are python floats or numpy arrays of up to two dimensions: a
 weight matrix, an ``(n, 1)`` bias column, an ``(n, N)`` block of

@@ -63,7 +63,9 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _append_manifest(out_dir: Path, command: str, cfg: RunConfig, outputs, inputs=()):
+def _append_manifest(
+    out_dir: Path, command: str, cfg: RunConfig, outputs, inputs=(), diagnostics=None
+):
     manifest_path = out_dir / "manifest.json"
     if manifest_path.exists():
         try:
@@ -88,18 +90,35 @@ def _append_manifest(out_dir: Path, command: str, cfg: RunConfig, outputs, input
             "outputs": {str(p.name): file_sha256(p) for p in outputs},
         }
     )
+    if diagnostics is not None:
+        manifest["runs"][-1]["diagnostics"] = diagnostics
     with atomic_open(manifest_path) as fh:
         fh.write(json.dumps(manifest, indent=2) + "\n")
 
 
+def _write_text(path: Path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
 def _write_history_csv(path: Path, history) -> None:
-    lines = ["epoch,loss_data,loss_physics_v,loss_physics_mem,loss_ic,loss_total,k5_hat"]
-    for r in history:
-        lines.append(
-            f"{r.epoch},{r.loss_data!r},{r.loss_physics_v!r},"
-            f"{r.loss_physics_mem!r},{r.loss_ic!r},{r.loss_total!r},{r.k5_hat!r}"
+    with atomic_open(path) as fh:
+        fh.write(
+            "epoch,loss_data,loss_physics_v,loss_physics_mem,"
+            "loss_ic,loss_total,k5_hat\n"
         )
-    path.write_text("\n".join(lines) + "\n")
+        for r in history:
+            fh.write(
+                f"{r.epoch},{r.loss_data!r},{r.loss_physics_v!r},"
+                f"{r.loss_physics_mem!r},{r.loss_ic!r},{r.loss_total!r},{r.k5_hat!r}\n"
+            )
+
+
+def _trajectory_counters(traj) -> dict:
+    return {
+        "hydroxyl_clamped": traj.hydroxyl_clamped,
+        "chemistry_infeasible": traj.chemistry_infeasible,
+    }
 
 
 def _metrics_dict(metrics) -> dict:
@@ -117,26 +136,27 @@ def _metrics_dict(metrics) -> dict:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     traj = integrate_trajectory(
         cfg.physics,
         cfg.conditions,
         k5=getattr(args, "k5", None),
         n_steps=cfg.simulation.n_steps,
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     traj_path = out_dir / "trajectory.csv"
     diag_path = out_dir / "trajectory_diagnostics.csv"
     save_trajectory(traj, traj_path, diag_path)
-    _append_manifest(out_dir, "simulate", cfg, [traj_path, diag_path])
+    _append_manifest(
+        out_dir, "simulate", cfg, [traj_path, diag_path],
+        diagnostics=_trajectory_counters(traj),
+    )
     print(f"wrote {traj_path} ({len(traj.times)} samples)")
     return 0
 
 
 def cmd_generate_data(args) -> int:
     cfg = _load(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     traj = integrate_trajectory(
         cfg.physics,
         cfg.conditions,
@@ -150,10 +170,13 @@ def cmd_generate_data(args) -> int:
         cfg.simulation.train_fraction,
         cfg.simulation.dataset_seed,
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     ds_path = out_dir / "dataset.csv"
     save_dataset(ds, ds_path, config_hash(cfg))
     _append_manifest(
-        out_dir, "generate-data", cfg, [ds_path, Path(str(ds_path) + ".meta.json")]
+        out_dir, "generate-data", cfg, [ds_path, Path(str(ds_path) + ".meta.json")],
+        diagnostics=_trajectory_counters(traj),
     )
     print(f"wrote {ds_path} ({len(ds.train_times)} train / {len(ds.test_times)} test)")
     return 0
@@ -174,7 +197,7 @@ def _train_into(cfg: RunConfig, dataset_path: Path, out_dir: Path, label: str):
     history_path = out_dir / "history.csv"
     _write_history_csv(history_path, metrics.loss_history)
     metrics_path = out_dir / "metrics.json"
-    metrics_path.write_text(json.dumps(_metrics_dict(metrics), indent=2) + "\n")
+    _write_text(metrics_path, json.dumps(_metrics_dict(metrics), indent=2) + "\n")
     _append_manifest(
         out_dir,
         f"train[{label}]",
@@ -214,7 +237,7 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.json"
-    metrics_path.write_text(json.dumps(_metrics_dict(metrics), indent=2) + "\n")
+    _write_text(metrics_path, json.dumps(_metrics_dict(metrics), indent=2) + "\n")
     _append_manifest(
         out_dir, "evaluate", cfg, [metrics_path], inputs=[ckpt_path, dataset_path]
     )
@@ -255,7 +278,7 @@ def cmd_reproduce(args) -> int:
         _, ann = _train_into(ann_cfg, ds_path, out_dir / "ann", "ann")
     except PempinnError as exc:
         report = {"status": "FAIL", "failed_stage": stage, "error": str(exc)}
-        (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+        _write_text(out_dir / "report.json", json.dumps(report, indent=2) + "\n")
         print(f"reproduction FAILED at stage {stage}: {exc}", file=sys.stderr)
         raise
 
@@ -288,7 +311,7 @@ def cmd_reproduce(args) -> int:
     for name, ok in checks.items():
         lines.append(f"{name:38s} {'PASS' if ok else 'FAIL'}")
     report_txt = "\n".join(lines) + "\n"
-    (out_dir / "report.txt").write_text(report_txt)
+    _write_text(out_dir / "report.txt", report_txt)
 
     report = {
         "status": "PASS" if all(checks.values()) else "FAIL",
@@ -296,7 +319,7 @@ def cmd_reproduce(args) -> int:
         "ann": _metrics_dict(ann),
         "pinn": _metrics_dict(pinn),
     }
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    _write_text(out_dir / "report.json", json.dumps(report, indent=2) + "\n")
     _append_manifest(
         out_dir,
         "reproduce",

@@ -9,14 +9,20 @@ A single extra trainable scalar ``k5_hat`` (the normalized attack-rate
 constant, physical value k5_hat * 1e3 m3/(mol s)) lives alongside the
 weights so one optimizer updates everything jointly.
 
-The forward pass is one ``W @ a + b`` per layer over an ``(n, N)`` block of
-activations, N being the number of evaluation points. It is written
-generically: weights may be numpy arrays or
-:class:`~pempinn.autodiff.Value` leaves (:class:`LiftedParameters` holds 7
-of them: W1, b1, W2, b2, W3, b3 and k5_hat), and the input may be a float,
-a 1-d array of times, or a :class:`~pempinn.autodiff.Dual` of either (for
-time derivatives). The same code therefore serves plain prediction,
-finite-difference oracles, and the differentiable training path.
+Two forward passes, each one ``W @ a + b`` per layer over an ``(n, N)``
+block of activations, N being the number of evaluation points:
+
+* :func:`mlp_forward` is the plain pass that :func:`predict` uses. It is
+  written generically, so the weights may also be
+  :class:`~pempinn.autodiff.Value` leaves (:class:`LiftedParameters`) and
+  the input a :class:`~pempinn.autodiff.Dual`; the reverse-mode reference
+  the tests pin the training gradient to runs through it.
+* :func:`mlp_with_tangent` carries d/dtau through the sigmoid layers on
+  plain arrays, and :func:`mlp_with_tangent_vjp` is its hand-written
+  vector-Jacobian product: given cotangents of the outputs and of their
+  tau-derivatives it returns the gradient of every weight and bias, using
+  sigma' = s(1 - s) and sigma'' = sigma'(1 - 2s). The training loss is
+  differentiated through these two, with no graph.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import BackwardError, Dual, Value, matmul, primal, sigmoid
+from .autodiff import Dual, Value, matmul, primal, sigmoid
 from .errors import ArtifactFormatError, ConfigError
+from .simulator import atomic_open
 
 __all__ = [
     "LAYER_SIZES",
@@ -35,9 +42,10 @@ __all__ = [
     "LiftedParameters",
     "init_parameters",
     "mlp_forward",
+    "mlp_with_tangent",
+    "mlp_with_tangent_vjp",
     "predict",
     "predict_with_time_derivative",
-    "gradient",
     "flatten",
     "unflatten",
     "save_checkpoint",
@@ -155,17 +163,76 @@ def predict(params: NetworkParameters, t):
     return params.v_ref * y_v, params.t_mem_ref * y_m
 
 
+def mlp_with_tangent(weights, biases, tau):
+    """Outputs and their tau-derivatives at the points of a 1-d array ``tau``.
+
+    Returns ``(y, dy, cache)``: ``y`` and ``dy`` are ``(n_out, N)`` blocks,
+    ``cache`` holds what :func:`mlp_with_tangent_vjp` needs of each layer.
+    The tangent is seeded with d(tau)/d(tau) = 1 at every point.
+    """
+    a = np.reshape(tau, (1, -1))
+    da = np.ones_like(a)
+    cache = []
+    last = len(weights) - 1
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        z = w @ a + np.reshape(b, (-1, 1))
+        dz = w @ da
+        if layer < last:
+            s = sigmoid(z)
+            ds = s * (1.0 - s)
+            cache.append((a, da, s, ds, dz))
+            a, da = s, dz * ds
+        else:
+            cache.append((a, da, None, None, None))
+            a, da = z, dz
+    return a, da, cache
+
+
+def mlp_with_tangent_vjp(weights, cache, g_y, g_dy) -> np.ndarray:
+    """Gradient of ``sum(g_y * y + g_dy * dy)`` over the weights and biases.
+
+    ``g_y`` and ``g_dy`` are ``(n_out, N)`` cotangents of the outputs of
+    :func:`mlp_with_tangent` and of their tau-derivatives. Returns the
+    gradient in flatten() order without the trailing k5_hat entry.
+
+    A hidden layer maps z, dz to a = s(z), da = s'(z) dz, so the cotangents
+    of z and dz are g_z = g_a s' + g_da s'' dz and g_dz = g_da s'.
+    """
+    parts = []
+    g_a, g_da = g_y, g_dy
+    for layer in range(len(weights) - 1, -1, -1):
+        a, da, s, ds, dz = cache[layer]
+        if s is None:
+            g_z, g_dz = g_a, g_da
+        else:
+            g_dz = g_da * ds
+            g_z = g_a * ds + g_dz * (1.0 - 2.0 * s) * dz
+        parts.append(np.sum(g_z, axis=1))
+        parts.append(np.ravel(g_z @ a.T + g_dz @ da.T))
+        if layer:
+            w = weights[layer]
+            g_a = w.T @ g_z
+            g_da = w.T @ g_dz
+    return np.concatenate(parts[::-1])
+
+
 def predict_with_time_derivative(params: NetworkParameters, t):
     """Outputs and their time derivatives, ((V, t_mem), (dV/dt, dt_mem/dt)).
 
-    The derivative is exact: a dual number seeded with d(tau)/dt =
-    1/input_scale is pushed through the forward pass.
+    The derivative is exact: the tau-tangent of :func:`mlp_with_tangent`
+    times d(tau)/dt = 1/input_scale.
     """
-    tau = Dual(t / params.input_scale, 1.0 / params.input_scale)
-    y = mlp_forward(params.weights, params.biases, tau)
-    v = params.v_ref * y[0]
-    m = params.t_mem_ref * y[1]
-    return (v.primal, m.primal), (v.tangent, m.tangent)
+    tau = np.asarray(t, dtype=float) / params.input_scale
+    y, dy, _ = mlp_with_tangent(params.weights, params.biases, tau)
+    shape = np.shape(tau)
+    rate = 1.0 / params.input_scale
+    return (
+        (params.v_ref * y[0].reshape(shape), params.t_mem_ref * y[1].reshape(shape)),
+        (
+            params.v_ref * rate * dy[0].reshape(shape),
+            params.t_mem_ref * rate * dy[1].reshape(shape),
+        ),
+    )
 
 
 class LiftedParameters:
@@ -237,30 +304,8 @@ def unflatten(vec: np.ndarray, template: NetworkParameters) -> NetworkParameters
     )
 
 
-def gradient(params: NetworkParameters, loss_builder) -> np.ndarray:
-    """Reverse-mode gradient of a scalar loss over all parameters.
-
-    ``loss_builder(lifted)`` must build the loss from the lifted parameters
-    using autodiff-compatible operations; the result is exact to floating
-    point for the composed graph (including forward-over-reverse paths).
-    """
-    lifted = LiftedParameters(params)
-    loss = loss_builder(lifted)
-    if not isinstance(loss, Value):
-        raise TypeError("loss builder must return an autodiff Value")
-    if not np.isfinite(loss.data):
-        raise BackwardError(f"loss evaluated to non-finite value {loss.data}")
-    loss.backward()
-    grads = lifted.gradients()
-    if not np.all(np.isfinite(grads)):
-        # Diagnostic rerun names the first offending node type.
-        fresh = LiftedParameters(params)
-        loss_builder(fresh).backward(check_finite=True)
-        raise BackwardError("non-finite gradient of unknown origin")
-    return grads
-
-
 def save_checkpoint(params: NetworkParameters, path) -> None:
+    """Write the checkpoint as UTF-8 JSON, atomically (``atomic_open``)."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -272,7 +317,7 @@ def save_checkpoint(params: NetworkParameters, path) -> None:
         "v_ref": params.v_ref,
         "t_mem_ref": params.t_mem_ref,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 

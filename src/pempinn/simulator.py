@@ -187,6 +187,13 @@ def integrate_trajectory(
             f"membrane thickness reached zero near t = {fail_step * dt} h; "
             "shorten t_max or reduce the degradation rate"
         )
+    stages = 4 * n_steps + 1
+    if c_ho_override < 0.0 and infeasible == stages:
+        raise SimulationError(
+            "radical chemistry has no positive peroxide root at any of the "
+            f"{infeasible} stage evaluations, so nothing attacks the membrane; "
+            "check k2, k3, k4 and v1"
+        )
 
     traj = Trajectory(
         times=times,

@@ -15,6 +15,17 @@ The loss combines (all nondimensionalized so unit weights are meaningful):
 Collocation points cover the full horizon, not just the training window:
 residuals are the only information available in the extrapolated region.
 
+The gradient is computed without a reverse-mode graph. One pass of
+:func:`~pempinn.network.mlp_with_tangent` evaluates the outputs and their
+tau-derivatives at every point (collocation, training times and tau = 0).
+The residuals are pointwise in time, so their Jacobians are per point:
+one evaluation of the generic residual code on ``Dual`` numbers whose
+tangent is a ``(5, N)`` block, seeded with unit directions for y_v, y_m,
+dy_v/dtau, dy_m/dtau and k5_hat, gives every partial derivative at once
+(forward mode). The chain rule then turns the loss into cotangents of the
+network outputs, and :func:`~pempinn.network.mlp_with_tangent_vjp` carries
+them to the weights.
+
 Training is full-batch Adam, bitwise deterministic for a given seed.
 """
 
@@ -25,18 +36,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Dual, amean, maximum, primal
+from .autodiff import Dual, maximum, primal
 from .constants import OperatingConditions, PhysicsParameters
 from .degradation import DiagnosticCounters, hydroxyl_chain, thinning_rate
 from .electrochem import VoltageCoefficients, solve_cell_voltage, voltage_coefficients
 from .errors import ConfigError, TrainingError
 from .network import (
     DEFAULT_V_REF,
-    LiftedParameters,
     NetworkParameters,
     flatten,
     init_parameters,
-    mlp_forward,
+    mlp_with_tangent,
+    mlp_with_tangent_vjp,
     predict,
     unflatten,
 )
@@ -50,6 +61,8 @@ __all__ = [
     "adam_step",
     "voltage_residual",
     "thinning_residual",
+    "LossPoints",
+    "loss_points",
     "composite_loss",
     "train",
     "evaluate",
@@ -177,32 +190,29 @@ def thinning_residual_terms(
     return dym_dtau + (t_max / t_ref) * tr
 
 
-def _forward_with_tau_derivatives(net, tau):
-    x = Dual(tau, 1.0)
-    y = net_forward(net, x)
-    return y[0].primal, y[1].primal, y[0].tangent, y[1].tangent
-
-
-def net_forward(net, x):
-    """Forward pass for NetworkParameters and LiftedParameters alike."""
-    return mlp_forward(net.weights, net.biases, x)
-
-
-def voltage_residual(net, coeffs: VoltageCoefficients, t):
-    """Voltage residual at physical times t (floats or arrays)."""
+def _outputs_with_tau_derivatives(net: NetworkParameters, t):
     tau = np.asarray(t, dtype=float) / net.input_scale
-    y_v, y_m, dyv, dym = _forward_with_tau_derivatives(net, tau)
+    y, dy, _ = mlp_with_tangent(net.weights, net.biases, tau)
+    shape = np.shape(tau)
+    return (
+        y[0].reshape(shape), y[1].reshape(shape),
+        dy[0].reshape(shape), dy[1].reshape(shape),
+    )
+
+
+def voltage_residual(net: NetworkParameters, coeffs: VoltageCoefficients, t):
+    """Voltage residual at physical times t (floats or arrays)."""
+    y_v, y_m, dyv, dym = _outputs_with_tau_derivatives(net, t)
     return voltage_residual_terms(
         y_v, y_m, dyv, dym, coeffs, net.v_ref, net.t_mem_ref
     )
 
 
 def thinning_residual(
-    net, params: PhysicsParameters, cond: OperatingConditions, t
+    net: NetworkParameters, params: PhysicsParameters, cond: OperatingConditions, t
 ):
     """Thinning residual at physical times t (floats or arrays)."""
-    tau = np.asarray(t, dtype=float) / net.input_scale
-    y_v, y_m, _, dym = _forward_with_tau_derivatives(net, tau)
+    y_v, y_m, _, dym = _outputs_with_tau_derivatives(net, t)
     return thinning_residual_terms(
         y_v, y_m, dym, net.k5_hat, params, cond,
         net.v_ref, net.t_mem_ref, cond.t_max,
@@ -212,8 +222,46 @@ def thinning_residual(
 # -- composite loss -----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class LossPoints:
+    """What the loss evaluates at, fixed for a whole training run.
+
+    ``tau`` concatenates the collocation points (none when the physics
+    terms are off), the training times and tau = 0, so one network pass
+    serves every term; ``seeds[k]`` is the tangent block of input k of the
+    residuals (y_v, y_m, dy_v/dtau, dy_m/dtau, k5_hat): ones in row k,
+    zeros elsewhere.
+    """
+
+    tau: np.ndarray
+    n_collocation: int
+    targets: np.ndarray     # (2, n_train) normalized voltage and thickness
+    seeds: np.ndarray
+
+
+def loss_points(
+    net: NetworkParameters, dataset, config: TrainingConfig, cond: OperatingConditions
+) -> LossPoints:
+    """The LossPoints of a dataset, in the net's normalized units."""
+    if len(dataset.train_times) == 0:
+        raise ConfigError("dataset", "training split is empty")
+    physics = config.lambda_v > 0.0 or config.lambda_tmem > 0.0
+    n_c = config.n_collocation if physics else 0
+    tau_c = np.linspace(0.0, cond.t_max, n_c) / net.input_scale
+    tau_d = dataset.train_times / net.input_scale
+    return LossPoints(
+        tau=np.concatenate([tau_c, tau_d, [0.0]]),
+        n_collocation=n_c,
+        targets=np.stack([
+            dataset.train_voltages / net.v_ref,
+            dataset.train_thicknesses / net.t_mem_ref,
+        ]),
+        seeds=np.repeat(np.eye(5)[:, :, None], n_c, axis=2),
+    )
+
+
 def composite_loss(
-    net,
+    net: NetworkParameters,
     dataset,
     config: TrainingConfig,
     coeffs: VoltageCoefficients,
@@ -221,57 +269,76 @@ def composite_loss(
     cond: OperatingConditions,
     v0: float | None = None,
     diag: DiagnosticCounters | None = None,
+    points: LossPoints | None = None,
 ):
-    """Total loss and its weighted components.
+    """Weighted loss components and the gradient of their total.
 
-    ``net`` may be NetworkParameters (plain evaluation, used by the
-    finite-difference oracles) or LiftedParameters (differentiable).
-    Returns (total, components) where components is a dict with keys
-    data/physics_v/physics_mem/ic/total holding plain floats.
+    Returns ``(components, grad)``: components is a dict with keys
+    data/physics_v/physics_mem/ic/total holding plain floats, and grad the
+    gradient of the total in flatten() order. ``points`` defaults to
+    :func:`loss_points` of this net and dataset; train() builds it once.
     """
-    if len(dataset.train_times) == 0:
-        raise ConfigError("dataset", "training split is empty")
+    if points is None:
+        points = loss_points(net, dataset, config, cond)
     if v0 is None:
         v0 = solve_cell_voltage(coeffs, cond.t_mem0)
+    y, dy, cache = mlp_with_tangent(net.weights, net.biases, points.tau)
+    g_y = np.zeros_like(y)
+    g_dy = np.zeros_like(dy)
+    n_c = points.n_collocation
 
-    tau_d = dataset.train_times / net.input_scale
-    target_v = dataset.train_voltages / net.v_ref
-    target_m = dataset.train_thicknesses / net.t_mem_ref
-    y = net_forward(net, tau_d)
-    rv = y[0] - target_v
-    rm = y[1] - target_m
-    data = amean(rv * rv) + amean(rm * rm)
+    # Data mismatch at the training times.
+    n_d = points.targets.shape[1]
+    data_cols = slice(n_c, n_c + n_d)
+    r = y[:, data_cols] - points.targets
+    data = float(np.mean(r[0] * r[0])) + float(np.mean(r[1] * r[1]))
+    g_y[:, data_cols] = (2.0 / n_d) * r
 
-    if config.lambda_v > 0.0 or config.lambda_tmem > 0.0:
-        tau_c = np.linspace(0.0, cond.t_max, config.n_collocation) / net.input_scale
-        y_v, y_m, dyv, dym = _forward_with_tau_derivatives(net, tau_c)
+    # Physics residuals at the collocation points, with their Jacobians.
+    g_k5 = 0.0
+    if n_c:
+        seeds = points.seeds
+        y_v = Dual(y[0, :n_c], seeds[0])
+        y_m = Dual(y[1, :n_c], seeds[1])
+        dyv = Dual(dy[0, :n_c], seeds[2])
+        dym = Dual(dy[1, :n_c], seeds[3])
+        k5_hat = Dual(net.k5_hat, seeds[4])
         r_v = voltage_residual_terms(
             y_v, y_m, dyv, dym, coeffs, net.v_ref, net.t_mem_ref, diag
         )
         r_m = thinning_residual_terms(
-            y_v, y_m, dym, net.k5_hat, params, cond,
+            y_v, y_m, dym, k5_hat, params, cond,
             net.v_ref, net.t_mem_ref, cond.t_max, diag,
         )
-        physics_v = config.lambda_v * amean(r_v * r_v)
-        physics_mem = config.lambda_tmem * amean(r_m * r_m)
+        physics_v = config.lambda_v * float(np.mean(r_v.primal * r_v.primal))
+        physics_mem = config.lambda_tmem * float(np.mean(r_m.primal * r_m.primal))
+        # d(lambda * mean(r^2))/dx = (2 lambda / N) * r * dr/dx, per point.
+        jac = ((2.0 * config.lambda_v / n_c) * r_v.primal) * r_v.tangent + (
+            (2.0 * config.lambda_tmem / n_c) * r_m.primal
+        ) * r_m.tangent
+        g_y[:, :n_c] = jac[0:2]
+        g_dy[:, :n_c] = jac[2:4]
+        g_k5 = float(np.sum(jac[4]))
     else:
         physics_v = 0.0
         physics_mem = 0.0
 
-    y0 = net_forward(net, 0.0)
-    ic_v = y0[0] - v0 / net.v_ref
-    ic_m = y0[1] - 1.0
+    # Initial condition at tau = 0, the last point.
+    ic_v = float(y[0, -1]) - v0 / net.v_ref
+    ic_m = float(y[1, -1]) - 1.0
     ic = config.lambda_ic * (ic_v * ic_v + ic_m * ic_m)
+    g_y[0, -1] = 2.0 * config.lambda_ic * ic_v
+    g_y[1, -1] = 2.0 * config.lambda_ic * ic_m
 
-    total = data + physics_v + physics_mem + ic
     components = {
-        "data": float(primal(data)),
-        "physics_v": float(primal(physics_v)),
-        "physics_mem": float(primal(physics_mem)),
-        "ic": float(primal(ic)),
-        "total": float(primal(total)),
+        "data": data,
+        "physics_v": physics_v,
+        "physics_mem": physics_mem,
+        "ic": ic,
+        "total": data + physics_v + physics_mem + ic,
     }
-    return total, components
+    grad = np.append(mlp_with_tangent_vjp(net.weights, cache, g_y, g_dy), g_k5)
+    return components, grad
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -334,21 +401,19 @@ def train(
     vec = flatten(template)
     adam = AdamState.zeros(vec.size)
     diag = DiagnosticCounters()
+    points = loss_points(template, dataset, config, cond)
     history: list[EpochRecord] = []
 
     for epoch in range(config.max_epochs):
         net = unflatten(vec, template)
-        lifted = LiftedParameters(net)
-        loss, comps = composite_loss(
-            lifted, dataset, config, coeffs, params, cond, v0, diag
+        comps, grad = composite_loss(
+            net, dataset, config, coeffs, params, cond, v0, diag, points
         )
         if not np.isfinite(comps["total"]):
             bad = max(comps, key=lambda k: 0 if np.isfinite(comps[k]) else 1)
             raise TrainingError(
                 f"non-finite loss at epoch {epoch} (component '{bad}')"
             )
-        loss.backward()
-        grad = lifted.gradients()
         history.append(
             EpochRecord(
                 epoch,

@@ -513,3 +513,74 @@ def test_reproduce_fast_smoke(tmp_path, fast_config):
     assert "k5_hat_final" in text
     assert (out / "pinn" / "history.csv").exists()
     assert (out / "ann" / "history.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "generate-data"])
+def test_rejected_run_creates_no_output_directory(tmp_path, fast_config, command):
+    out = tmp_path / "never"
+    code = main(
+        [command, "--config", str(fast_config), "--out", str(out), "--k5", "nan"]
+    )
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "generate-data"])
+def test_chemistry_infeasible_everywhere_exits_3(
+    tmp_path, fast_config, capsys, command
+):
+    # k2 = 0.1 leaves the peroxide quadratic without a positive root at
+    # every stage: no attack, a flat trajectory that means nothing.
+    data = json.loads(fast_config.read_text())
+    data["k2"] = 0.1
+    path = tmp_path / "k2.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 3
+    # 256 steps of 4 stages plus the final evaluation.
+    assert "1025 stage evaluations" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "generate-data"])
+def test_manifest_records_chemistry_counters(tmp_path, fast_config, command):
+    from pempinn.simulator import integrate_trajectory
+
+    cfg = load_config(fast_config)
+    traj = integrate_trajectory(
+        cfg.physics, cfg.conditions, k5=700.0, n_steps=cfg.simulation.n_steps
+    )
+    out = tmp_path / "o"
+    assert main(
+        [command, "--config", str(fast_config), "--out", str(out), "--k5", "700"]
+    ) == 0
+    entry = json.loads((out / "manifest.json").read_text())["runs"][-1]
+    assert entry["diagnostics"] == {
+        "hydroxyl_clamped": traj.hydroxyl_clamped,
+        "chemistry_infeasible": traj.chemistry_infeasible,
+    }
+
+
+def test_failed_training_artifact_write_keeps_previous_file(tmp_path):
+    import os
+    from dataclasses import replace as dc_replace
+
+    from pempinn.cli import _write_history_csv
+    from pempinn.network import init_parameters, save_checkpoint
+    from pempinn.training import EpochRecord
+
+    ckpt = tmp_path / "checkpoint.json"
+    net = init_parameters(0, input_scale=8.0e5, t_mem_ref=0.0175)
+    save_checkpoint(net, ckpt)
+    history = tmp_path / "history.csv"
+    record = EpochRecord(0, 1.0, 2.0, 3.0, 4.0, 10.0, 0.5)
+    _write_history_csv(history, [record, record._replace(epoch=1)])
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    # json.dump streams: the weights are written before k5_hat fails.
+    with pytest.raises(TypeError):
+        save_checkpoint(dc_replace(net, k5_hat=object()), ckpt)
+    # The second row has no fields: the header and first row are written.
+    with pytest.raises(AttributeError):
+        _write_history_csv(history, [record, object()])
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]

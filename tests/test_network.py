@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from reference_loss import gradient, reference_gradient
 
 from pempinn.network import (
     LAYER_SIZES,
     LiftedParameters,
     NetworkParameters,
     flatten,
-    gradient,
     init_parameters,
     load_checkpoint,
     predict,
@@ -234,15 +234,13 @@ def test_physics_off_gradient_has_zero_k5_entry(
 
     net = make_net(3)
     cfg = TrainingConfig(physics_enabled=False, n_collocation=8)
-    g = gradient(
-        net,
-        lambda lifted: composite_loss(
-            lifted, small_dataset, cfg, coeffs, params, cond
-        )[0],
-    )
-    assert g.shape == (88,)
-    assert g[-1] == 0.0
-    assert np.all(g[:-1] != 0.0)
+    for g in (
+        composite_loss(net, small_dataset, cfg, coeffs, params, cond)[1],
+        reference_gradient(net, small_dataset, cfg, coeffs, params, cond),
+    ):
+        assert g.shape == (88,)
+        assert g[-1] == 0.0
+        assert np.all(g[:-1] != 0.0)
 
 
 def test_blocked_predict_matches_per_neuron_reference():
@@ -264,3 +262,44 @@ def test_blocked_predict_matches_per_neuron_reference():
     assert v.shape == m.shape == t.shape
     assert np.allclose(v, net.v_ref * acts[0], rtol=1e-13, atol=0.0)
     assert np.allclose(m, net.t_mem_ref * acts[1], rtol=1e-13, atol=1e-18)
+
+
+def test_tangent_forward_matches_dual_forward():
+    from pempinn.autodiff import Dual
+    from pempinn.network import mlp_forward, mlp_with_tangent
+
+    net = make_net(7)
+    tau = np.linspace(-0.2, 1.3, 41)
+    y, dy, _ = mlp_with_tangent(net.weights, net.biases, tau)
+    ref = mlp_forward(net.weights, net.biases, Dual(tau, 1.0))
+    assert y.shape == dy.shape == (2, tau.size)
+    for i in range(2):
+        assert np.array_equal(y[i], ref[i].primal)
+        assert np.array_equal(dy[i], ref[i].tangent)
+
+
+def test_tangent_vjp_matches_finite_differences():
+    from pempinn.network import mlp_with_tangent, mlp_with_tangent_vjp
+
+    net = make_net(8)
+    tau = np.linspace(0.0, 1.0, 13)
+    rng = np.random.default_rng(0)
+    g_y = rng.normal(size=(2, tau.size))
+    g_dy = rng.normal(size=(2, tau.size))
+    _, _, cache = mlp_with_tangent(net.weights, net.biases, tau)
+    g = mlp_with_tangent_vjp(net.weights, cache, g_y, g_dy)
+    assert g.shape == (87,)
+
+    vec = flatten(net)
+
+    def objective(v):
+        nn = unflatten(v, net)
+        y, dy, _ = mlp_with_tangent(nn.weights, nn.biases, tau)
+        return float(np.sum(g_y * y) + np.sum(g_dy * dy))
+
+    h = 1e-6
+    for i in range(87):
+        e = np.zeros_like(vec)
+        e[i] = h
+        fd = (objective(vec + e) - objective(vec - e)) / (2 * h)
+        assert g[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)

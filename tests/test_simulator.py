@@ -99,6 +99,17 @@ def test_membrane_vanish_aborts(params, cond):
         integrate_trajectory(params, cond, n_steps=64, c_ho_override=1.0e-3)
 
 
+def test_chemistry_infeasible_everywhere_aborts(params, cond):
+    # k2 = 0.1 leaves the peroxide quadratic without a positive root at
+    # every one of the 4 * 64 + 1 stage evaluations.
+    no_chemistry = replace(params, k2=0.1)
+    with pytest.raises(SimulationError, match="257 stage evaluations"):
+        integrate_trajectory(no_chemistry, cond, n_steps=64)
+    # A frozen hydroxyl concentration does not need the chemistry.
+    traj = integrate_trajectory(no_chemistry, cond, n_steps=64, c_ho_override=0.0)
+    assert traj.chemistry_infeasible == 257
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_loss import reference_gradient
 
 from pempinn.degradation import hydroxyl_chain, thinning_rate
 from pempinn.electrochem import solve_cell_voltage
@@ -7,12 +8,13 @@ from pempinn.errors import ConfigError
 from pempinn.network import (
     NetworkParameters,
     flatten,
-    gradient,
     init_parameters,
+    mlp_forward,
     predict,
     unflatten,
 )
 from pempinn.training import (
+    CLAMP_EPS,
     K5_SCALE,
     AdamState,
     EpochRecord,
@@ -170,7 +172,7 @@ def test_loss_zero_for_perfect_noise_free_fit(params, cond, coeffs, trajectory):
         train_fraction=1 / 3,
     )
     cfg = small_config(lambda_v=0.0, lambda_tmem=0.0, lambda_ic=0.0)
-    total, comps = composite_loss(net, ds, cfg, coeffs, params, cond, v0=1.0)
+    comps, _ = composite_loss(net, ds, cfg, coeffs, params, cond, v0=1.0)
     assert comps["total"] == pytest.approx(0.0, abs=1e-18)
 
 
@@ -178,7 +180,7 @@ def test_loss_quadratic_scaling(params, cond, coeffs, small_dataset):
     cfg = small_config(lambda_v=0.0, lambda_tmem=0.0, lambda_ic=0.0)
     net = constant_output_network(cond)
     v0 = solve_cell_voltage(coeffs, cond.t_mem0)
-    _, base = composite_loss(net, small_dataset, cfg, coeffs, params, cond, v0)
+    base, _ = composite_loss(net, small_dataset, cfg, coeffs, params, cond, v0)
 
     # Doubling every data residual quadruples the data component: build a
     # dataset whose targets are twice as far from the constant predictions.
@@ -190,7 +192,7 @@ def test_loss_quadratic_scaling(params, cond, coeffs, small_dataset):
         train_voltages=2 * small_dataset.train_voltages - np.asarray(v_pred),
         train_thicknesses=2 * small_dataset.train_thicknesses - np.asarray(m_pred),
     )
-    _, doubled = composite_loss(net, ds2, cfg, coeffs, params, cond, v0)
+    doubled, _ = composite_loss(net, ds2, cfg, coeffs, params, cond, v0)
     assert doubled["data"] == pytest.approx(4.0 * base["data"], rel=1e-12)
 
 
@@ -217,7 +219,7 @@ def test_loss_hand_built_single_point(params, cond, coeffs):
         max_epochs=1, n_collocation=2, lambda_v=0.3, lambda_tmem=0.7, lambda_ic=2.0
     )
     v0 = 2.4
-    total, comps = composite_loss(net, ds, cfg, coeffs, params, cond, v0)
+    comps, _ = composite_loss(net, ds, cfg, coeffs, params, cond, v0)
 
     data = (1.2 - v_t / 2.0) ** 2 + (0.9 - m_t / cond.t_mem0) ** 2
     r_v = np.asarray(
@@ -240,7 +242,7 @@ def test_loss_components_sum_to_total(params, cond, coeffs, small_dataset):
     net = init_parameters(3, input_scale=cond.t_max, t_mem_ref=cond.t_mem0)
     cfg = small_config()
     v0 = solve_cell_voltage(coeffs, cond.t_mem0)
-    _, comps = composite_loss(net, small_dataset, cfg, coeffs, params, cond, v0)
+    comps, _ = composite_loss(net, small_dataset, cfg, coeffs, params, cond, v0)
     assert all(v >= 0.0 for k, v in comps.items() if k != "total")
     s = comps["data"] + comps["physics_v"] + comps["physics_mem"] + comps["ic"]
     assert s == pytest.approx(comps["total"], rel=1e-12)
@@ -352,13 +354,10 @@ def test_k5_gradient_path_alive(params, cond, coeffs, small_dataset):
     cfg = small_config(max_epochs=2, seed=0)
     net, _ = train(small_dataset, params, cond, cfg)
     v0 = solve_cell_voltage(coeffs, cond.t_mem0)
-    g = gradient(
-        net,
-        lambda lifted: composite_loss(
-            lifted, small_dataset, cfg, coeffs, params, cond, v0
-        )[0],
-    )
+    g = composite_loss(net, small_dataset, cfg, coeffs, params, cond, v0)[1]
     assert g[-1] != 0.0
+    ref = reference_gradient(net, small_dataset, cfg, coeffs, params, cond, v0)
+    assert ref[-1] != 0.0
 
 
 def test_evaluate_perfect_and_constant_predictors(params, cond, trajectory):
@@ -422,17 +421,13 @@ def test_gradient_matches_fd_through_full_loss(params, cond, coeffs, small_datas
         v_ref=base.v_ref,
         t_mem_ref=base.t_mem_ref,
     )
-    g = gradient(
-        net,
-        lambda lifted: composite_loss(
-            lifted, small_dataset, cfg, coeffs, params, cond, v0
-        )[0],
-    )
+    g = composite_loss(net, small_dataset, cfg, coeffs, params, cond, v0)[1]
     vec = flatten(net)
 
     def loss_at(v):
         nn = unflatten(v, net)
-        return composite_loss(nn, small_dataset, cfg, coeffs, params, cond, v0)[0]
+        comps, _ = composite_loss(nn, small_dataset, cfg, coeffs, params, cond, v0)
+        return comps["total"]
 
     # With k5_hat != 0 the hydroxyl cancellation (terms ~1e-6 differenced to
     # ~1e-12) injects ~1e-10 relative noise into every FD loss evaluation,
@@ -446,3 +441,72 @@ def test_gradient_matches_fd_through_full_loss(params, cond, coeffs, small_datas
             - (loss_at(vec + 2 * e) - loss_at(vec - 2 * e))
         ) / (12 * h)
         assert g[i] == pytest.approx(fd, rel=1e-5, abs=5e-7)
+
+
+def _parity_networks(cond, v0):
+    """(label, network) pairs the graph-free gradient is pinned on."""
+    nets = []
+    for seed in range(8):
+        base = init_parameters(seed, input_scale=cond.t_max, t_mem_ref=cond.t_mem0)
+        vec = flatten(base)
+        nets.append((f"init_{seed}", base))
+        # Output biases near the operating point, and k5_hat != 0.
+        vec[-3], vec[-2], vec[-1] = v0 / 2.0, 1.0, 0.2 + 0.15 * seed
+        nets.append((f"k5_{seed}", unflatten(vec, base)))
+    tau = np.linspace(0.0, 1.0, 64)
+    for i in range(4):
+        base = init_parameters(20 + i, input_scale=cond.t_max, t_mem_ref=cond.t_mem0)
+        vec = flatten(base)
+        # The voltage output crosses the clamp floor at mid-horizon; an
+        # odd case's negative k5_hat also clamps the hydroxyl formula.
+        vec[-3] = 0.0
+        zero_bias = unflatten(vec, base)
+        y_v = mlp_forward(zero_bias.weights, zero_bias.biases, tau)[0]
+        vec[-3], vec[-2] = CLAMP_EPS - float(np.median(y_v)), 1.0
+        vec[-1] = (-1.0) ** i * (0.5 + 0.4 * i)
+        nets.append((f"clamp_{i}", unflatten(vec, base)))
+    return nets
+
+
+def test_gradient_matches_reference_engine(params, cond, coeffs, small_dataset):
+    # The graph-free gradient against the reverse-mode Value engine it
+    # replaced (tests/reference_loss.py), entry by entry.
+    from pempinn.degradation import DiagnosticCounters
+
+    v0 = solve_cell_voltage(coeffs, cond.t_mem0)
+    configs = {
+        "pinn": small_config(n_collocation=64),
+        "ann": small_config(n_collocation=64, physics_enabled=False),
+    }
+    nets = _parity_networks(cond, v0)
+    assert len(nets) >= 20
+    clamped = 0
+    for label, net in nets:
+        for name, cfg in configs.items():
+            diag = DiagnosticCounters()
+            _, g = composite_loss(
+                net, small_dataset, cfg, coeffs, params, cond, v0, diag
+            )
+            ref = reference_gradient(net, small_dataset, cfg, coeffs, params, cond, v0)
+            assert g.shape == ref.shape == (88,)
+            assert np.allclose(g, ref, rtol=1e-6, atol=0.0), (label, name)
+            if name == "ann":
+                assert g[-1] == 0.0
+            elif label.startswith("clamp"):
+                # Some points clamped, not all (4 counts per point).
+                clamped += 0 < diag.output_clamped < 4 * cfg.n_collocation
+                assert (diag.hydroxyl_clamped > 0) == (net.k5_hat < 0.0)
+            else:
+                assert g[-1] != 0.0 or net.k5_hat == 0.0
+    assert clamped == 4
+
+
+def test_train_steps_along_composite_loss_gradient(params, cond, coeffs, small_dataset):
+    cfg = small_config(max_epochs=1, seed=9)
+    net, metrics = train(small_dataset, params, cond, cfg)
+    start = init_parameters(9, input_scale=cond.t_max, t_mem_ref=cond.t_mem0)
+    v0 = solve_cell_voltage(coeffs, cond.t_mem0)
+    comps, grad = composite_loss(start, small_dataset, cfg, coeffs, params, cond, v0)
+    expected, _ = adam_step(AdamState.zeros(88), flatten(start), grad, cfg)
+    assert np.array_equal(flatten(net), expected)
+    assert metrics.loss_history[0].loss_total == comps["total"]
