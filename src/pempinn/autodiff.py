@@ -6,8 +6,9 @@ Two differentiation modes, composable with each other:
   tangent of the output is the directional derivative along the seeded
   input direction (forward mode). The tangent may carry extra leading
   axes: a ``(k, N)`` tangent over an ``(N,)`` primal tracks k directions
-  at once, which is how the training loss takes the per-point Jacobians
-  of its physics residuals in one evaluation.
+  at once. ``Dual`` now runs only on the test-reference path: training
+  writes its residual partials in closed form, and the tests pin them to
+  the generic residual code evaluated on a ``(5, N)`` ``Dual`` block.
 * ``Value`` is a node in a dynamically built computation graph. Calling
   :meth:`Value.backward` on a scalar result accumulates d(result)/d(leaf)
   into every leaf's ``grad`` (reverse mode).

@@ -1,10 +1,11 @@
 """Command-line pipeline: simulate, generate-data, train, evaluate, reproduce.
 
 Every command writes its artifacts into an output directory together with an
-append-only ``manifest.json`` recording the command, config hash, seeds, and
-file checksums. Exit codes are a stable contract for CI: 0 success, 2
-configuration error, 3 numerical failure, 4 I/O failure (1 is reserved for
-a completed reproduction run whose acceptance checks did not all pass).
+append-only ``manifest.json`` recording the command, config hash, seeds,
+file checksums and the Python and numpy versions. Exit codes are a stable
+contract for CI: 0 success, 2 configuration error, 3 numerical failure, 4
+I/O failure (1 is reserved for a completed reproduction run whose
+acceptance checks did not all pass).
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import time
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_hash, load_config
@@ -88,6 +91,10 @@ def _append_manifest(
             },
             "inputs": [str(p) for p in inputs],
             "outputs": {str(p.name): file_sha256(p) for p in outputs},
+            "environment": {
+                "python": ".".join(map(str, sys.version_info[:3])),
+                "numpy": np.__version__,
+            },
         }
     )
     if diagnostics is not None:

@@ -6,8 +6,9 @@ quadratic -> hydroxyl concentration -> fluoride release -> thinning rate.
 Functions here are written against the generic arithmetic front-ends in
 :mod:`pempinn.autodiff`, so the same code runs on plain floats (simulation,
 tests), numpy arrays (batched collocation points), and autodiff nodes (the
-physics residual of the training loss, which must differentiate through the
-closed-form quadratic root).
+reference the tests differentiate through the closed-form quadratic root).
+Training takes c_HO and its partials from :func:`hydroxyl_chain_partials`,
+written by hand on plain arrays.
 
 Unit notes: concentrations mol/m3, rates mol/(m3 s), thickness cm, fluoride
 release ug/(h cm2), thinning rate cm/h. The composed conversion factor in
@@ -38,6 +39,7 @@ __all__ = [
     "solve_peroxide_selected",
     "hydroxyl_concentration",
     "hydroxyl_chain",
+    "hydroxyl_chain_partials",
     "steady_state_radicals",
     "fluoride_release_rate",
     "thinning_rate",
@@ -183,6 +185,23 @@ def hydroxyl_concentration(
     return where(positive, raw, 0.0)
 
 
+def _hydroxyl_raw(params, cond, v, k5, diag):
+    """The chain V -> c_HO before its clamp: (coefficients, root, w, raw,
+    positive), with the chemistry_infeasible and hydroxyl_clamped events
+    counted in ``diag``."""
+    a, b, c = peroxide_quadratic_coefficients(params, cond, v, k5=k5)
+    root, feasible = solve_peroxide_selected(a, b, c)
+    if diag is not None:
+        diag.count("chemistry_infeasible", np.sum(~feasible))
+    w = water_velocity(params, cond, v) / params.e_cl
+    raw = w / params.k3 - params.k2 / params.k3 - params.v1 / (params.k3 * root)
+    raw_positive = np.asarray(primal(raw)) > 0.0
+    positive = feasible & raw_positive
+    if diag is not None:
+        diag.count("hydroxyl_clamped", np.sum(feasible & ~raw_positive))
+    return (a, b, c), root, w, raw, positive
+
+
 def hydroxyl_chain(
     params: PhysicsParameters,
     cond: OperatingConditions,
@@ -195,17 +214,45 @@ def hydroxyl_chain(
     This is the differentiable path used inside the physics residual; it
     never raises on infeasible points, it masks them (and records them).
     """
-    a, b, c = peroxide_quadratic_coefficients(params, cond, v, k5=k5)
-    root, feasible = solve_peroxide_selected(a, b, c)
-    if diag is not None:
-        diag.count("chemistry_infeasible", np.sum(~feasible))
-    w = water_velocity(params, cond, v) / params.e_cl
-    raw = w / params.k3 - params.k2 / params.k3 - params.v1 / (params.k3 * root)
-    raw_positive = np.asarray(primal(raw)) > 0.0
-    positive = feasible & raw_positive
-    if diag is not None:
-        diag.count("hydroxyl_clamped", np.sum(feasible & ~raw_positive))
+    _, _, _, raw, positive = _hydroxyl_raw(params, cond, v, k5, diag)
     return where(positive, raw, 0.0)
+
+
+def hydroxyl_chain_partials(
+    params: PhysicsParameters,
+    cond: OperatingConditions,
+    v: np.ndarray,
+    k5: float,
+    diag: DiagnosticCounters | None = None,
+):
+    """c_HO of :func:`hydroxyl_chain` on plain arrays, with dc_HO/dV and
+    dc_HO/dk5 at every point.
+
+    The peroxide root r is differentiated implicitly through its quadratic
+    A r^2 + B r + C = 0: dr = -(dA r^2 + dB r + dC) / (2 A r + B). Where the
+    chemistry is infeasible or the hydroxyl formula clamps, c_HO is 0 and
+    so are both partials, as ``where`` gives on ``Dual`` numbers. Counts
+    the same ``diag`` events as :func:`hydroxyl_chain`.
+    """
+    (a, b, _), root, w, raw, positive = _hydroxyl_raw(params, cond, v, k5, diag)
+    k2, k3, v1 = params.k2, params.k3, params.v1
+    c_mem = membrane_molar_concentration(params)
+    # w = kappa_w P / (A V e_cl) falls as 1/V; k5 enters only through
+    # s = k4 c_O2 + k5 C_mem - w, and A = w - 3 k2, B = s (w - k2)/k3 - v1,
+    # C = -s v1/k3.
+    dw_dv = -w / v
+    s = params.k4 * params.c_O2 + k5 * c_mem - w
+    r2 = root * root
+    inv_slope = -1.0 / np.where(positive, 2.0 * a * root + b, 1.0)
+    dr_dv = (r2 + (s - w + k2) / k3 * root + v1 / k3) * dw_dv * inv_slope
+    dr_dk5 = (c_mem / k3) * ((w - k2) * root - v1) * inv_slope
+    # c_HO = w/k3 - k2/k3 - v1/(k3 r).
+    dc_dr = v1 / (k3 * r2)
+    return (
+        np.where(positive, raw, 0.0),
+        np.where(positive, dw_dv / k3 + dc_dr * dr_dv, 0.0),
+        np.where(positive, dc_dr * dr_dk5, 0.0),
+    )
 
 
 def steady_state_radicals(

@@ -19,12 +19,18 @@ The gradient is computed without a reverse-mode graph. One pass of
 :func:`~pempinn.network.mlp_with_tangent` evaluates the outputs and their
 tau-derivatives at every point (collocation, training times and tau = 0).
 The residuals are pointwise in time, so their Jacobians are per point:
-one evaluation of the generic residual code on ``Dual`` numbers whose
-tangent is a ``(5, N)`` block, seeded with unit directions for y_v, y_m,
-dy_v/dtau, dy_m/dtau and k5_hat, gives every partial derivative at once
-(forward mode). The chain rule then turns the loss into cotangents of the
-network outputs, and :func:`~pempinn.network.mlp_with_tangent_vjp` carries
-them to the weights.
+:func:`residual_partials` writes the partials with respect to y_v, y_m,
+dy_v/dtau, dy_m/dtau and k5_hat in closed form on plain arrays, with the
+chemistry's from :func:`~pempinn.degradation.hydroxyl_chain_partials`.
+The chain rule then turns the loss into cotangents of the network outputs,
+and :func:`~pempinn.network.mlp_with_tangent_vjp` carries them to the
+weights.
+
+The generic residual functions (``voltage_residual_terms``,
+``thinning_residual_terms``) stay the definition: they serve the public
+:func:`voltage_residual` and :func:`thinning_residual`, and the tests pin
+the closed-form partials to their evaluation on ``Dual`` numbers. No
+``Dual`` runs on the training path.
 
 Training is full-batch Adam, bitwise deterministic for a given seed.
 """
@@ -36,9 +42,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Dual, maximum, primal
+from .autodiff import maximum, primal
 from .constants import OperatingConditions, PhysicsParameters
-from .degradation import DiagnosticCounters, hydroxyl_chain, thinning_rate
+from .degradation import (
+    DiagnosticCounters,
+    hydroxyl_chain,
+    hydroxyl_chain_partials,
+    thinning_rate,
+)
 from .electrochem import VoltageCoefficients, solve_cell_voltage, voltage_coefficients
 from .errors import ConfigError, TrainingError
 from .network import (
@@ -61,6 +72,7 @@ __all__ = [
     "adam_step",
     "voltage_residual",
     "thinning_residual",
+    "residual_partials",
     "LossPoints",
     "loss_points",
     "composite_loss",
@@ -115,6 +127,12 @@ class TrainingConfig:
             raise ConfigError("adam_beta", "Adam betas must lie in [0, 1)")
         if self.adam_eps <= 0.0:
             raise ConfigError("adam_eps", "must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed", "seed must be non-negative")
+        if self.checkpoint_every < 0:
+            raise ConfigError(
+                "checkpoint_every", "must be non-negative (0 turns checkpoints off)"
+            )
 
 
 class EpochRecord(NamedTuple):
@@ -190,6 +208,66 @@ def thinning_residual_terms(
     return dym_dtau + (t_max / t_ref) * tr
 
 
+def residual_partials(
+    y_v, y_m, dyv_dtau, dym_dtau, k5_hat, coeffs: VoltageCoefficients,
+    params: PhysicsParameters, cond: OperatingConditions,
+    v_ref, t_ref, t_max, diag=None,
+):
+    """Both residuals on plain ``(N,)`` arrays, with their per-point partials.
+
+    Returns ``(r_v, jac_v, r_m, jac_m)``. Row k of each ``(5, N)`` Jacobian
+    is the partial with respect to input k of (y_v, y_m, dy_v/dtau,
+    dy_m/dtau, k5_hat): the values :func:`voltage_residual_terms` and
+    :func:`thinning_residual_terms` give on ``Dual`` numbers seeded with
+    those five unit directions, written out by hand. An output floored at
+    CLAMP_EPS has partial 0, as ``maximum`` gives; the ``diag`` events are
+    the ones the two generic functions count.
+    """
+    live_v = y_v > CLAMP_EPS
+    live_m = y_m > CLAMP_EPS
+    if diag is not None:
+        # Each of the two residuals counts both clamped outputs.
+        diag.count("output_clamped", 2 * (np.sum(~live_v) + np.sum(~live_m)))
+    v = v_ref * np.where(live_v, y_v, CLAMP_EPS)
+    tm = t_ref * np.where(live_m, y_m, CLAMP_EPS)
+    # dV/dy_v and dt_mem/dy_m: the scale where the output is live, else 0.
+    dv = v_ref * live_v
+    dtm = t_ref * live_m
+
+    # Voltage: r = y_v' (1 + kin + ohm) + cross y_m', with kin = k2V/V,
+    # ohm = k3V (P/A)/(t_mem V^2) and cross = k3V (P/A)/(V t_mem^2) t_ref/v_ref.
+    inv_v = 1.0 / v
+    inv_tm = 1.0 / tm
+    kin = coeffs.k2V * inv_v
+    ohm = (coeffs.k3V * coeffs.P_over_A) * inv_tm * inv_v * inv_v
+    bracket = 1.0 + kin + ohm
+    cross = ohm * v * inv_tm * (t_ref / v_ref)
+    r_v = dyv_dtau * bracket + cross * dym_dtau
+    jac_v = np.stack([
+        -(dyv_dtau * (kin + 2.0 * ohm) + dym_dtau * cross) * inv_v * dv,
+        -(dyv_dtau * ohm + 2.0 * dym_dtau * cross) * inv_tm * dtm,
+        bracket,
+        cross,
+        np.zeros_like(r_v),
+    ])
+
+    # Thinning: r = y_m' + (t_max/t_ref) TR, and TR = rate k5 c_HO t_mem is
+    # linear in each of k5, c_HO and t_mem.
+    k5 = k5_hat * K5_SCALE
+    c_ho, dc_dv, dc_dk5 = hydroxyl_chain_partials(params, cond, v, k5, diag)
+    scale = t_max / t_ref
+    rate = scale * thinning_rate(params, 1.0, 1.0, k5=1.0)
+    r_m = dym_dtau + scale * thinning_rate(params, c_ho, tm, k5=k5)
+    jac_m = np.stack([
+        (rate * k5) * tm * dc_dv * dv,
+        (rate * k5) * c_ho * dtm,
+        np.zeros_like(r_m),
+        np.ones_like(r_m),
+        (rate * K5_SCALE) * tm * (c_ho + k5 * dc_dk5),
+    ])
+    return r_v, jac_v, r_m, jac_m
+
+
 def _outputs_with_tau_derivatives(net: NetworkParameters, t):
     tau = np.asarray(t, dtype=float) / net.input_scale
     y, dy, _ = mlp_with_tangent(net.weights, net.biases, tau)
@@ -228,15 +306,12 @@ class LossPoints:
 
     ``tau`` concatenates the collocation points (none when the physics
     terms are off), the training times and tau = 0, so one network pass
-    serves every term; ``seeds[k]`` is the tangent block of input k of the
-    residuals (y_v, y_m, dy_v/dtau, dy_m/dtau, k5_hat): ones in row k,
-    zeros elsewhere.
+    serves every term.
     """
 
     tau: np.ndarray
     n_collocation: int
     targets: np.ndarray     # (2, n_train) normalized voltage and thickness
-    seeds: np.ndarray
 
 
 def loss_points(
@@ -256,7 +331,6 @@ def loss_points(
             dataset.train_voltages / net.v_ref,
             dataset.train_thicknesses / net.t_mem_ref,
         ]),
-        seeds=np.repeat(np.eye(5)[:, :, None], n_c, axis=2),
     )
 
 
@@ -297,25 +371,16 @@ def composite_loss(
     # Physics residuals at the collocation points, with their Jacobians.
     g_k5 = 0.0
     if n_c:
-        seeds = points.seeds
-        y_v = Dual(y[0, :n_c], seeds[0])
-        y_m = Dual(y[1, :n_c], seeds[1])
-        dyv = Dual(dy[0, :n_c], seeds[2])
-        dym = Dual(dy[1, :n_c], seeds[3])
-        k5_hat = Dual(net.k5_hat, seeds[4])
-        r_v = voltage_residual_terms(
-            y_v, y_m, dyv, dym, coeffs, net.v_ref, net.t_mem_ref, diag
+        r_v, jac_v, r_m, jac_m = residual_partials(
+            y[0, :n_c], y[1, :n_c], dy[0, :n_c], dy[1, :n_c], net.k5_hat,
+            coeffs, params, cond, net.v_ref, net.t_mem_ref, cond.t_max, diag,
         )
-        r_m = thinning_residual_terms(
-            y_v, y_m, dym, k5_hat, params, cond,
-            net.v_ref, net.t_mem_ref, cond.t_max, diag,
-        )
-        physics_v = config.lambda_v * float(np.mean(r_v.primal * r_v.primal))
-        physics_mem = config.lambda_tmem * float(np.mean(r_m.primal * r_m.primal))
+        physics_v = config.lambda_v * float(np.mean(r_v * r_v))
+        physics_mem = config.lambda_tmem * float(np.mean(r_m * r_m))
         # d(lambda * mean(r^2))/dx = (2 lambda / N) * r * dr/dx, per point.
-        jac = ((2.0 * config.lambda_v / n_c) * r_v.primal) * r_v.tangent + (
-            (2.0 * config.lambda_tmem / n_c) * r_m.primal
-        ) * r_m.tangent
+        jac = ((2.0 * config.lambda_v / n_c) * r_v) * jac_v + (
+            (2.0 * config.lambda_tmem / n_c) * r_m
+        ) * jac_m
         g_y[:, :n_c] = jac[0:2]
         g_dy[:, :n_c] = jac[2:4]
         g_k5 = float(np.sum(jac[4]))

@@ -584,3 +584,46 @@ def test_failed_training_artifact_write_keeps_previous_file(tmp_path):
         _write_history_csv(history, [record, object()])
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("key, value", [("seed", -1), ("checkpoint_every", -5)])
+def test_negative_training_integer_exits_2(tmp_path, fast_config, capsys, key, value):
+    data_dir = tmp_path / "data"
+    assert main(
+        ["generate-data", "--config", str(fast_config), "--out", str(data_dir)]
+    ) == 0
+    data = json.loads(fast_config.read_text())
+    data[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "never"
+    code = main(
+        [
+            "train",
+            "--config", str(path),
+            "--data", str(data_dir / "dataset.csv"),
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert f"config key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_records_environment(tmp_path, fast_config):
+    import platform
+
+    import numpy as np
+
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(fast_config), "--out", str(out)]) == 0
+    assert main(
+        ["generate-data", "--config", str(fast_config), "--out", str(out)]
+    ) == 0
+    runs = json.loads((out / "manifest.json").read_text())["runs"]
+    assert len(runs) == 2
+    for entry in runs:
+        assert entry["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        }

@@ -1,13 +1,16 @@
+import dataclasses
 from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
 
+from pempinn.autodiff import Dual
 from pempinn.constants import PhysicsParameters, membrane_molar_concentration
 from pempinn.degradation import (
     DiagnosticCounters,
     fluoride_release_rate,
     hydroxyl_chain,
+    hydroxyl_chain_partials,
     hydroxyl_concentration,
     peroxide_quadratic_coefficients,
     solve_peroxide,
@@ -247,3 +250,39 @@ def test_hydroxyl_chain_masks_infeasible(params, cond):
     out = hydroxyl_chain(params, cond, np.array([2.0]), k5=bad_k5, diag=diag)
     assert float(np.asarray(out)[0]) == 0.0
     assert diag.chemistry_infeasible >= 0  # counted, not raised
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "k2, k5, regime",
+    [
+        (None, 1000.0, "live"),
+        (None, 1300.0, "live"),
+        (None, -1000.0, "hydroxyl_clamped"),
+        (0.1, 1000.0, "chemistry_infeasible"),
+    ],
+)
+def test_hydroxyl_chain_partials_match_dual(params, cond, k2, k5, regime):
+    # c_HO and its partials in V and k5 against hydroxyl_chain on Duals.
+    # A negative k5 clamps the hydroxyl formula; k2 = 0.1 leaves the
+    # peroxide quadratic without a positive root.
+    if k2 is not None:
+        params = dataclasses.replace(params, k2=k2)
+    volts = np.linspace(1.6, 3.2, 41)
+    ref_diag = DiagnosticCounters()
+    seeds = np.repeat(np.eye(2)[:, :, None], volts.size, axis=2)
+    ref = hydroxyl_chain(
+        params, cond, Dual(volts, seeds[0]), k5=Dual(k5, seeds[1]), diag=ref_diag
+    )
+    diag = DiagnosticCounters()
+    c_ho, dc_dv, dc_dk5 = hydroxyl_chain_partials(params, cond, volts, k5, diag)
+    assert np.allclose(c_ho, ref.primal, rtol=1e-6, atol=0.0)
+    assert np.allclose(dc_dv, ref.tangent[0], rtol=1e-6, atol=0.0)
+    assert np.allclose(dc_dk5, ref.tangent[1], rtol=1e-6, atol=0.0)
+    assert vars(diag) == vars(ref_diag)
+    if regime == "live":
+        assert vars(diag) == vars(DiagnosticCounters())
+        assert np.all(c_ho > 0.0) and np.all(dc_dv != 0.0) and np.all(dc_dk5 != 0.0)
+    else:
+        assert getattr(diag, regime) == volts.size
+        assert not np.any(c_ho) and not np.any(dc_dv) and not np.any(dc_dk5)

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from reference_loss import reference_gradient
 
-from pempinn.degradation import hydroxyl_chain, thinning_rate
+from pempinn import autodiff
+from pempinn.autodiff import Dual
+from pempinn.degradation import DiagnosticCounters, hydroxyl_chain, thinning_rate
 from pempinn.electrochem import solve_cell_voltage
 from pempinn.errors import ConfigError
 from pempinn.network import (
@@ -22,6 +26,7 @@ from pempinn.training import (
     adam_step,
     composite_loss,
     evaluate,
+    residual_partials,
     thinning_residual,
     thinning_residual_terms,
     train,
@@ -471,8 +476,6 @@ def _parity_networks(cond, v0):
 def test_gradient_matches_reference_engine(params, cond, coeffs, small_dataset):
     # The graph-free gradient against the reverse-mode Value engine it
     # replaced (tests/reference_loss.py), entry by entry.
-    from pempinn.degradation import DiagnosticCounters
-
     v0 = solve_cell_voltage(coeffs, cond.t_mem0)
     configs = {
         "pinn": small_config(n_collocation=64),
@@ -510,3 +513,99 @@ def test_train_steps_along_composite_loss_gradient(params, cond, coeffs, small_d
     expected, _ = adam_step(AdamState.zeros(88), flatten(start), grad, cfg)
     assert np.array_equal(flatten(net), expected)
     assert metrics.loss_history[0].loss_total == comps["total"]
+
+
+# The Dual reference takes sqrt(0) at points without a real root, whose
+# NaN tangent its mask then drops.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "case", ["live", "clamped_outputs", "hydroxyl_clamp", "infeasible"]
+)
+def test_residual_partials_match_dual_jacobian(params, cond, coeffs, case):
+    # The closed-form partials, point by point, against the generic residual
+    # code evaluated on Duals whose (5, N) tangent is seeded with unit
+    # directions for y_v, y_m, dy_v/dtau, dy_m/dtau and k5_hat.
+    rng = np.random.default_rng(5)
+    n = 64
+    v_ref, t_ref = 2.0, cond.t_mem0
+    y_v = 1.21 + 0.05 * rng.standard_normal(n)
+    y_m = 0.8 + 0.1 * rng.standard_normal(n)
+    dyv = 0.05 * rng.standard_normal(n)
+    dym = -0.3 + 0.05 * rng.standard_normal(n)
+    k5_hat = 1.0
+    if case == "clamped_outputs":
+        y_v[::3] = CLAMP_EPS - 0.5 * rng.random(len(y_v[::3]))
+        y_m[1::4] = CLAMP_EPS - 0.5 * rng.random(len(y_m[1::4]))
+        y_v[1] = y_m[2] = CLAMP_EPS  # at the floor counts as clamped
+    elif case == "hydroxyl_clamp":
+        k5_hat = -1.0
+    elif case == "infeasible":
+        # k2 = 0.1 leaves the peroxide quadratic without a positive root.
+        params = dataclasses.replace(params, k2=0.1)
+
+    seeds = np.repeat(np.eye(5)[:, :, None], n, axis=2)
+    d_v, d_m, d_dyv, d_dym = (
+        Dual(x, seed) for x, seed in zip((y_v, y_m, dyv, dym), seeds)
+    )
+    ref_diag = DiagnosticCounters()
+    ref_v = voltage_residual_terms(
+        d_v, d_m, d_dyv, d_dym, coeffs, v_ref, t_ref, ref_diag
+    )
+    ref_m = thinning_residual_terms(
+        d_v, d_m, d_dym, Dual(k5_hat, seeds[4]), params, cond,
+        v_ref, t_ref, cond.t_max, ref_diag,
+    )
+    diag = DiagnosticCounters()
+    r_v, jac_v, r_m, jac_m = residual_partials(
+        y_v, y_m, dyv, dym, k5_hat, coeffs, params, cond,
+        v_ref, t_ref, cond.t_max, diag,
+    )
+
+    assert jac_v.shape == jac_m.shape == (5, n)
+    for got, ref in ((r_v, ref_v), (r_m, ref_m)):
+        assert np.allclose(got, ref.primal, rtol=1e-6, atol=0.0), case
+    for got, ref in ((jac_v, ref_v), (jac_m, ref_m)):
+        for k in range(5):
+            assert np.allclose(got[k], ref.tangent[k], rtol=1e-6, atol=0.0), (case, k)
+    assert vars(diag) == vars(ref_diag)
+    if case == "clamped_outputs":
+        dead = (y_v <= CLAMP_EPS) | (y_m <= CLAMP_EPS)
+        assert 0 < diag.output_clamped < 4 * n
+        assert np.all(jac_v[0][y_v <= CLAMP_EPS] == 0.0)
+        assert np.all(jac_m[1][y_m <= CLAMP_EPS] == 0.0)
+        assert np.all(jac_v[0][~dead] != 0.0)
+    else:
+        assert diag.output_clamped == 0
+    if case == "hydroxyl_clamp":
+        assert diag.hydroxyl_clamped == n
+    if case == "infeasible":
+        assert diag.chemistry_infeasible == n
+        # No attack: the thinning residual depends on dy_m/dtau alone.
+        assert np.array_equal(r_m, dym)
+        assert not np.any(jac_m[[0, 1, 4]])
+    else:
+        assert diag.chemistry_infeasible == 0
+        if case != "hydroxyl_clamp":
+            assert np.all(jac_m[4] != 0.0)
+
+
+def test_composite_loss_builds_no_dual_or_value(
+    params, cond, coeffs, small_dataset, monkeypatch
+):
+    # The training path runs on plain arrays; Duals and Values are the
+    # test reference only.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"composite_loss built a {type(self).__name__}")
+
+    v0 = solve_cell_voltage(coeffs, cond.t_mem0)
+    nets = [net for label, net in _parity_networks(cond, v0)
+            if label in ("init_0", "k5_1", "clamp_0", "clamp_1")]
+    monkeypatch.setattr(autodiff.Dual, "__init__", refuse)
+    monkeypatch.setattr(autodiff.Value, "__init__", refuse)
+    for cfg in (small_config(), small_config(physics_enabled=False)):
+        for net in nets:
+            comps, grad = composite_loss(
+                net, small_dataset, cfg, coeffs, params, cond, v0,
+                DiagnosticCounters(),
+            )
+            assert np.isfinite(comps["total"]) and np.all(np.isfinite(grad))
