@@ -337,6 +337,12 @@ def cmd_reproduce(args) -> int:
     return 0 if all(checks.values()) else 1
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pempinn",
@@ -349,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a run config JSON (default: packaged)")
         p.add_argument("--out", required=True, help="output directory")
         if seed:
-            p.add_argument("--seed", type=int, help="override dataset and training seeds")
+            p.add_argument(
+                "--seed", type=_non_negative_int, help="override dataset and training seeds"
+            )
 
     p = sub.add_parser("simulate", help="integrate the clean ground-truth trajectory")
     common(p)
@@ -364,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train on a generated dataset")
     common(p)
     p.add_argument("--data", required=True, help="dataset CSV from generate-data")
-    p.add_argument("--epochs", type=int, help="override max_epochs")
+    p.add_argument("--epochs", type=_non_negative_int, help="override max_epochs")
     p.add_argument(
         "--no-physics",
         action="store_true",
@@ -383,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the full pipeline (simulate, data, PINN, ANN, report)",
     )
     common(p)
-    p.add_argument("--epochs", type=int, help="override max_epochs")
+    p.add_argument("--epochs", type=_non_negative_int, help="override max_epochs")
     p.set_defaults(func=cmd_reproduce)
 
     return parser

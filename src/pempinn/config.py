@@ -2,8 +2,11 @@
 
 One JSON file holds every parameter of a run: physics constants, operating
 conditions, simulation/dataset settings, and training settings. Keys are
-the dataclass field names (they are unique across the four groups); the
-loader validates every invariant and reports the offending key.
+the dataclass field names (they are unique across the four groups). The
+loader checks each value's kind against its field's annotation (``bool``,
+``int`` or finite ``float``), and each group's ``__post_init__`` checks
+its ranges; every error names the offending key. No function downstream
+checks a config value again.
 """
 
 from __future__ import annotations
@@ -54,52 +57,34 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return out
 
 
+def _checked(key: str, kind: str, value):
+    """``value`` of ``key`` if it is of the field's kind; floats as float."""
+    if kind == "bool":
+        if not isinstance(value, bool):
+            raise ConfigError(key, f"expected a boolean, got {value!r}")
+        return value
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(key, f"expected an integer, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(key, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(key, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def config_from_dict(data: dict) -> RunConfig:
-    field_owner = {}
-    for name, cls in _GROUPS:
-        for f in fields(cls):
-            field_owner[f.name] = name
-    unknown = [k for k in data if k not in field_owner]
+    owner = {f.name: (name, f.type) for name, cls in _GROUPS for f in fields(cls)}
+    unknown = [k for k in data if k not in owner]
     if unknown:
         raise ConfigError(unknown[0], "unknown configuration key")
 
     grouped: dict[str, dict] = {name: {} for name, _ in _GROUPS}
     for key, value in data.items():
-        grouped[field_owner[key]][key] = value
-
-    def build(cls, kwargs, bool_keys=(), int_keys=()):
-        clean = {}
-        for key, value in kwargs.items():
-            if key in bool_keys:
-                if not isinstance(value, bool):
-                    raise ConfigError(key, f"expected a boolean, got {value!r}")
-                clean[key] = value
-            elif key in int_keys:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(key, f"expected an integer, got {value!r}")
-                clean[key] = value
-            else:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(key, f"expected a number, got {value!r}")
-                if not math.isfinite(value):
-                    raise ConfigError(key, f"expected a finite number, got {value!r}")
-                clean[key] = float(value)
-        return cls(**clean)
-
-    physics = build(PhysicsParameters, grouped["physics"])
-    conditions = build(OperatingConditions, grouped["conditions"])
-    simulation = build(
-        SimulationSettings,
-        grouped["simulation"],
-        int_keys=("n_steps", "n_train", "n_test", "dataset_seed"),
-    )
-    training = build(
-        TrainingConfig,
-        grouped["training"],
-        bool_keys=("physics_enabled",),
-        int_keys=("max_epochs", "n_collocation", "seed", "checkpoint_every"),
-    )
-    return RunConfig(physics, conditions, simulation, training)
+        name, kind = owner[key]
+        grouped[name][key] = _checked(key, kind, value)
+    return RunConfig(**{name: cls(**grouped[name]) for name, cls in _GROUPS})
 
 
 def save_config(cfg: RunConfig, path) -> None:

@@ -42,6 +42,10 @@ __all__ = [
 ANTOINE_WATER = {"A": 8.07131, "B": 1730.63, "C": 233.426}
 MMHG_PER_BAR = 750.062
 
+# Zero crossing of the membrane conductivity formula
+# (0.005139*lambda - 0.00326): lambda_hydration must exceed it.
+_LAMBDA_MIN = 0.00326 / 0.005139
+
 
 def saturation_pressure_bar(T: float) -> float:
     """Saturation vapor pressure of water at temperature T (kelvin), in bar."""
@@ -90,6 +94,12 @@ class PhysicsParameters:
         for f in fields(self):
             if getattr(self, f.name) <= 0.0:
                 raise ConfigError(f.name, "must be strictly positive")
+        if self.lambda_hydration <= _LAMBDA_MIN:
+            raise ConfigError(
+                "lambda_hydration",
+                f"hydration {self.lambda_hydration} gives non-positive conductivity "
+                f"(must exceed {_LAMBDA_MIN:.6f})",
+            )
         scaled = self.k5_true / 1.0e3
         if not 0.1 <= scaled <= 10.0:
             raise ConfigError(

@@ -31,9 +31,6 @@ __all__ = [
     "solve_cell_voltage",
 ]
 
-# Conductivity formula zero crossing: lambda must exceed 0.00326/0.005139.
-_LAMBDA_MIN = 0.00326 / 0.005139
-
 DEFAULT_V_GUESS = 1.8
 
 
@@ -54,9 +51,6 @@ class VoltageCoefficients:
 
 def open_circuit_voltage(params: PhysicsParameters, cond: OperatingConditions) -> float:
     """Nernst open-circuit voltage, V_oc = E0 + (RT/2F) ln(p_H2 sqrt(p_O2) / p_H2O)."""
-    for key in ("p_H2", "p_O2", "p_H2O"):
-        if getattr(cond, key) <= 0.0:
-            raise ConfigError(key, "partial pressure must be positive")
     ratio = cond.p_H2 * math.sqrt(cond.p_O2) / cond.p_H2O
     return params.E0 + params.R * cond.T / (2.0 * params.F) * math.log(ratio)
 
@@ -81,13 +75,9 @@ def membrane_conductivity(lambda_hydration: float, T: float) -> float:
     """Empirical membrane conductivity, S/cm.
 
     sigma = (0.005139*lambda - 0.00326) * exp(1268*(1/303 - 1/T))
+
+    Positive for every ``lambda_hydration`` that ``PhysicsParameters`` accepts.
     """
-    if lambda_hydration <= _LAMBDA_MIN:
-        raise ConfigError(
-            "lambda_hydration",
-            f"hydration {lambda_hydration} gives non-positive conductivity "
-            f"(must exceed {_LAMBDA_MIN:.6f})",
-        )
     return (0.005139 * lambda_hydration - 0.00326) * math.exp(
         1268.0 * (1.0 / 303.0 - 1.0 / T)
     )

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Dual, Value, matmul, primal, sigmoid
-from .errors import ArtifactFormatError, ConfigError
+from .errors import ArtifactFormatError
 from .simulator import atomic_open
 
 __all__ = [
@@ -93,10 +93,10 @@ def init_parameters(
 ) -> NetworkParameters:
     """Glorot-uniform weights, zero biases, and k5_hat = 0 (no prior).
 
-    Deterministic per seed.
+    Deterministic per seed. ``OperatingConditions`` guarantees the positive
+    ``input_scale`` (t_max) and ``t_mem_ref`` (t_mem0), ``TrainingConfig``
+    the ``seed`` and ``v_ref``.
     """
-    if input_scale <= 0.0 or t_mem_ref <= 0.0 or v_ref <= 0.0:
-        raise ConfigError("scales", "normalization scales must be positive")
     rng = np.random.default_rng(seed)
     weights = []
     biases = []

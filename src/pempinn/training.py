@@ -123,12 +123,15 @@ class TrainingConfig:
         for key in ("lambda_v", "lambda_tmem", "lambda_ic"):
             if getattr(self, key) < 0.0:
                 raise ConfigError(key, "loss weights must be non-negative")
-        if not 0.0 <= self.adam_beta1 < 1.0 or not 0.0 <= self.adam_beta2 < 1.0:
-            raise ConfigError("adam_beta", "Adam betas must lie in [0, 1)")
+        for key in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(key, "Adam betas must lie in [0, 1)")
         if self.adam_eps <= 0.0:
             raise ConfigError("adam_eps", "must be positive")
         if self.seed < 0:
             raise ConfigError("seed", "seed must be non-negative")
+        if self.v_ref <= 0.0:
+            raise ConfigError("v_ref", "voltage scale must be positive")
         if self.checkpoint_every < 0:
             raise ConfigError(
                 "checkpoint_every", "must be non-negative (0 turns checkpoints off)"
@@ -318,8 +321,6 @@ def loss_points(
     net: NetworkParameters, dataset, config: TrainingConfig, cond: OperatingConditions
 ) -> LossPoints:
     """The LossPoints of a dataset, in the net's normalized units."""
-    if len(dataset.train_times) == 0:
-        raise ConfigError("dataset", "training split is empty")
     physics = config.lambda_v > 0.0 or config.lambda_tmem > 0.0
     n_c = config.n_collocation if physics else 0
     tau_c = np.linspace(0.0, cond.t_max, n_c) / net.input_scale
@@ -510,8 +511,6 @@ def train(
 def evaluate(net: NetworkParameters, dataset) -> Metrics:
     """RMSE in physical units; train split against its noisy targets, test
     split against the clean signal."""
-    if len(dataset.train_times) == 0 or len(dataset.test_times) == 0:
-        raise ConfigError("dataset", "cannot evaluate an empty split")
     train_v, train_m = predict(net, dataset.train_times)
     test_v, test_m = predict(net, dataset.test_times)
 

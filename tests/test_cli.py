@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 from pempinn.cli import main
 from pempinn.config import (
+    RunConfig,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -62,6 +64,27 @@ def test_config_reports_offending_key():
     data["max_epochs"] = 1.5
     with pytest.raises(ConfigError, match="max_epochs"):
         config_from_dict(data)
+
+
+_KIND_REJECTS = {"bool": [1], "int": [1.5, True], "float": ["1", True]}
+
+
+@pytest.mark.parametrize(
+    "key, kind",
+    [
+        (f.name, f.type)
+        for group in dataclasses.fields(RunConfig)
+        for f in dataclasses.fields(getattr(default_config(), group.name))
+    ],
+)
+def test_config_checks_each_key_kind(key, kind):
+    # The loader takes each key's kind from its field's annotation.
+    assert kind in _KIND_REJECTS
+    for bad in _KIND_REJECTS[kind]:
+        data = config_to_dict(default_config())
+        data[key] = bad
+        with pytest.raises(ConfigError, match=f"'{key}': expected "):
+            config_from_dict(data)
 
 
 @pytest.mark.parametrize(
@@ -586,8 +609,21 @@ def test_failed_training_artifact_write_keeps_previous_file(tmp_path):
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
 
-@pytest.mark.parametrize("key, value", [("seed", -1), ("checkpoint_every", -5)])
-def test_negative_training_integer_exits_2(tmp_path, fast_config, capsys, key, value):
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("train", "seed", -1),
+        ("train", "checkpoint_every", -5),
+        ("train", "v_ref", 0.0),
+        ("train", "adam_beta1", 1.0),
+        ("train", "adam_beta2", 1.0),
+        ("train", "lambda_hydration", 0.5),
+        ("reproduce", "v_ref", 0.0),
+    ],
+)
+def test_bad_config_value_exits_2_before_out(
+    tmp_path, fast_config, capsys, command, key, value
+):
     data_dir = tmp_path / "data"
     assert main(
         ["generate-data", "--config", str(fast_config), "--out", str(data_dir)]
@@ -597,16 +633,27 @@ def test_negative_training_integer_exits_2(tmp_path, fast_config, capsys, key, v
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     out = tmp_path / "never"
-    code = main(
-        [
-            "train",
-            "--config", str(path),
-            "--data", str(data_dir / "dataset.csv"),
-            "--out", str(out),
-        ]
-    )
-    assert code == 2
+    argv = [command, "--config", str(path), "--out", str(out)]
+    if command == "train":
+        argv += ["--data", str(data_dir / "dataset.csv")]
+    assert main(argv) == 2
     assert f"config key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "reproduce"])
+@pytest.mark.parametrize("flag", ["--seed", "--epochs"])
+def test_negative_flag_exits_2_before_out(tmp_path, fast_config, capsys, command, flag):
+    out = tmp_path / "never"
+    argv = [command, "--config", str(fast_config), "--out", str(out), flag, "-1"]
+    if command == "train":
+        argv += ["--data", str(tmp_path / "dataset.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a non-negative integer" in err
+    assert "config key" not in err
     assert not out.exists()
 
 

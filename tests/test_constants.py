@@ -130,6 +130,10 @@ def test_operating_conditions_validation():
         OperatingConditions(T=200.0)
     with pytest.raises(ConfigError, match="p_O2"):
         OperatingConditions(p_O2=-1.0)
+    with pytest.raises(ConfigError, match="p_H2'"):
+        OperatingConditions(p_H2=-1.0)
+    with pytest.raises(ConfigError, match="p_H2O"):
+        OperatingConditions(p_H2O=0.0)
     with pytest.raises(ConfigError, match="t_mem0"):
         OperatingConditions(t_mem0=0.5)
     with pytest.raises(ConfigError, match="t_max"):

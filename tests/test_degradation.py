@@ -243,13 +243,27 @@ def test_hydroxyl_chain_matches_scalar_path(params, cond):
 
 
 def test_hydroxyl_chain_masks_infeasible(params, cond):
-    # k5 override far negative makes S < 0 with no positive root at low V.
+    # k2 = 0.1 leaves the peroxide quadratic without a positive root at
+    # every voltage: c_HO is zeroed and counted, not raised.
+    volts = np.linspace(1.5, 2.5, 6)
+    diag = DiagnosticCounters()
+    out = hydroxyl_chain(dataclasses.replace(params, k2=0.1), cond, volts, diag=diag)
+    assert np.all(np.asarray(out) == 0.0)
+    assert diag.chemistry_infeasible == len(volts)
+    assert diag.hydroxyl_clamped == 0
+
+
+def test_hydroxyl_chain_clamps_negative_k5(params, cond):
+    # A k5 this negative turns the hydroxyl formula negative; the peroxide
+    # quadratic stays feasible, so c_HO is clamped to zero and counted.
+    volts = np.linspace(1.5, 2.5, 6)
     diag = DiagnosticCounters()
     c_mem = membrane_molar_concentration(params)
     bad_k5 = -(params.k4 * params.c_O2 + 1.0) / c_mem
-    out = hydroxyl_chain(params, cond, np.array([2.0]), k5=bad_k5, diag=diag)
-    assert float(np.asarray(out)[0]) == 0.0
-    assert diag.chemistry_infeasible >= 0  # counted, not raised
+    out = hydroxyl_chain(params, cond, volts, k5=bad_k5, diag=diag)
+    assert np.all(np.asarray(out) == 0.0)
+    assert diag.hydroxyl_clamped == len(volts)
+    assert diag.chemistry_infeasible == 0
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

@@ -39,13 +39,6 @@ def test_open_circuit_golden(params, cond):
     )
 
 
-def test_open_circuit_rejects_bad_pressure(params):
-    cond = OperatingConditions()
-    object.__setattr__(cond, "p_H2", -1.0)
-    with pytest.raises(ConfigError, match="p_H2"):
-        open_circuit_voltage(params, cond)
-
-
 def test_activation_zero_at_exchange_current(cond):
     p = PhysicsParameters(i0_an=0.01, i0_cat=0.01)
     assert activation_overpotential(p, cond, 0.01) == pytest.approx(0.0, abs=1e-15)
@@ -88,8 +81,9 @@ def test_conductivity_golden_at_operating_temperature():
 
 
 def test_conductivity_rejects_boundary_hydration():
-    with pytest.raises(ConfigError, match="lambda_hydration"):
-        membrane_conductivity(0.634337, 313.15)
+    # Just below the zero crossing 0.00326/0.005139 = 0.634365.
+    with pytest.raises(ConfigError, match="'lambda_hydration'"):
+        PhysicsParameters(lambda_hydration=0.634337)
 
 
 def test_degraded_conductivity_ratios():
