@@ -33,7 +33,8 @@ import numpy as np
 
 V_BRACKET_LO = 0.5
 V_BRACKET_HI = 5.0
-V_TOL_DEFAULT = 1.0e-13
+V_GUESS = 1.8  # first Newton start; rk4_thinning then starts from the step's V
+V_TOL = 1.0e-13
 V_MAX_ITER = 100
 
 
@@ -134,7 +135,7 @@ def rk4_thinning(
     infeasible_count = 0
     tm = t_mem0      # thickness at the start of the step
     t_mem = tm       # thickness the current stage is evaluated at
-    v_guess = 1.8
+    v_guess = V_GUESS
     step = 0
     stage = 0
 

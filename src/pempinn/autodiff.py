@@ -1,14 +1,19 @@
 """Minimal automatic differentiation over numpy payloads.
 
-Two differentiation modes, composable with each other:
+Training differentiates its loss in closed form on plain arrays; this
+module is the reference those closed forms are pinned to in the tests.
+The generic numeric code (the network forward pass, the physics residuals,
+the degradation chemistry) is written against its front-ends, so one
+definition runs on floats, arrays, ``Value`` and ``Dual``. It has the ops
+that code and the test-reference loss use and no others: ``+ - * /``,
+negation, ``sqrt``, ``sigmoid``, ``where``/``maximum``, ``@``, indexing,
+``sum`` and ``mean``.
 
 * ``Dual`` carries a ``(primal, tangent)`` pair through arithmetic, so the
   tangent of the output is the directional derivative along the seeded
   input direction (forward mode). The tangent may carry extra leading
   axes: a ``(k, N)`` tangent over an ``(N,)`` primal tracks k directions
-  at once. ``Dual`` now runs only on the test-reference path: training
-  writes its residual partials in closed form, and the tests pin them to
-  the generic residual code evaluated on a ``(5, N)`` ``Dual`` block.
+  at once, as the tests' ``(5, N)`` block of residual partials does.
 * ``Value`` is a node in a dynamically built computation graph. Calling
   :meth:`Value.backward` on a scalar result accumulates d(result)/d(leaf)
   into every leaf's ``grad`` (reverse mode).
@@ -16,8 +21,7 @@ Two differentiation modes, composable with each other:
 A ``Dual`` whose components are ``Value`` nodes gives forward-over-reverse:
 the tangent tracks a derivative with respect to the network input while the
 graph underneath still exposes parameter gradients through one backward
-sweep. Training no longer builds graphs; the tests keep the loss built this
-way as the reference its graph-free gradient is pinned to.
+sweep, as in the tests' reference loss.
 
 Payloads are python floats or numpy arrays of up to two dimensions: a
 weight matrix, an ``(n, 1)`` bias column, an ``(n, N)`` block of
@@ -40,15 +44,11 @@ __all__ = [
     "Value",
     "Dual",
     "BackwardError",
-    "exp",
-    "log",
     "sqrt",
     "sigmoid",
     "where",
     "maximum",
     "matmul",
-    "asum",
-    "amean",
     "primal",
 ]
 
@@ -191,9 +191,6 @@ class Value:
         out._backward = back
         return out
 
-    def __rmatmul__(self, other):
-        return Value(other) @ self
-
     def __getitem__(self, key):
         """Basic indexing (a row, a column); the gradient scatters back."""
         out = Value(self.data[key], (self,), "getitem")
@@ -206,38 +203,7 @@ class Value:
         out._backward = back
         return out
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("Value ** exponent supports constant exponents only")
-        out = Value(self.data**exponent, (self,), "pow")
-
-        def back():
-            self.grad = self.grad + _reduce_to(
-                out.grad * exponent * self.data ** (exponent - 1), self.data
-            )
-
-        out._backward = back
-        return out
-
     # -- elementary functions ----------------------------------------------
-
-    def exp(self):
-        out = Value(np.exp(self.data), (self,), "exp")
-
-        def back():
-            self.grad = self.grad + _reduce_to(out.grad * out.data, self.data)
-
-        out._backward = back
-        return out
-
-    def log(self):
-        out = Value(np.log(self.data), (self,), "log")
-
-        def back():
-            self.grad = self.grad + _reduce_to(out.grad / self.data, self.data)
-
-        out._backward = back
-        return out
 
     def sqrt(self):
         root = np.sqrt(self.data)
@@ -336,9 +302,6 @@ class Dual:
             return Dual(self.primal - other.primal, self.tangent - other.tangent)
         return Dual(self.primal - other, self.tangent)
 
-    def __rsub__(self, other):
-        return Dual(other - self.primal, -self.tangent)
-
     def __neg__(self):
         return Dual(-self.primal, -self.tangent)
 
@@ -365,21 +328,6 @@ class Dual:
         inv = 1.0 / self.primal
         return Dual(other * inv, -other * inv * inv * self.tangent)
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("Dual ** exponent supports constant exponents only")
-        return Dual(
-            self.primal**exponent,
-            exponent * self.primal ** (exponent - 1) * self.tangent,
-        )
-
-    def exp(self):
-        e = exp(self.primal)
-        return Dual(e, self.tangent * e)
-
-    def log(self):
-        return Dual(log(self.primal), self.tangent / self.primal)
-
     def sqrt(self):
         root = sqrt(self.primal)
         return Dual(root, self.tangent * 0.5 / root)
@@ -392,23 +340,7 @@ class Dual:
         return Dual(self.primal[key], self.tangent[key])
 
 
-# -- generic front-ends ------------------------------------------------------
-#
-# These dispatch on the payload type so that numeric code (the degradation
-# chemistry, the network forward pass, the physics residuals) can be written
-# once and evaluated with floats, numpy arrays, Values, or Duals.
-
-
-def exp(x):
-    if isinstance(x, (Value, Dual)):
-        return x.exp()
-    return np.exp(x)
-
-
-def log(x):
-    if isinstance(x, (Value, Dual)):
-        return x.log()
-    return np.log(x)
+# -- generic front-ends: dispatch on the payload type -------------------------
 
 
 def sqrt(x):
@@ -469,14 +401,3 @@ def matmul(a, b):
         return Dual(a @ b.primal, a @ b.tangent)
     return a @ b
 
-
-def asum(x):
-    if isinstance(x, Value):
-        return x.sum()
-    return float(np.sum(x))
-
-
-def amean(x):
-    if isinstance(x, Value):
-        return x.mean()
-    return float(np.mean(x))

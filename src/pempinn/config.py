@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 from .constants import OperatingConditions, PhysicsParameters
 from .errors import ConfigError
-from .simulator import SimulationSettings
+from .simulator import SimulationSettings, atomic_open
 from .training import TrainingConfig
 
 __all__ = ["RunConfig", "default_config", "load_config", "save_config", "config_hash"]
@@ -88,7 +88,8 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write the config as UTF-8 JSON, atomically (``atomic_open``)."""
+    with atomic_open(path) as fh:
         json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -28,6 +28,7 @@ import math
 from .errors import ConfigError
 
 __all__ = [
+    "K5_SCALE",
     "PhysicsParameters",
     "OperatingConditions",
     "default_parameters",
@@ -41,6 +42,10 @@ __all__ = [
 # A - B / (C + T/degC); one mmHg is 1/750.062 bar.
 ANTOINE_WATER = {"A": 8.07131, "B": 1730.63, "C": 233.426}
 MMHG_PER_BAR = 750.062
+
+# Fixed conditioning factor between the trainable normalized scalar k5_hat
+# and the physical attack-rate constant, m3/(mol s).
+K5_SCALE = 1.0e3
 
 # Zero crossing of the membrane conductivity formula
 # (0.005139*lambda - 0.00326): lambda_hydration must exceed it.
@@ -100,7 +105,7 @@ class PhysicsParameters:
                 f"hydration {self.lambda_hydration} gives non-positive conductivity "
                 f"(must exceed {_LAMBDA_MIN:.6f})",
             )
-        scaled = self.k5_true / 1.0e3
+        scaled = self.k5_true / K5_SCALE
         if not 0.1 <= scaled <= 10.0:
             raise ConfigError(
                 "k5_true",
@@ -123,10 +128,10 @@ class OperatingConditions:
     t_max: float = 8.0e5     # h
 
     def __post_init__(self):
-        if math.isnan(self.p_H2O):
-            object.__setattr__(self, "p_H2O", saturation_pressure_bar(self.T))
         if self.T <= 273.15:
             raise ConfigError("T", "temperature must exceed 273.15 K")
+        if math.isnan(self.p_H2O):
+            object.__setattr__(self, "p_H2O", saturation_pressure_bar(self.T))
         for key in ("p_H2", "p_O2", "p_H2O"):
             if getattr(self, key) <= 0.0:
                 raise ConfigError(key, "pressure must be positive")

@@ -42,6 +42,7 @@ __all__ = [
     "hydroxyl_chain_partials",
     "steady_state_radicals",
     "fluoride_release_rate",
+    "thinning_per_fluoride",
     "thinning_rate",
 ]
 
@@ -297,6 +298,12 @@ def fluoride_release_rate(params: PhysicsParameters, c_ho, t_mem, k5=None):
     )
 
 
+def thinning_per_fluoride(params: PhysicsParameters) -> float:
+    """Thinning rate per unit fluoride release rate, (cm/h)/(ug/(h cm2)):
+    1e-6 / (rho_Naf * 0.82)."""
+    return 1.0e-6 / (params.rho_naf_cgs * params.fluorine_mass_fraction)
+
+
 def thinning_rate(params: PhysicsParameters, c_ho, t_mem, k5=None):
     """Thinning rate, cm/h: TR = FRR / (rho_Naf * 0.82) * 1e-6.
 
@@ -304,4 +311,4 @@ def thinning_rate(params: PhysicsParameters, c_ho, t_mem, k5=None):
     between the two holds exactly. dt_mem/dt = -TR.
     """
     frr = fluoride_release_rate(params, c_ho, t_mem, k5=k5)
-    return frr * (1.0e-6 / (params.rho_naf_cgs * params.fluorine_mass_fraction))
+    return frr * thinning_per_fluoride(params)

@@ -31,8 +31,6 @@ __all__ = [
     "solve_cell_voltage",
 ]
 
-DEFAULT_V_GUESS = 1.8
-
 
 @dataclass(frozen=True)
 class VoltageCoefficients:
@@ -121,16 +119,11 @@ def voltage_coefficients(
     )
 
 
-def solve_cell_voltage(
-    coeffs: VoltageCoefficients,
-    t_mem: float,
-    v_guess: float = DEFAULT_V_GUESS,
-    tol: float = _kernel.V_TOL_DEFAULT,
-) -> float:
+def solve_cell_voltage(coeffs: VoltageCoefficients, t_mem: float) -> float:
     """Solve the implicit reduced voltage equation for a given thickness.
 
-    Deterministic for identical inputs; the returned V satisfies
-    |V - RHS(V)| <= tol (default well below the 1e-10 V contract).
+    Deterministic; Newton starts at ``_kernel.V_GUESS``, and the returned V
+    satisfies |V - RHS(V)| <= ``_kernel.V_TOL``, well below 1e-10 V.
     """
     if t_mem <= 0.0:
         raise ConfigError("t_mem", "membrane thickness must be positive")
@@ -143,8 +136,8 @@ def solve_cell_voltage(
         coeffs.k3V,
         coeffs.P_over_A,
         t_mem,
-        v_guess,
-        tol,
+        _kernel.V_GUESS,
+        _kernel.V_TOL,
         _kernel.V_MAX_ITER,
     )
     if status == 1:

@@ -89,7 +89,6 @@ def init_parameters(
     input_scale: float,
     t_mem_ref: float,
     v_ref: float = DEFAULT_V_REF,
-    layer_sizes=LAYER_SIZES,
 ) -> NetworkParameters:
     """Glorot-uniform weights, zero biases, and k5_hat = 0 (no prior).
 
@@ -100,7 +99,7 @@ def init_parameters(
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+    for fan_in, fan_out in zip(LAYER_SIZES[:-1], LAYER_SIZES[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
         b = np.zeros(fan_out)
@@ -243,7 +242,6 @@ class LiftedParameters:
     """
 
     def __init__(self, params: NetworkParameters):
-        self.source = params
         self.input_scale = params.input_scale
         self.v_ref = params.v_ref
         self.t_mem_ref = params.t_mem_ref
@@ -261,9 +259,6 @@ class LiftedParameters:
             np.ravel(v.grad) if np.ndim(v.grad) else np.full(np.size(v.data), v.grad)
             for v in self.leaves
         ])
-
-    def forward(self, x):
-        return mlp_forward(self.weights, self.biases, x)
 
 
 def flatten(params: NetworkParameters) -> np.ndarray:

@@ -29,6 +29,7 @@ from .constants import (
     PhysicsParameters,
     membrane_molar_concentration,
 )
+from .degradation import fluoride_release_rate, thinning_per_fluoride
 from .errors import ConfigError, DatasetFormatError, SimulationError, SolverError
 
 __all__ = [
@@ -138,10 +139,6 @@ def integrate_trajectory(
     coeffs = electrochem.voltage_coefficients(params, cond)
     c_mem = membrane_molar_concentration(params)
     kc = params.k4 * params.c_O2 + k5 * c_mem
-    frr_coeff = (
-        params.fluoride_stoich * k5 * c_mem * params.MM_F * 3600.0 * 1.0e-6 * 1.0e6
-    )
-    tr_conv = 1.0e-6 / (params.rho_naf_cgs * params.fluorine_mass_fraction)
     dt = cond.t_max / n_steps
 
     _, rk4 = _kernel.get_kernels()
@@ -172,10 +169,11 @@ def integrate_trajectory(
         params.k3,
         kc,
         params.v1,
-        frr_coeff,
-        tr_conv,
+        # frr_coeff (FRR per unit c_HO and t_mem) and tr_conv (TR per FRR).
+        fluoride_release_rate(params, 1.0, 1.0, k5),
+        thinning_per_fluoride(params),
         float(c_ho_override),
-        _kernel.V_TOL_DEFAULT,
+        _kernel.V_TOL,
     )
 
     if status in (1, 2):
@@ -499,8 +497,8 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def save_trajectory(traj: Trajectory, path, diagnostics_path=None) -> None:
-    """Write the trajectory CSV (and optionally a diagnostics CSV).
+def save_trajectory(traj: Trajectory, path, diagnostics_path) -> None:
+    """Write the trajectory CSV and its per-step diagnostics CSV.
 
     Rows are streamed to each file, which is written atomically
     (``atomic_open``).
@@ -509,21 +507,20 @@ def save_trajectory(traj: Trajectory, path, diagnostics_path=None) -> None:
         fh.write("t_hours,voltage_V,thickness_cm\n")
         for t, v, m in zip(traj.times, traj.voltages, traj.thicknesses):
             fh.write(f"{_format(t)},{_format(v)},{_format(m)}\n")
-    if diagnostics_path is not None:
-        with atomic_open(diagnostics_path) as fh:
+    with atomic_open(diagnostics_path) as fh:
+        fh.write(
+            "t_hours,c_ho_mol_m3,c_h2o2_mol_m3,thinning_cm_h,"
+            "fluoride_ug_h_cm2,solver_iterations\n"
+        )
+        for t, ho, h2o2, tr, fr, it in zip(
+            traj.times,
+            traj.c_ho,
+            traj.c_h2o2,
+            traj.thinning,
+            traj.fluoride,
+            traj.solver_iterations,
+        ):
             fh.write(
-                "t_hours,c_ho_mol_m3,c_h2o2_mol_m3,thinning_cm_h,"
-                "fluoride_ug_h_cm2,solver_iterations\n"
+                f"{_format(t)},{_format(ho)},{_format(h2o2)},"
+                f"{_format(tr)},{_format(fr)},{int(it)}\n"
             )
-            for t, ho, h2o2, tr, fr, it in zip(
-                traj.times,
-                traj.c_ho,
-                traj.c_h2o2,
-                traj.thinning,
-                traj.fluoride,
-                traj.solver_iterations,
-            ):
-                fh.write(
-                    f"{_format(t)},{_format(ho)},{_format(h2o2)},"
-                    f"{_format(tr)},{_format(fr)},{int(it)}\n"
-                )

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import maximum, primal
-from .constants import OperatingConditions, PhysicsParameters
+from .constants import K5_SCALE, OperatingConditions, PhysicsParameters
 from .degradation import (
     DiagnosticCounters,
     hydroxyl_chain,
@@ -64,7 +64,6 @@ from .network import (
 )
 
 __all__ = [
-    "K5_SCALE",
     "TrainingConfig",
     "Metrics",
     "EpochRecord",
@@ -79,10 +78,6 @@ __all__ = [
     "train",
     "evaluate",
 ]
-
-# Fixed conditioning factor between the trainable scalar and the physical
-# attack-rate constant (m3/(mol s)).
-K5_SCALE = 1.0e3
 
 # Floor, in normalized units, under which predicted outputs are clamped
 # before entering residual denominators. Early epochs can emit near-zero or

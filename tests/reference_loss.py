@@ -10,7 +10,7 @@ of :func:`pempinn.training.composite_loss` is pinned to.
 
 import numpy as np
 
-from pempinn.autodiff import BackwardError, Dual, Value, amean, primal
+from pempinn.autodiff import BackwardError, Dual, Value, primal
 from pempinn.electrochem import solve_cell_voltage
 from pempinn.errors import ConfigError
 from pempinn.network import LiftedParameters, mlp_forward
@@ -48,8 +48,8 @@ def _forward_with_tau_derivatives(net, tau):
 def composite_loss(net, dataset, config, coeffs, params, cond, v0=None, diag=None):
     """Total loss and its weighted components, ``(total, components)``.
 
-    ``net`` may be NetworkParameters (plain floats) or LiftedParameters
-    (a differentiable ``Value``).
+    ``net`` is a LiftedParameters, so the total is a differentiable
+    ``Value``.
     """
     if len(dataset.train_times) == 0:
         raise ConfigError("dataset", "training split is empty")
@@ -62,7 +62,7 @@ def composite_loss(net, dataset, config, coeffs, params, cond, v0=None, diag=Non
     y = mlp_forward(net.weights, net.biases, tau_d)
     rv = y[0] - target_v
     rm = y[1] - target_m
-    data = amean(rv * rv) + amean(rm * rm)
+    data = (rv * rv).mean() + (rm * rm).mean()
 
     if config.lambda_v > 0.0 or config.lambda_tmem > 0.0:
         tau_c = np.linspace(0.0, cond.t_max, config.n_collocation) / net.input_scale
@@ -74,8 +74,8 @@ def composite_loss(net, dataset, config, coeffs, params, cond, v0=None, diag=Non
             y_v, y_m, dym, net.k5_hat, params, cond,
             net.v_ref, net.t_mem_ref, cond.t_max, diag,
         )
-        physics_v = config.lambda_v * amean(r_v * r_v)
-        physics_mem = config.lambda_tmem * amean(r_m * r_m)
+        physics_v = config.lambda_v * (r_v * r_v).mean()
+        physics_mem = config.lambda_tmem * (r_m * r_m).mean()
     else:
         physics_v = 0.0
         physics_mem = 0.0

@@ -452,7 +452,7 @@ def test_train_no_physics_flag(tmp_path, fast_config):
     assert phys_cols == {"0.0"}  # physics components identically zero
 
 
-def test_missing_input_exits_2(tmp_path, fast_config):
+def test_missing_input_exits_2(tmp_path, fast_config, capsys):
     code = main(
         [
             "train",
@@ -462,6 +462,25 @@ def test_missing_input_exits_2(tmp_path, fast_config):
         ]
     )
     assert code == 2
+    # evaluate with the dataset present and the checkpoint missing
+    data_dir = tmp_path / "data"
+    assert main(
+        ["generate-data", "--config", str(fast_config), "--out", str(data_dir)]
+    ) == 0
+    missing = tmp_path / "nope" / "checkpoint.json"
+    out = tmp_path / "eval"
+    code = main(
+        [
+            "evaluate",
+            "--config", str(fast_config),
+            "--checkpoint", str(missing),
+            "--data", str(data_dir / "dataset.csv"),
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert f"missing input: {missing}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_config_exits_2(tmp_path):
@@ -674,3 +693,109 @@ def test_manifest_records_environment(tmp_path, fast_config):
             "python": platform.python_version(),
             "numpy": np.__version__,
         }
+
+
+@pytest.mark.parametrize("k5_hat, code", [(1.5, 0), (1.0, 1)])
+def test_k5_recovery_gate_scales_with_k5_true(
+    tmp_path, fast_config, monkeypatch, k5_hat, code
+):
+    # With k5_true = 1500 the trainable k5_hat should recover 1.5; the
+    # other gates are met by stub metrics, so the k5 gate alone decides.
+    from pempinn import cli
+    from pempinn.network import init_parameters
+    from pempinn.training import Metrics
+
+    def fake_train(ds, params, cond, config, checkpoint_hook=None):
+        net = init_parameters(0, input_scale=cond.t_max, t_mem_ref=cond.t_mem0)
+        if config.physics_enabled:
+            return net, Metrics(1e-3, 1e-3, 1e-6, 1e-6, k5_hat_final=k5_hat)
+        return net, Metrics(1.0, 1.0, 1e-3, 1e-3, k5_hat_final=0.0)
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    data = json.loads(fast_config.read_text())
+    data["k5_true"] = 1500.0
+    path = tmp_path / "k5.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "repro"
+    assert main(["reproduce", "--config", str(path), "--out", str(out)]) == code
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks"]["k5_recovery"] is (code == 0)
+    assert [k for k, ok in report["checks"].items() if not ok] == (
+        [] if code == 0 else ["k5_recovery"]
+    )
+    text = (out / "report.txt").read_text()
+    assert f"k5_hat_final (target 1.5): {k5_hat:.4f}" in text
+
+
+def test_reproduce_simulate_failure_writes_fail_report(tmp_path, fast_config, capsys):
+    # k2 = 0.1 makes the chemistry infeasible at every stage (exit 3).
+    data = json.loads(fast_config.read_text())
+    data["k2"] = 0.1
+    path = tmp_path / "k2.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "repro"
+    assert main(["reproduce", "--config", str(path), "--out", str(out)]) == 3
+    assert "reproduction FAILED at stage simulate" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "FAIL"
+    assert report["failed_stage"] == "simulate"
+    assert "1025 stage evaluations" in report["error"]
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "every, saves, distinct", [(0, 1, 1), (5, 4, 3), (7, 3, 3)]
+)
+def test_checkpoint_every_fires_cli_checkpoint_hook(
+    tmp_path, fast_config, monkeypatch, every, saves, distinct
+):
+    # 15 epochs: the hook saves the net after every `every`-th epoch, then
+    # the final net is saved; with every = 5 the epoch-15 save is the final.
+    from pempinn import cli
+    from pempinn.network import flatten
+
+    data_dir = tmp_path / "data"
+    assert main(
+        ["generate-data", "--config", str(fast_config), "--out", str(data_dir)]
+    ) == 0
+    data = json.loads(fast_config.read_text())
+    data["checkpoint_every"] = every
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(data))
+    saved = []
+    real_save = cli.save_checkpoint
+
+    def recording_save(net, target):
+        saved.append((flatten(net), target))
+        real_save(net, target)
+
+    monkeypatch.setattr(cli, "save_checkpoint", recording_save)
+    out = tmp_path / "run"
+    assert main(
+        [
+            "train",
+            "--config", str(path),
+            "--data", str(data_dir / "dataset.csv"),
+            "--out", str(out),
+        ]
+    ) == 0
+    assert len(saved) == saves
+    assert {target for _, target in saved} == {out / "checkpoint.json"}
+    assert len({vec.tobytes() for vec, _ in saved}) == distinct
+
+
+def test_failed_config_write_keeps_previous_file(tmp_path):
+    import os
+
+    path = tmp_path / "config.json"
+    cfg = default_config()
+    save_config(cfg, path)
+    before = path.read_bytes()
+    # json.dump streams in sorted key order: the keys before 'v1' are
+    # written before the unserializable value fails.
+    physics = dataclasses.replace(cfg.physics)
+    object.__setattr__(physics, "v1", object())
+    with pytest.raises(TypeError):
+        save_config(dataclasses.replace(cfg, physics=physics), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["config.json"]

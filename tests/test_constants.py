@@ -140,5 +140,13 @@ def test_operating_conditions_validation():
         OperatingConditions(t_max=0.0)
 
 
+def test_temperature_checked_once_with_or_without_p_h2o():
+    # T is checked before p_H2O defaults to the saturation pressure at T,
+    # so a bad T gets one message whether p_H2O is given or not.
+    for kwargs in ({}, {"p_H2O": 0.07}):
+        with pytest.raises(ConfigError, match="'T': temperature must exceed 273.15 K"):
+            OperatingConditions(T=200.0, **kwargs)
+
+
 def test_default_p_h2o_is_saturation(cond):
     assert cond.p_H2O == pytest.approx(saturation_pressure_bar(cond.T), rel=1e-15)

@@ -9,6 +9,7 @@ from pempinn.network import (
     flatten,
     init_parameters,
     load_checkpoint,
+    mlp_forward,
     predict,
     predict_with_time_derivative,
     save_checkpoint,
@@ -71,8 +72,6 @@ def test_zero_output_weights_give_zero_outputs():
 
 def test_toy_single_neuron_forward():
     # 1 -> 1 -> 1 with unit weight, zero bias: y = w_out * sigmoid(tau).
-    from pempinn.network import mlp_forward
-
     weights = (np.array([[1.0]]), np.array([[0.7]]))
     biases = (np.zeros(1), np.zeros(1))
     tau = 0.35
@@ -83,7 +82,6 @@ def test_toy_single_neuron_forward():
 def test_toy_derivative_quarter_slope_at_origin():
     # y = sigmoid(w * tau): dy/dt at tau=0 is w/4 / input_scale.
     from pempinn.autodiff import Dual
-    from pempinn.network import mlp_forward
 
     w_in = 1.3
     scale = 50.0
@@ -180,7 +178,7 @@ def test_gradient_of_summed_outputs_matches_fd():
     tau = t / SCALE
 
     def loss_builder(lifted):
-        y = lifted.forward(tau)
+        y = mlp_forward(lifted.weights, lifted.biases, tau)
         return (y[0] * y[0]).sum() + (y[1] * y[1]).sum()
 
     g = gradient(net, loss_builder)
@@ -189,8 +187,6 @@ def test_gradient_of_summed_outputs_matches_fd():
 
     def loss_at(v):
         nn = unflatten(v, net)
-        from pempinn.network import mlp_forward
-
         y = mlp_forward(nn.weights, nn.biases, tau)
         return float(np.sum(y[0] ** 2) + np.sum(y[1] ** 2))
 
@@ -222,7 +218,7 @@ def test_forward_identical_between_plain_and_lifted():
     tau = np.linspace(0.0, 1.0, 33)
     plain = predict(net, tau * SCALE)
     lifted = LiftedParameters(net)
-    y = lifted.forward(tau)
+    y = mlp_forward(lifted.weights, lifted.biases, tau)
     assert np.array_equal(np.asarray(y[0].data) * net.v_ref, plain[0])
     assert np.array_equal(np.asarray(y[1].data) * net.t_mem_ref, plain[1])
 
@@ -266,7 +262,7 @@ def test_blocked_predict_matches_per_neuron_reference():
 
 def test_tangent_forward_matches_dual_forward():
     from pempinn.autodiff import Dual
-    from pempinn.network import mlp_forward, mlp_with_tangent
+    from pempinn.network import mlp_with_tangent
 
     net = make_net(7)
     tau = np.linspace(-0.2, 1.3, 41)

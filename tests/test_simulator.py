@@ -438,7 +438,7 @@ def test_inlined_newton_matches_solve_voltage(params, cond):
         assert _kernel.solve_voltage(
             co.k1V, co.k2V, co.k3V, co.P_over_A, t_mem,
             volts[k - 1] if k else 1.8,
-            _kernel.V_TOL_DEFAULT, _kernel.V_MAX_ITER,
+            _kernel.V_TOL, _kernel.V_MAX_ITER,
         ) == (volts[k], int(traj.solver_iterations[k]), 0)
 
 

@@ -6,6 +6,7 @@ from reference_loss import reference_gradient
 
 from pempinn import autodiff
 from pempinn.autodiff import Dual
+from pempinn.constants import K5_SCALE
 from pempinn.degradation import DiagnosticCounters, hydroxyl_chain, thinning_rate
 from pempinn.electrochem import solve_cell_voltage
 from pempinn.errors import ConfigError
@@ -19,7 +20,6 @@ from pempinn.network import (
 )
 from pempinn.training import (
     CLAMP_EPS,
-    K5_SCALE,
     AdamState,
     EpochRecord,
     TrainingConfig,
