@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import pickle
 import sys
 import time
 from dataclasses import replace
@@ -254,42 +256,135 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+class _ForkedStage:
+    """``job()`` running in a forked child process beside the caller.
+
+    ``result()`` waits for the child and returns what ``job`` returned, or
+    raises what it raised; ``cancel()`` kills and reaps a child that is not
+    wanted any more. Where the platform has no ``os.fork``, ``result()``
+    runs ``job`` inline instead, so the stages keep their sequential order.
+    """
+
+    def __init__(self, job):
+        self._job = job
+        self._pid = self._pipe = None
+        if not hasattr(os, "fork"):
+            return
+        sys.stdout.flush()
+        sys.stderr.flush()
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(read_fd)
+            _run_forked(job, write_fd)
+        os.close(write_fd)
+        self._pid = pid
+        self._pipe = os.fdopen(read_fd, "rb")
+
+    def result(self):
+        if self._pipe is None:
+            return self._job()
+        try:
+            payload = self._pipe.read()
+        except BaseException:
+            self.cancel()
+            raise
+        self._pipe.close()
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        if not payload:
+            raise ChildProcessError(
+                f"forked stage ended without a result (wait status {status})"
+            )
+        ok, value = pickle.loads(payload)
+        if ok:
+            return value
+        raise value
+
+    def cancel(self) -> None:
+        if self._pid is not None:
+            import signal  # here, so that importing the CLI does not load it
+
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+            self._pipe.close()
+
+
+def _run_forked(job, write_fd) -> None:
+    """Child side of ``_ForkedStage``: send ``job``'s outcome, then exit
+    without returning into the caller's stack."""
+    status = 1
+    try:
+        try:
+            outcome = (True, job())
+        except BaseException as exc:
+            outcome = (False, exc)
+        payload = pickle.dumps(outcome)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def cmd_reproduce(args) -> int:
     cfg = _load(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    traj_paths = [out_dir / "trajectory.csv", out_dir / "trajectory_diagnostics.csv"]
+    ds_path = out_dir / "dataset.csv"
+    ann_cfg = replace(cfg, training=replace(cfg.training, physics_enabled=False))
 
+    # The trajectory CSVs are written and the baseline ANN trained in forked
+    # children while this process generates the data and trains the PINN.
+    # A failure is reported for the first failing stage in the order
+    # simulate, generate-data, train-pinn, train-ann.
     stage = "simulate"
+    writer = ann_stage = None
     try:
-        traj = integrate_trajectory(
-            cfg.physics, cfg.conditions, n_steps=cfg.simulation.n_steps
-        )
-        save_trajectory(
-            traj, out_dir / "trajectory.csv", out_dir / "trajectory_diagnostics.csv"
-        )
+        try:
+            traj = integrate_trajectory(
+                cfg.physics, cfg.conditions, n_steps=cfg.simulation.n_steps
+            )
+            writer = _ForkedStage(lambda: save_trajectory(traj, *traj_paths))
 
-        stage = "generate-data"
-        ds = generate_dataset(
-            traj,
-            cfg.simulation.n_train,
-            cfg.simulation.n_test,
-            cfg.simulation.train_fraction,
-            cfg.simulation.dataset_seed,
-        )
-        ds_path = out_dir / "dataset.csv"
-        save_dataset(ds, ds_path, config_hash(cfg))
+            stage = "generate-data"
+            ds = generate_dataset(
+                traj,
+                cfg.simulation.n_train,
+                cfg.simulation.n_test,
+                cfg.simulation.train_fraction,
+                cfg.simulation.dataset_seed,
+            )
+            save_dataset(ds, ds_path, config_hash(cfg))
 
-        stage = "train-pinn"
-        _, pinn = _train_into(cfg, ds_path, out_dir / "pinn", "pinn")
+            stage = "train-pinn"
+            ann_stage = _ForkedStage(
+                lambda: _train_into(ann_cfg, ds_path, out_dir / "ann", "ann")[1]
+            )
+            _, pinn = _train_into(cfg, ds_path, out_dir / "pinn", "pinn")
+        finally:
+            # A failed trajectory write outranks any later stage's failure.
+            if writer is not None:
+                try:
+                    writer.result()
+                except BaseException:
+                    stage = "simulate"
+                    raise
 
         stage = "train-ann"
-        ann_cfg = replace(cfg, training=replace(cfg.training, physics_enabled=False))
-        _, ann = _train_into(ann_cfg, ds_path, out_dir / "ann", "ann")
-    except PempinnError as exc:
+        ann = ann_stage.result()
+    except (PempinnError, OSError) as exc:
+        failure = f"reproduction FAILED at stage {stage}: {exc}"
         report = {"status": "FAIL", "failed_stage": stage, "error": str(exc)}
         _write_text(out_dir / "report.json", json.dumps(report, indent=2) + "\n")
-        print(f"reproduction FAILED at stage {stage}: {exc}", file=sys.stderr)
+        _write_text(out_dir / "report.txt", failure + "\n")
+        print(failure, file=sys.stderr)
         raise
+    finally:
+        if ann_stage is not None:
+            ann_stage.cancel()
 
     k5_target = cfg.physics.k5_true / K5_SCALE
     lo, hi = K5_RECOVERY_WINDOW
@@ -334,7 +429,13 @@ def cmd_reproduce(args) -> int:
         out_dir,
         "reproduce",
         cfg,
-        [out_dir / "report.json", out_dir / "report.txt", ds_path],
+        [
+            *traj_paths,
+            ds_path,
+            Path(str(ds_path) + ".meta.json"),
+            out_dir / "report.json",
+            out_dir / "report.txt",
+        ],
     )
     print(report_txt)
     return 0 if all(checks.values()) else 1

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto stable exit codes (config 2, numerical 3, I/O 4),
-so new error types should subclass one of the groups below.
+so new error types should subclass one of the groups below. Every error
+survives pickling, so a stage run in a forked process can hand it back.
 """
 
 
@@ -14,7 +15,11 @@ class ConfigError(PempinnError):
 
     def __init__(self, key, message):
         self.key = key
+        self.message = message
         super().__init__(f"config key '{key}': {message}")
+
+    def __reduce__(self):
+        return type(self), (self.key, self.message)
 
 
 class NumericalError(PempinnError):
@@ -30,7 +35,11 @@ class ChemistryError(NumericalError):
 
     def __init__(self, coefficients, message):
         self.coefficients = coefficients
+        self.message = message
         super().__init__(f"{message} (quadratic coefficients {coefficients})")
+
+    def __reduce__(self):
+        return type(self), (self.coefficients, self.message)
 
 
 class SimulationError(NumericalError):

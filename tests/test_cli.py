@@ -555,6 +555,21 @@ def test_reproduce_fast_smoke(tmp_path, fast_config):
     assert "k5_hat_final" in text
     assert (out / "pinn" / "history.csv").exists()
     assert (out / "ann" / "history.csv").exists()
+    # The manifest entry names every file the run writes in --out, each
+    # complete (the forked stages' included) when it was hashed.
+    import hashlib
+    import os
+
+    entry = json.loads((out / "manifest.json").read_text())["runs"][-1]
+    assert entry["command"] == "reproduce"
+    assert set(entry["outputs"]) == {
+        "trajectory.csv", "trajectory_diagnostics.csv", "dataset.csv",
+        "dataset.csv.meta.json", "report.json", "report.txt",
+    }
+    for name, digest in entry["outputs"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    with pytest.raises(ChildProcessError):  # every forked stage was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("command", ["simulate", "generate-data"])
@@ -799,3 +814,158 @@ def test_failed_config_write_keeps_previous_file(tmp_path):
         save_config(dataclasses.replace(cfg, physics=physics), path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["config.json"]
+
+
+# -- reproduce: stages in forked children -------------------------------------
+
+
+def test_every_error_survives_pickling():
+    # A stage run in a forked child hands its exception back pickled.
+    import inspect
+    import pickle
+
+    from pempinn import errors
+
+    special = {
+        errors.ConfigError: ("n_steps", "need at least 10 integration steps"),
+        errors.ChemistryError: ((1.0, -2.0, 3.0), "no positive root"),
+    }
+    classes = [
+        cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, Exception) and cls.__module__ == errors.__name__
+    ]
+    assert errors.ConfigError in classes and errors.DatasetFormatError in classes
+    for cls in classes:
+        exc = cls(*special.get(cls, ("something failed",)))
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc)
+        assert vars(back) == vars(exc)  # key, coefficients
+
+
+def _assert_failed_reproduce(out, stage, error):
+    import os
+
+    report = json.loads((out / "report.json").read_text())
+    assert (report["status"], report["failed_stage"]) == ("FAIL", stage)
+    assert error in report["error"]
+    assert (out / "report.txt").read_text() == (
+        f"reproduction FAILED at stage {stage}: {report['error']}\n"
+    )
+    # Every forked stage has been reaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _stub_training_error():
+    from pempinn.errors import TrainingError
+
+    raise TrainingError("stub training failure")
+
+
+def _stub_child_death():
+    import os
+
+    os._exit(1)  # the forked stage ends before it sends a result
+
+
+def _train_failing_for(physics_enabled, monkeypatch, fail=_stub_training_error):
+    from pempinn import cli
+
+    real_train = cli.train
+
+    def train(ds, params, cond, config, checkpoint_hook=None):
+        if config.physics_enabled == physics_enabled:
+            fail()
+        return real_train(ds, params, cond, config, checkpoint_hook=checkpoint_hook)
+
+    monkeypatch.setattr(cli, "train", train)
+
+
+@pytest.mark.parametrize("pinn_fails", [False, True])
+def test_reproduce_trajectory_write_failure_is_stage_simulate(
+    tmp_path, fast_config, monkeypatch, capsys, pinn_fails
+):
+    # The trajectory is written in a forked child; its failure outranks a
+    # later stage's, as in the sequential order.
+    from pempinn import cli
+
+    def save_trajectory(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "save_trajectory", save_trajectory)
+    if pinn_fails:
+        _train_failing_for(True, monkeypatch)
+    out = tmp_path / "repro"
+    assert main(["reproduce", "--config", str(fast_config), "--out", str(out)]) == 4
+    assert "reproduction FAILED at stage simulate" in capsys.readouterr().err
+    _assert_failed_reproduce(out, "simulate", "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "fail, code, error",
+    [
+        (_stub_training_error, 3, "stub training failure"),
+        (_stub_child_death, 4, "forked stage ended without a result"),
+    ],
+)
+def test_reproduce_ann_failure_is_stage_train_ann(
+    tmp_path, fast_config, monkeypatch, fail, code, error
+):
+    _train_failing_for(False, monkeypatch, fail)
+    out = tmp_path / "repro"
+    assert main(["reproduce", "--config", str(fast_config), "--out", str(out)]) == code
+    _assert_failed_reproduce(out, "train-ann", error)
+    assert (out / "pinn" / "checkpoint.json").exists()
+
+
+def test_reproduce_pinn_failure_kills_the_ann_child(tmp_path, fast_config, monkeypatch):
+    import time
+
+    from pempinn import cli
+    from pempinn.errors import TrainingError
+
+    def train(ds, params, cond, config, checkpoint_hook=None):
+        if config.physics_enabled:
+            raise TrainingError("stub PINN failure")
+        time.sleep(30.0)  # the ANN would outlast the test unless killed
+
+    monkeypatch.setattr(cli, "train", train)
+    out = tmp_path / "repro"
+    start = time.monotonic()
+    assert main(["reproduce", "--config", str(fast_config), "--out", str(out)]) == 3
+    assert time.monotonic() - start < 15.0
+    _assert_failed_reproduce(out, "train-pinn", "stub PINN failure")
+    assert not (out / "ann" / "checkpoint.json").exists()
+
+
+def test_reproduce_without_fork_runs_stages_inline(tmp_path, fast_config, monkeypatch):
+    import os
+
+    forked = tmp_path / "forked"
+    assert main(["reproduce", "--config", str(fast_config), "--out", str(forked)]) == 1
+    monkeypatch.delattr(os, "fork")
+    inline = tmp_path / "inline"
+    assert main(["reproduce", "--config", str(fast_config), "--out", str(inline)]) == 1
+    names = [
+        "report.json", "report.txt", "trajectory.csv", "trajectory_diagnostics.csv",
+        "dataset.csv", "dataset.csv.meta.json", "pinn/history.csv",
+        "pinn/checkpoint.json", "ann/history.csv", "ann/checkpoint.json",
+    ]
+    for name in names:
+        assert (inline / name).read_bytes() == (forked / name).read_bytes(), name
+
+
+def test_failed_reproduce_replaces_previous_report_txt(tmp_path, fast_config):
+    out = tmp_path / "repro"
+    argv = ["reproduce", "--config", str(fast_config), "--out", str(out)]
+    assert main(argv + ["--epochs", "2"]) == 1
+    assert "Testing RMSE" in (out / "report.txt").read_text()
+    # k2 = 0.1 makes the chemistry infeasible at every stage (exit 3).
+    data = json.loads(fast_config.read_text())
+    data["k2"] = 0.1
+    path = tmp_path / "k2.json"
+    path.write_text(json.dumps(data))
+    assert main(["reproduce", "--config", str(path), "--out", str(out)]) == 3
+    _assert_failed_reproduce(out, "simulate", "1025 stage evaluations")
+    assert "Testing RMSE" not in (out / "report.txt").read_text()
