@@ -20,6 +20,17 @@ the same float, NaN included. ``tests/test_simulator.py`` pins the loop
 to that per-stage reference (all arrays, status and counters, failure
 exits included) and pins its Newton iterates to ``solve_voltage``.
 
+``rk4_thinning`` fills output arrays that the caller passes in, so they
+may live in memory shared with another process. With a ``progress``
+callback it calls ``progress(rows)`` each time another ``CHUNK`` rows are
+final, ``rows`` being the number of leading rows recorded so far: the
+calls see strictly increasing counts, all below ``n_steps + 1``, and a
+failed integration never reports a row past ``fail_step``. The rows after
+the last report are final when the kernel returns status 0. Without a
+callback the loop pays one integer comparison per step. ``simulate`` and
+``reproduce`` use it to format the CSV rows in a forked child while the
+integration runs.
+
 Status codes returned by the kernels: 0 ok, 1 no sign-definite voltage
 bracket, 2 voltage solve did not converge, 3 membrane thickness reached
 zero. Callers translate these into exceptions.
@@ -29,13 +40,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 V_BRACKET_LO = 0.5
 V_BRACKET_HI = 5.0
 V_GUESS = 1.8  # first Newton start; rk4_thinning then starts from the step's V
 V_TOL = 1.0e-13
 V_MAX_ITER = 100
+CHUNK = 256  # rows between two progress reports of rk4_thinning
 
 
 def solve_voltage(k1v, k2v, k3v, p_over_a, t_mem, v_guess, tol, max_iter):
@@ -91,25 +101,22 @@ def rk4_thinning(
     tr_conv,
     c_ho_override,
     v_tol,
+    out,
+    progress=None,
 ):
     """Fixed-step classical RK4 on the membrane thickness.
 
     The voltage is re-solved algebraically at every stage, warm-started
     from the voltage recorded at the start of the step. Samples and
-    diagnostics are recorded at the n_steps+1 step boundaries; a negative
-    ``c_ho_override`` means no override. Returns (status, fail_step,
-    clamped, infeasible, times, volts, tmems, c_h2o2s, c_hos, trs, frrs,
-    iters); the arrays are valid up to ``fail_step`` when status != 0.
+    diagnostics are recorded at the n_steps+1 step boundaries into ``out``,
+    the arrays (times, volts, tmems, c_h2o2s, c_hos, trs, frrs, iters) of
+    at least n_steps+1 entries each, iters of an integer dtype; a negative
+    ``c_ho_override`` means no override. ``progress``, if given, is called
+    with the number of rows recorded after every ``CHUNK`` rows. Returns
+    (status, fail_step, clamped, infeasible); the arrays are valid up to
+    ``fail_step`` when status != 0.
     """
-    n_out = n_steps + 1
-    times = np.empty(n_out)
-    volts = np.empty(n_out)
-    tmems = np.empty(n_out)
-    c_h2o2s = np.empty(n_out)
-    c_hos = np.empty(n_out)
-    trs = np.empty(n_out)
-    frrs = np.empty(n_out)
-    iters = np.zeros(n_out, dtype=np.int64)
+    times, volts, tmems, c_h2o2s, c_hos, trs, frrs, iters = out
 
     log = math.log
     sqrt = math.sqrt
@@ -128,6 +135,8 @@ def rk4_thinning(
     half_dt = 0.5 * dt
     sixth_dt = dt / 6.0
     newton_iters = range(1, V_MAX_ITER + 1)
+    # Index of the step whose row completes the next CHUNK; -1 never comes.
+    report_step = CHUNK - 1 if progress is not None else -1
 
     status = 0
     fail_step = -1
@@ -226,6 +235,9 @@ def rk4_thinning(
             v_guess = x
             if step == n_steps:
                 break
+            if step == report_step:
+                progress(step + 1)
+                report_step += CHUNK
             k_1 = d
             t_mem = tm + half_dt * k_1
             stage = 1
@@ -247,20 +259,7 @@ def rk4_thinning(
             fail_step = step
             break
 
-    return (
-        status,
-        fail_step,
-        clamp_count,
-        infeasible_count,
-        times,
-        volts,
-        tmems,
-        c_h2o2s,
-        c_hos,
-        trs,
-        frrs,
-        iters,
-    )
+    return (status, fail_step, clamp_count, infeasible_count)
 
 
 def get_kernels():

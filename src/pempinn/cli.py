@@ -33,13 +33,16 @@ from .errors import (
 )
 from .network import load_checkpoint, save_checkpoint
 from .simulator import (
+    TRAJECTORY_ROW_BYTES,
     atomic_open,
     file_sha256,
     generate_dataset,
     integrate_trajectory,
     load_dataset,
     save_dataset,
-    save_trajectory,
+    trajectory_arrays,
+    trajectory_rows,
+    write_trajectory,
 )
 from .training import evaluate, train
 
@@ -147,22 +150,27 @@ def _metrics_dict(metrics) -> dict:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    traj = integrate_trajectory(
-        cfg.physics,
-        cfg.conditions,
-        k5=getattr(args, "k5", None),
-        n_steps=cfg.simulation.n_steps,
-    )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    traj_path = out_dir / "trajectory.csv"
-    diag_path = out_dir / "trajectory_diagnostics.csv"
-    save_trajectory(traj, traj_path, diag_path)
+    traj_paths = [out_dir / "trajectory.csv", out_dir / "trajectory_diagnostics.csv"]
+    # A forked child formats the rows while the kernel computes them.
+    writer = _TrajectoryWriter(cfg.simulation.n_steps, traj_paths)
+    try:
+        traj = integrate_trajectory(
+            cfg.physics,
+            cfg.conditions,
+            k5=getattr(args, "k5", None),
+            n_steps=cfg.simulation.n_steps,
+            out=writer.arrays,
+            progress=writer.progress,
+        )
+        out_dir.mkdir(parents=True, exist_ok=True)
+        writer.done()
+    finally:
+        writer.result()
     _append_manifest(
-        out_dir, "simulate", cfg, [traj_path, diag_path],
-        diagnostics=_trajectory_counters(traj),
+        out_dir, "simulate", cfg, traj_paths, diagnostics=_trajectory_counters(traj)
     )
-    print(f"wrote {traj_path} ({len(traj.times)} samples)")
+    print(f"wrote {traj_paths[0]} ({len(traj.times)} samples)")
     return 0
 
 
@@ -328,6 +336,106 @@ def _run_forked(job, write_fd) -> None:
         os._exit(status)
 
 
+# Row counts cross the trajectory writer's progress pipe as 8-byte signed
+# integers; _DONE says that every row is final and --out exists.
+_COUNT_BYTES = 8
+_DONE = -1
+
+
+class _TrajectoryWriter:
+    """Writes ``trajectory.csv`` and ``trajectory_diagnostics.csv`` from the
+    ``arrays`` that ``integrate_trajectory`` fills, calling ``progress``.
+
+    The arrays live in an anonymous shared ``mmap``, allocated before a
+    child is forked. The kernel's progress reports go to the child through
+    a pipe, and the child formats each newly completed range of rows in
+    memory. It touches the filesystem only after ``done()``, which the
+    caller sends once the integration has succeeded and the output
+    directory exists; it then writes both files with ``write_trajectory``.
+    ``result()`` waits for them and raises the child's error; called before
+    ``done()``, it ends the child, which has written nothing. Without
+    ``os.fork`` the arrays are plain memory, ``progress`` is None, and
+    ``result()`` formats the whole range and writes the files inline.
+    """
+
+    def __init__(self, n_steps: int, paths):
+        self._fd = None
+        self._done = False
+        if not hasattr(os, "fork"):
+            self.arrays = trajectory_arrays(n_steps)
+            self.progress = None
+            self._stage = _ForkedStage(lambda: _write_rows(self.arrays, paths))
+            return
+        import mmap  # here, so that importing the CLI does not load it
+
+        buffer = mmap.mmap(-1, TRAJECTORY_ROW_BYTES * (n_steps + 1))
+        self.arrays = trajectory_arrays(n_steps, buffer)
+        read_fd, write_fd = os.pipe()
+
+        def stream():
+            os.close(write_fd)
+            with os.fdopen(read_fd, "rb") as pipe:
+                _write_rows(self.arrays, paths, pipe)
+
+        try:
+            self._stage = _ForkedStage(stream)
+        except BaseException:
+            os.close(write_fd)
+            raise
+        finally:
+            os.close(read_fd)
+        self._fd = write_fd
+        self.progress = self._send
+
+    def _send(self, rows: int) -> None:
+        try:
+            os.write(self._fd, rows.to_bytes(_COUNT_BYTES, "little", signed=True))
+        except BrokenPipeError:
+            pass  # the child has ended; result() says why
+
+    def done(self) -> None:
+        self._done = True
+        if self._fd is not None:
+            self._send(_DONE)
+            self._close()
+
+    def result(self):
+        if not self._done:
+            self._close()
+            self._stage.cancel()
+            return None
+        return self._stage.result()
+
+    def _close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+
+def _write_rows(arrays, paths, pipe=None) -> None:
+    """Format the trajectory rows and write both CSVs (``_TrajectoryWriter``).
+
+    Each range of rows a progress ``pipe`` reports is formatted when it
+    arrives, the rest at ``_DONE``. If the pipe ends without ``_DONE`` (the
+    integration failed), nothing is written. Without a pipe the whole range
+    is formatted at once.
+    """
+    rows = []
+    start = 0
+    if pipe is not None:
+        while True:
+            message = pipe.read(_COUNT_BYTES)
+            if len(message) < _COUNT_BYTES:
+                return
+            stop = int.from_bytes(message, "little", signed=True)
+            if stop == _DONE:
+                break
+            rows.append(trajectory_rows(arrays, start, stop))
+            start = stop
+    rows.append(trajectory_rows(arrays, start, len(arrays[0])))
+    write_trajectory(rows, *paths)
+
+
 def cmd_reproduce(args) -> int:
     cfg = _load(args)
     out_dir = Path(args.out)
@@ -336,18 +444,23 @@ def cmd_reproduce(args) -> int:
     ds_path = out_dir / "dataset.csv"
     ann_cfg = replace(cfg, training=replace(cfg.training, physics_enabled=False))
 
-    # The trajectory CSVs are written and the baseline ANN trained in forked
-    # children while this process generates the data and trains the PINN.
-    # A failure is reported for the first failing stage in the order
-    # simulate, generate-data, train-pinn, train-ann.
+    # The trajectory CSVs are formatted in a forked child while the RK4
+    # runs, and the baseline ANN is trained in another while this process
+    # trains the PINN. A failure is reported for the first failing stage in
+    # the order simulate, generate-data, train-pinn, train-ann.
     stage = "simulate"
     writer = ann_stage = None
     try:
         try:
+            writer = _TrajectoryWriter(cfg.simulation.n_steps, traj_paths)
             traj = integrate_trajectory(
-                cfg.physics, cfg.conditions, n_steps=cfg.simulation.n_steps
+                cfg.physics,
+                cfg.conditions,
+                n_steps=cfg.simulation.n_steps,
+                out=writer.arrays,
+                progress=writer.progress,
             )
-            writer = _ForkedStage(lambda: save_trajectory(traj, *traj_paths))
+            writer.done()
 
             stage = "generate-data"
             ds = generate_dataset(

@@ -36,6 +36,7 @@ __all__ = [
     "SimulationSettings",
     "Trajectory",
     "Dataset",
+    "trajectory_arrays",
     "integrate_trajectory",
     "generate_dataset",
     "save_dataset",
@@ -49,6 +50,13 @@ _VALUE_COLUMNS = ("t_hours", "voltage_V", "thickness_cm")
 # value to this width, and the cut value still matches no split name.
 _SPLIT_DTYPE = "U6"
 _HASH_CHUNK_BYTES = 1 << 20
+# Bytes one trajectory row takes in trajectory_arrays: eight 8-byte values.
+TRAJECTORY_ROW_BYTES = 64
+TRAJECTORY_HEADER = "t_hours,voltage_V,thickness_cm\n"
+DIAGNOSTICS_HEADER = (
+    "t_hours,c_ho_mol_m3,c_h2o2_mol_m3,thinning_cm_h,"
+    "fluoride_ug_h_cm2,solver_iterations\n"
+)
 
 
 @dataclass(frozen=True)
@@ -106,12 +114,31 @@ class Dataset:
     train_fraction: float
 
 
+def trajectory_arrays(n_steps: int, buffer=None) -> tuple:
+    """The eight arrays ``rk4_thinning`` fills for ``n_steps`` steps.
+
+    They are (times, volts, tmems, c_h2o2s, c_hos, trs, frrs, iters), each
+    of ``n_steps + 1`` rows: seven float64 arrays and int64 iterations, as
+    rows of one block of new memory or of ``buffer``, which must hold
+    ``TRAJECTORY_ROW_BYTES * (n_steps + 1)`` bytes (an ``mmap`` shared with
+    a forked writer, say).
+    """
+    n_out = n_steps + 1
+    if buffer is None:
+        block = np.empty((8, n_out))
+    else:
+        block = np.frombuffer(buffer, np.float64, 8 * n_out).reshape(8, n_out)
+    return (*block[:7], block[7].view(np.int64))
+
+
 def integrate_trajectory(
     params: PhysicsParameters,
     cond: OperatingConditions,
     k5: float | None = None,
     n_steps: int = 4096,
     c_ho_override: float | None = None,
+    out=None,
+    progress=None,
 ) -> Trajectory:
     """Integrate the coupled system over [0, t_max] with n_steps RK4 steps.
 
@@ -120,6 +147,10 @@ def integrate_trajectory(
     ``c_ho_override`` freezes the hydroxyl concentration at a fixed finite,
     non-negative value (diagnostic mode; the thinning ODE then has an exact
     exponential solution, which the validation suite exploits).
+
+    ``out`` (default: new memory) is ``trajectory_arrays(n_steps, ...)``,
+    which the kernel fills and the returned Trajectory views; ``progress``
+    is the kernel's callback (see ``_kernel``).
     """
     if k5 is None:
         k5 = params.k5_true
@@ -141,21 +172,10 @@ def integrate_trajectory(
     kc = params.k4 * params.c_O2 + k5 * c_mem
     dt = cond.t_max / n_steps
 
+    if out is None:
+        out = trajectory_arrays(n_steps)
     _, rk4 = _kernel.get_kernels()
-    (
-        status,
-        fail_step,
-        clamped,
-        infeasible,
-        times,
-        volts,
-        tmems,
-        c_h2o2s,
-        c_hos,
-        trs,
-        frrs,
-        iters,
-    ) = rk4(
+    status, fail_step, clamped, infeasible = rk4(
         n_steps,
         dt,
         cond.t_mem0,
@@ -174,6 +194,8 @@ def integrate_trajectory(
         thinning_per_fluoride(params),
         float(c_ho_override),
         _kernel.V_TOL,
+        out,
+        progress,
     )
 
     if status in (1, 2):
@@ -193,6 +215,7 @@ def integrate_trajectory(
             "check k2, k3, k4 and v1"
         )
 
+    times, volts, tmems, c_h2o2s, c_hos, trs, frrs, iters = out
     traj = Trajectory(
         times=times,
         voltages=volts,
@@ -275,17 +298,15 @@ def generate_dataset(
 # -- persistence ---------------------------------------------------------
 
 
-def _format(x: float) -> str:
-    return repr(float(x))
-
-
 def dataset_csv_bytes(ds: Dataset) -> bytes:
-    lines = [",".join(DATASET_COLUMNS)]
-    for t, v, m in zip(ds.train_times, ds.train_voltages, ds.train_thicknesses):
-        lines.append(f"train,{_format(t)},{_format(v)},{_format(m)},1")
-    for t, v, m in zip(ds.test_times, ds.test_voltages, ds.test_thicknesses):
-        lines.append(f"test,{_format(t)},{_format(v)},{_format(m)},0")
-    return ("\n".join(lines) + "\n").encode()
+    lines = [",".join(DATASET_COLUMNS) + "\n"]
+    for split, flag, columns in (
+        ("train", 1, (ds.train_times, ds.train_voltages, ds.train_thicknesses)),
+        ("test", 0, (ds.test_times, ds.test_voltages, ds.test_thicknesses)),
+    ):
+        t, v, m = (c.tolist() for c in columns)
+        lines += [f"{split},{a!r},{b!r},{c!r},{flag}\n" for a, b, c in zip(t, v, m)]
+    return "".join(lines).encode()
 
 
 def save_dataset(ds: Dataset, path, config_hash: str = "") -> str:
@@ -497,30 +518,53 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def save_trajectory(traj: Trajectory, path, diagnostics_path) -> None:
-    """Write the trajectory CSV and its per-step diagnostics CSV.
+def trajectory_rows(arrays, start: int, stop: int) -> tuple:
+    """Rows ``start:stop`` of the trajectory CSV and of its diagnostics CSV.
 
-    Rows are streamed to each file, which is written atomically
-    (``atomic_open``).
+    ``arrays`` are the eight columns in ``trajectory_arrays`` order. Each
+    value is the ``repr`` of a float and the iteration count an integer, so
+    the files read back bit for bit; any other value raises ValueError.
+    Returns the two texts.
     """
-    with atomic_open(path) as fh:
-        fh.write("t_hours,voltage_V,thickness_cm\n")
-        for t, v, m in zip(traj.times, traj.voltages, traj.thicknesses):
-            fh.write(f"{_format(t)},{_format(v)},{_format(m)}\n")
-    with atomic_open(diagnostics_path) as fh:
-        fh.write(
-            "t_hours,c_ho_mol_m3,c_h2o2_mol_m3,thinning_cm_h,"
-            "fluoride_ug_h_cm2,solver_iterations\n"
-        )
-        for t, ho, h2o2, tr, fr, it in zip(
-            traj.times,
-            traj.c_ho,
-            traj.c_h2o2,
-            traj.thinning,
-            traj.fluoride,
-            traj.solver_iterations,
-        ):
-            fh.write(
-                f"{_format(t)},{_format(ho)},{_format(h2o2)},"
-                f"{_format(tr)},{_format(fr)},{int(it)}\n"
-            )
+    t, v, m, h2o2, ho, tr, fr = (
+        np.asarray(a[start:stop], dtype=np.float64).tolist() for a in arrays[:7]
+    )
+    it = arrays[7][start:stop].tolist()
+    trajectory = "".join([f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(t, v, m)])
+    diagnostics = "".join(
+        [
+            f"{a!r},{b!r},{c!r},{d!r},{e!r},{n:d}\n"
+            for a, b, c, d, e, n in zip(t, ho, h2o2, tr, fr, it)
+        ]
+    )
+    return trajectory, diagnostics
+
+
+def write_trajectory(rows, path, diagnostics_path) -> None:
+    """Write the trajectory CSV and its diagnostics CSV, each atomically.
+
+    ``rows`` is a list of ``trajectory_rows`` results in row order.
+    """
+    for i, (file, header) in enumerate(
+        ((path, TRAJECTORY_HEADER), (diagnostics_path, DIAGNOSTICS_HEADER))
+    ):
+        with atomic_open(file) as fh:
+            fh.write(header)
+            fh.writelines(part[i] for part in rows)
+
+
+def save_trajectory(traj: Trajectory, path, diagnostics_path) -> None:
+    """Write the trajectory CSV and its per-step diagnostics CSV, each
+    atomically, from a whole trajectory at once."""
+    arrays = (
+        traj.times,
+        traj.voltages,
+        traj.thicknesses,
+        traj.c_h2o2,
+        traj.c_ho,
+        traj.thinning,
+        traj.fluoride,
+        traj.solver_iterations,
+    )
+    rows = trajectory_rows(arrays, 0, len(traj.times))
+    write_trajectory([rows], path, diagnostics_path)

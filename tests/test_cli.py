@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from pempinn._kernel import CHUNK
 from pempinn.cli import main
 from pempinn.config import (
     RunConfig,
@@ -503,6 +504,7 @@ def test_numerical_failure_exits_3(tmp_path):
     path.write_text(json.dumps(data))
     code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 3
+    _assert_children_reaped()
 
 
 @pytest.mark.parametrize("command", ["simulate", "generate-data"])
@@ -580,6 +582,7 @@ def test_rejected_run_creates_no_output_directory(tmp_path, fast_config, command
     )
     assert code == 2
     assert not out.exists()
+    _assert_children_reaped()
 
 
 @pytest.mark.parametrize("command", ["simulate", "generate-data"])
@@ -597,6 +600,7 @@ def test_chemistry_infeasible_everywhere_exits_3(
     # 256 steps of 4 stages plus the final evaluation.
     assert "1025 stage evaluations" in capsys.readouterr().err
     assert not out.exists()
+    _assert_children_reaped()
 
 
 @pytest.mark.parametrize("command", ["simulate", "generate-data"])
@@ -843,18 +847,21 @@ def test_every_error_survives_pickling():
         assert vars(back) == vars(exc)  # key, coefficients
 
 
-def _assert_failed_reproduce(out, stage, error):
+def _assert_children_reaped():
     import os
 
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_failed_reproduce(out, stage, error):
     report = json.loads((out / "report.json").read_text())
     assert (report["status"], report["failed_stage"]) == ("FAIL", stage)
     assert error in report["error"]
     assert (out / "report.txt").read_text() == (
         f"reproduction FAILED at stage {stage}: {report['error']}\n"
     )
-    # Every forked stage has been reaped.
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    _assert_children_reaped()  # every forked stage
 
 
 def _stub_training_error():
@@ -890,10 +897,10 @@ def test_reproduce_trajectory_write_failure_is_stage_simulate(
     # later stage's, as in the sequential order.
     from pempinn import cli
 
-    def save_trajectory(*args):
+    def write_trajectory(*args):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli, "save_trajectory", save_trajectory)
+    monkeypatch.setattr(cli, "write_trajectory", write_trajectory)
     if pinn_fails:
         _train_failing_for(True, monkeypatch)
     out = tmp_path / "repro"
@@ -969,3 +976,142 @@ def test_failed_reproduce_replaces_previous_report_txt(tmp_path, fast_config):
     assert main(["reproduce", "--config", str(path), "--out", str(out)]) == 3
     _assert_failed_reproduce(out, "simulate", "1025 stage evaluations")
     assert "Testing RMSE" not in (out / "report.txt").read_text()
+
+
+# -- simulate and reproduce: trajectory rows formatted while the RK4 runs ------
+
+
+def _config_with(tmp_path, fast_config, **overrides):
+    data = json.loads(fast_config.read_text())
+    data.update(overrides)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+TRAJECTORY_FILES = ("trajectory.csv", "trajectory_diagnostics.csv")
+
+
+@pytest.mark.parametrize("k5", [None, "777.25"])
+@pytest.mark.parametrize(
+    "n_steps",
+    # Less than one chunk; a row count that is a multiple of the chunk; a
+    # step count that is one; neither.
+    [10, 2 * CHUNK - 1, 2 * CHUNK, 700],
+)
+def test_streamed_trajectory_matches_inline_writer(
+    tmp_path, fast_config, monkeypatch, n_steps, k5
+):
+    import os
+
+    from pempinn.simulator import integrate_trajectory, save_trajectory
+
+    config = _config_with(tmp_path, fast_config, n_steps=n_steps)
+    argv = ["simulate", "--config", str(config)] + (["--k5", k5] if k5 else [])
+    streamed = tmp_path / "streamed"
+    assert main(argv + ["--out", str(streamed)]) == 0
+    _assert_children_reaped()
+    # The whole-range writer, in this process.
+    cfg = load_config(config)
+    traj = integrate_trajectory(
+        cfg.physics, cfg.conditions, k5=float(k5) if k5 else None, n_steps=n_steps
+    )
+    whole = tmp_path / "whole"
+    whole.mkdir()
+    save_trajectory(traj, *(whole / name for name in TRAJECTORY_FILES))
+    # The CLI's own fallback where the platform has no os.fork.
+    monkeypatch.delattr(os, "fork")
+    inline = tmp_path / "inline"
+    assert main(argv + ["--out", str(inline)]) == 0
+    for name in TRAJECTORY_FILES:
+        expected = (whole / name).read_bytes()
+        assert (streamed / name).read_bytes() == expected, name
+        assert (inline / name).read_bytes() == expected, name
+    assert len((streamed / "trajectory.csv").read_text().splitlines()) == n_steps + 2
+    assert sorted(p.name for p in streamed.iterdir()) == [
+        "manifest.json", *TRAJECTORY_FILES
+    ]
+
+
+def test_simulate_lets_the_writer_write_only_once_out_exists(
+    tmp_path, fast_config, monkeypatch
+):
+    from pempinn import cli
+
+    out = tmp_path / "o"
+    seen = []
+    real_done = cli._TrajectoryWriter.done
+
+    def done(self):
+        seen.append(out.is_dir())
+        real_done(self)
+
+    monkeypatch.setattr(cli._TrajectoryWriter, "done", done)
+    assert main(["simulate", "--config", str(fast_config), "--out", str(out)]) == 0
+    assert seen == [True]
+
+
+def _failing_formatter(*args):
+    raise OSError(28, "No space left on device")
+
+
+def test_simulate_writer_failure_exits_4_and_writes_no_trajectory(
+    tmp_path, fast_config, monkeypatch, capsys
+):
+    from pempinn import cli
+
+    monkeypatch.setattr(cli, "trajectory_rows", _failing_formatter)
+    # Enough chunks that the parent keeps reporting rows after the child
+    # has failed on the first one.
+    config = _config_with(tmp_path, fast_config, n_steps=16 * CHUNK)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 4
+    assert "No space left on device" in capsys.readouterr().err
+    assert list(out.glob("trajectory*.csv")) == []
+    assert list(out.glob("*.tmp")) == []
+    assert not (out / "manifest.json").exists()
+    _assert_children_reaped()
+
+
+def test_reproduce_writer_failure_is_stage_simulate(tmp_path, fast_config, monkeypatch):
+    from pempinn import cli
+
+    monkeypatch.setattr(cli, "trajectory_rows", _failing_formatter)
+    out = tmp_path / "repro"
+    assert main(["reproduce", "--config", str(fast_config), "--out", str(out)]) == 4
+    _assert_failed_reproduce(out, "simulate", "No space left on device")
+    assert list(out.glob("trajectory*.csv")) == []
+    assert list(out.glob("*.tmp")) == []
+
+
+def test_writer_formats_reported_ranges_and_writes_only_at_done(tmp_path, trajectory):
+    import os
+
+    from pempinn import cli
+    from pempinn.simulator import save_trajectory
+
+    arrays = (
+        trajectory.times, trajectory.voltages, trajectory.thicknesses,
+        trajectory.c_h2o2, trajectory.c_ho, trajectory.thinning,
+        trajectory.fluoride, trajectory.solver_iterations,
+    )
+
+    def write(counts, name):
+        paths = [tmp_path / f"{name}-{file}" for file in TRAJECTORY_FILES]
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(write_fd, "wb") as pipe:
+            for rows in counts:
+                pipe.write(rows.to_bytes(8, "little", signed=True))
+        with os.fdopen(read_fd, "rb") as pipe:
+            cli._write_rows(arrays, paths, pipe)
+        return paths
+
+    whole = [tmp_path / f"whole-{file}" for file in TRAJECTORY_FILES]
+    save_trajectory(trajectory, *whole)
+    for name, counts in (("none", []), ("uneven", [1, CHUNK, 300, 1000])):
+        paths = write([*counts, cli._DONE], name)
+        for got, expected in zip(paths, whole):
+            assert got.read_bytes() == expected.read_bytes()
+    # A pipe that ends without "done" (the integration failed) writes nothing.
+    write([CHUNK, 2 * CHUNK], "eof")
+    assert sorted(p.name for p in tmp_path.iterdir() if "eof" in p.name) == []

@@ -25,6 +25,7 @@ from pempinn.simulator import (
     load_dataset,
     save_dataset,
     save_trajectory,
+    trajectory_arrays,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "data"
@@ -342,7 +343,8 @@ class _KernelCall(Exception):
 
 
 def _kernel_args(params, cond, **kwargs):
-    """The arguments integrate_trajectory passes to rk4_thinning, by name."""
+    """The arguments integrate_trajectory passes to rk4_thinning, by name,
+    without the output arrays and the progress callback."""
 
     def capture(*args):
         raise _KernelCall(args)
@@ -352,7 +354,16 @@ def _kernel_args(params, cond, **kwargs):
         with pytest.raises(_KernelCall) as call:
             integrate_trajectory(params, cond, **kwargs)
     names = inspect.signature(_kernel.rk4_thinning).parameters
-    return dict(zip(names, call.value.args[0]))
+    args = dict(zip(names, call.value.args[0]))
+    del args["out"], args["progress"]
+    return args
+
+
+def _run_kernel(args, progress=None):
+    """rk4_thinning into new arrays: (status, fail_step, clamped,
+    infeasible, times, volts, tmems, c_h2o2s, c_hos, trs, frrs, iters)."""
+    out = trajectory_arrays(args["n_steps"])
+    return (*_kernel.rk4_thinning(**args, out=out, progress=progress), *out)
 
 
 def _linear_branch(args, dkc):
@@ -414,7 +425,7 @@ def test_fused_kernel_matches_per_stage_reference(case):
     expected_status, integrate_kwargs, overrides = PARITY_CASES[case]
     args = _kernel_args(**integrate_kwargs)
     args.update(overrides(args) if callable(overrides) else overrides)
-    got = _kernel.rk4_thinning(**args)
+    got = _run_kernel(args)
     ref = _reference_rk4_thinning(**args)
     assert got[:4] == ref[:4]
     assert got[0] == expected_status
@@ -428,6 +439,64 @@ def test_fused_kernel_matches_per_stage_reference(case):
         assert got[2] == stages
     if case == "linear_root_negative":
         assert got[3] == stages
+
+
+def _progress_cases():
+    params = default_parameters()
+    cond = default_conditions()
+    c_ho = steady_state_radicals(params, cond, 2.4264537682997105).c_ho
+    chunk = _kernel.CHUNK
+    return {
+        "below_one_chunk": dict(params=params, cond=cond, n_steps=10),
+        "rows_multiple_of_chunk": dict(params=params, cond=cond, n_steps=2 * chunk - 1),
+        "steps_multiple_of_chunk": dict(params=params, cond=cond, n_steps=4 * chunk),
+        "k5_1300": dict(params=params, cond=cond, k5=1300.0, n_steps=1000),
+        # Ten times the hydroxyl thins the membrane until the voltage
+        # bracket is lost at step 710 of 1024.
+        "bracket_lost": dict(
+            params=params, cond=cond, n_steps=1024, c_ho_override=10.0 * c_ho
+        ),
+        "no_bracket": dict(
+            params=params, cond=replace(cond, t_max=8.0e6), k5=1.0e7, n_steps=4096
+        ),
+    }
+
+
+PROGRESS_CASES = _progress_cases()
+
+
+@pytest.mark.parametrize("case", sorted(PROGRESS_CASES))
+def test_progress_callback_changes_nothing_and_reports_final_rows(case):
+    args = _kernel_args(**PROGRESS_CASES[case])
+    plain = _run_kernel(args)
+    reports = []
+    out = trajectory_arrays(args["n_steps"])
+
+    def progress(rows):
+        # The rows reported must already hold their final values.
+        reports.append((rows, [a[:rows].copy() for a in out]))
+
+    got = _kernel.rk4_thinning(**args, out=out, progress=progress)
+    assert got == plain[:4]
+    status, fail_step = got[:2]
+    end = fail_step if status != 0 else None
+    for g, p in zip(out, plain[4:]):
+        assert g[:end].tobytes() == p[:end].tobytes()
+    counts = [rows for rows, _ in reports]
+    chunk = _kernel.CHUNK
+    assert counts == list(range(chunk, len(counts) * chunk + 1, chunk))
+    if status == 0:
+        # Every full chunk but the end, which the caller learns on return.
+        assert len(counts) == args["n_steps"] // chunk
+    else:
+        # Every full chunk before the failing step, and no row past it.
+        assert len(counts) >= fail_step // chunk
+        assert all(rows - 1 <= fail_step for rows in counts)
+    for rows, snapshot in reports:
+        for s, p in zip(snapshot, plain[4:]):
+            assert s.tobytes() == p[:rows].tobytes()
+    if case in ("bracket_lost", "no_bracket"):
+        assert status == 1 and counts
 
 
 def test_inlined_newton_matches_solve_voltage(params, cond):
