@@ -33,7 +33,6 @@ from .errors import (
 )
 from .network import load_checkpoint, save_checkpoint
 from .simulator import (
-    TRAJECTORY_ROW_BYTES,
     atomic_open,
     file_sha256,
     generate_dataset,
@@ -148,29 +147,53 @@ def _metrics_dict(metrics) -> dict:
 # -- commands ------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load(args)
-    out_dir = Path(args.out)
-    traj_paths = [out_dir / "trajectory.csv", out_dir / "trajectory_diagnostics.csv"]
-    # A forked child formats the rows while the kernel computes them.
-    writer = _TrajectoryWriter(cfg.simulation.n_steps, traj_paths)
+def _simulate_into(cfg: RunConfig, out_dir: Path, k5):
+    """Integrate the trajectory while a ``_TrajectoryWriter`` formats its
+    rows; create ``out_dir`` once it has succeeded. Returns ``(traj,
+    writer)``; ``writer.result()`` waits for the trajectory CSVs."""
+    paths = [out_dir / "trajectory.csv", out_dir / "trajectory_diagnostics.csv"]
+    writer = _TrajectoryWriter(cfg.simulation.n_steps, paths)
     try:
         traj = integrate_trajectory(
             cfg.physics,
             cfg.conditions,
-            k5=getattr(args, "k5", None),
+            k5=k5,
             n_steps=cfg.simulation.n_steps,
             out=writer.arrays,
             progress=writer.progress,
         )
         out_dir.mkdir(parents=True, exist_ok=True)
         writer.done()
-    finally:
+    except BaseException:
         writer.result()
-    _append_manifest(
-        out_dir, "simulate", cfg, traj_paths, diagnostics=_trajectory_counters(traj)
+        raise
+    return traj, writer
+
+
+def _dataset_into(cfg: RunConfig, traj, out_dir: Path):
+    """Sample the dataset of ``traj`` into ``out_dir``; returns (ds, path)."""
+    ds = generate_dataset(
+        traj,
+        cfg.simulation.n_train,
+        cfg.simulation.n_test,
+        cfg.simulation.train_fraction,
+        cfg.simulation.dataset_seed,
     )
-    print(f"wrote {traj_paths[0]} ({len(traj.times)} samples)")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "dataset.csv"
+    save_dataset(ds, path, config_hash(cfg))
+    return ds, path
+
+
+def cmd_simulate(args) -> int:
+    cfg = _load(args)
+    out_dir = Path(args.out)
+    traj, writer = _simulate_into(cfg, out_dir, getattr(args, "k5", None))
+    writer.result()
+    _append_manifest(
+        out_dir, "simulate", cfg, writer.paths, diagnostics=_trajectory_counters(traj)
+    )
+    print(f"wrote {writer.paths[0]} ({len(traj.times)} samples)")
     return 0
 
 
@@ -182,17 +205,8 @@ def cmd_generate_data(args) -> int:
         k5=getattr(args, "k5", None),
         n_steps=cfg.simulation.n_steps,
     )
-    ds = generate_dataset(
-        traj,
-        cfg.simulation.n_train,
-        cfg.simulation.n_test,
-        cfg.simulation.train_fraction,
-        cfg.simulation.dataset_seed,
-    )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ds_path = out_dir / "dataset.csv"
-    save_dataset(ds, ds_path, config_hash(cfg))
+    ds, ds_path = _dataset_into(cfg, traj, out_dir)
     _append_manifest(
         out_dir, "generate-data", cfg, [ds_path, Path(str(ds_path) + ".meta.json")],
         diagnostics=_trajectory_counters(traj),
@@ -281,7 +295,12 @@ class _ForkedStage:
         sys.stdout.flush()
         sys.stderr.flush()
         read_fd, write_fd = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
         if pid == 0:
             os.close(read_fd)
             _run_forked(job, write_fd)
@@ -346,30 +365,26 @@ class _TrajectoryWriter:
     """Writes ``trajectory.csv`` and ``trajectory_diagnostics.csv`` from the
     ``arrays`` that ``integrate_trajectory`` fills, calling ``progress``.
 
-    The arrays live in an anonymous shared ``mmap``, allocated before a
-    child is forked. The kernel's progress reports go to the child through
-    a pipe, and the child formats each newly completed range of rows in
-    memory. It touches the filesystem only after ``done()``, which the
+    The arrays are allocated before a child is forked. The kernel's
+    progress reports go to the child through a pipe, and the child formats
+    each newly completed range of rows in memory. It touches the filesystem only after ``done()``, which the
     caller sends once the integration has succeeded and the output
     directory exists; it then writes both files with ``write_trajectory``.
     ``result()`` waits for them and raises the child's error; called before
     ``done()``, it ends the child, which has written nothing. Without
-    ``os.fork`` the arrays are plain memory, ``progress`` is None, and
-    ``result()`` formats the whole range and writes the files inline.
+    ``os.fork``, ``progress`` is None and ``result()`` formats the whole
+    range and writes the files inline.
     """
 
     def __init__(self, n_steps: int, paths):
+        self.paths = paths
+        self.arrays = trajectory_arrays(n_steps)
         self._fd = None
         self._done = False
         if not hasattr(os, "fork"):
-            self.arrays = trajectory_arrays(n_steps)
             self.progress = None
             self._stage = _ForkedStage(lambda: _write_rows(self.arrays, paths))
             return
-        import mmap  # here, so that importing the CLI does not load it
-
-        buffer = mmap.mmap(-1, TRAJECTORY_ROW_BYTES * (n_steps + 1))
-        self.arrays = trajectory_arrays(n_steps, buffer)
         read_fd, write_fd = os.pipe()
 
         def stream():
@@ -400,11 +415,10 @@ class _TrajectoryWriter:
             self._close()
 
     def result(self):
-        if not self._done:
-            self._close()
-            self._stage.cancel()
-            return None
-        return self._stage.result()
+        if self._done:
+            return self._stage.result()
+        self._close()
+        self._stage.cancel()
 
     def _close(self) -> None:
         if self._fd is not None:
@@ -440,8 +454,6 @@ def cmd_reproduce(args) -> int:
     cfg = _load(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    traj_paths = [out_dir / "trajectory.csv", out_dir / "trajectory_diagnostics.csv"]
-    ds_path = out_dir / "dataset.csv"
     ann_cfg = replace(cfg, training=replace(cfg.training, physics_enabled=False))
 
     # The trajectory CSVs are formatted in a forked child while the RK4
@@ -452,25 +464,10 @@ def cmd_reproduce(args) -> int:
     writer = ann_stage = None
     try:
         try:
-            writer = _TrajectoryWriter(cfg.simulation.n_steps, traj_paths)
-            traj = integrate_trajectory(
-                cfg.physics,
-                cfg.conditions,
-                n_steps=cfg.simulation.n_steps,
-                out=writer.arrays,
-                progress=writer.progress,
-            )
-            writer.done()
+            traj, writer = _simulate_into(cfg, out_dir, k5=None)
 
             stage = "generate-data"
-            ds = generate_dataset(
-                traj,
-                cfg.simulation.n_train,
-                cfg.simulation.n_test,
-                cfg.simulation.train_fraction,
-                cfg.simulation.dataset_seed,
-            )
-            save_dataset(ds, ds_path, config_hash(cfg))
+            _, ds_path = _dataset_into(cfg, traj, out_dir)
 
             stage = "train-pinn"
             ann_stage = _ForkedStage(
@@ -543,7 +540,7 @@ def cmd_reproduce(args) -> int:
         "reproduce",
         cfg,
         [
-            *traj_paths,
+            *writer.paths,
             ds_path,
             Path(str(ds_path) + ".meta.json"),
             out_dir / "report.json",

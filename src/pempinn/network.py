@@ -18,7 +18,8 @@ block of activations, N being the number of evaluation points:
   the input a :class:`~pempinn.autodiff.Dual`; the reverse-mode reference
   the tests pin the training gradient to runs through it.
 * :func:`mlp_with_tangent` carries d/dtau through the sigmoid layers on
-  plain arrays, and :func:`mlp_with_tangent_vjp` is its hand-written
+  plain arrays (divided by ``input_scale``, that tangent is the outputs'
+  time derivative), and :func:`mlp_with_tangent_vjp` is its hand-written
   vector-Jacobian product: given cotangents of the outputs and of their
   tau-derivatives it returns the gradient of every weight and bias, using
   sigma' = s(1 - s) and sigma'' = sigma'(1 - 2s). The training loss is
@@ -45,7 +46,6 @@ __all__ = [
     "mlp_with_tangent",
     "mlp_with_tangent_vjp",
     "predict",
-    "predict_with_time_derivative",
     "flatten",
     "unflatten",
     "save_checkpoint",
@@ -213,25 +213,6 @@ def mlp_with_tangent_vjp(weights, cache, g_y, g_dy) -> np.ndarray:
             g_a = w.T @ g_z
             g_da = w.T @ g_dz
     return np.concatenate(parts[::-1])
-
-
-def predict_with_time_derivative(params: NetworkParameters, t):
-    """Outputs and their time derivatives, ((V, t_mem), (dV/dt, dt_mem/dt)).
-
-    The derivative is exact: the tau-tangent of :func:`mlp_with_tangent`
-    times d(tau)/dt = 1/input_scale.
-    """
-    tau = np.asarray(t, dtype=float) / params.input_scale
-    y, dy, _ = mlp_with_tangent(params.weights, params.biases, tau)
-    shape = np.shape(tau)
-    rate = 1.0 / params.input_scale
-    return (
-        (params.v_ref * y[0].reshape(shape), params.t_mem_ref * y[1].reshape(shape)),
-        (
-            params.v_ref * rate * dy[0].reshape(shape),
-            params.t_mem_ref * rate * dy[1].reshape(shape),
-        ),
-    )
 
 
 class LiftedParameters:

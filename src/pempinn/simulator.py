@@ -38,6 +38,8 @@ __all__ = [
     "Dataset",
     "trajectory_arrays",
     "integrate_trajectory",
+    "trajectory_rows",
+    "write_trajectory",
     "generate_dataset",
     "save_dataset",
     "load_dataset",
@@ -50,8 +52,6 @@ _VALUE_COLUMNS = ("t_hours", "voltage_V", "thickness_cm")
 # value to this width, and the cut value still matches no split name.
 _SPLIT_DTYPE = "U6"
 _HASH_CHUNK_BYTES = 1 << 20
-# Bytes one trajectory row takes in trajectory_arrays: eight 8-byte values.
-TRAJECTORY_ROW_BYTES = 64
 TRAJECTORY_HEADER = "t_hours,voltage_V,thickness_cm\n"
 DIAGNOSTICS_HEADER = (
     "t_hours,c_ho_mol_m3,c_h2o2_mol_m3,thinning_cm_h,"
@@ -114,20 +114,19 @@ class Dataset:
     train_fraction: float
 
 
-def trajectory_arrays(n_steps: int, buffer=None) -> tuple:
+def trajectory_arrays(n_steps: int) -> tuple:
     """The eight arrays ``rk4_thinning`` fills for ``n_steps`` steps.
 
     They are (times, volts, tmems, c_h2o2s, c_hos, trs, frrs, iters), each
     of ``n_steps + 1`` rows: seven float64 arrays and int64 iterations, as
-    rows of one block of new memory or of ``buffer``, which must hold
-    ``TRAJECTORY_ROW_BYTES * (n_steps + 1)`` bytes (an ``mmap`` shared with
-    a forked writer, say).
+    rows of one block in an anonymous shared ``mmap``, so a child forked
+    after this call reads what the kernel writes into them.
     """
+    import mmap  # here, so that importing the CLI does not load it
+
     n_out = n_steps + 1
-    if buffer is None:
-        block = np.empty((8, n_out))
-    else:
-        block = np.frombuffer(buffer, np.float64, 8 * n_out).reshape(8, n_out)
+    # Eight rows of n_out 8-byte values.
+    block = np.frombuffer(mmap.mmap(-1, 64 * n_out)).reshape(8, n_out)
     return (*block[:7], block[7].view(np.int64))
 
 
@@ -148,8 +147,8 @@ def integrate_trajectory(
     non-negative value (diagnostic mode; the thinning ODE then has an exact
     exponential solution, which the validation suite exploits).
 
-    ``out`` (default: new memory) is ``trajectory_arrays(n_steps, ...)``,
-    which the kernel fills and the returned Trajectory views; ``progress``
+    ``out`` (default: a new ``trajectory_arrays(n_steps)``) holds the eight
+    arrays the kernel fills and the returned Trajectory views; ``progress``
     is the kernel's callback (see ``_kernel``).
     """
     if k5 is None:
@@ -551,20 +550,3 @@ def write_trajectory(rows, path, diagnostics_path) -> None:
         with atomic_open(file) as fh:
             fh.write(header)
             fh.writelines(part[i] for part in rows)
-
-
-def save_trajectory(traj: Trajectory, path, diagnostics_path) -> None:
-    """Write the trajectory CSV and its per-step diagnostics CSV, each
-    atomically, from a whole trajectory at once."""
-    arrays = (
-        traj.times,
-        traj.voltages,
-        traj.thicknesses,
-        traj.c_h2o2,
-        traj.c_ho,
-        traj.thinning,
-        traj.fluoride,
-        traj.solver_iterations,
-    )
-    rows = trajectory_rows(arrays, 0, len(traj.times))
-    write_trajectory([rows], path, diagnostics_path)

@@ -27,10 +27,9 @@ and :func:`~pempinn.network.mlp_with_tangent_vjp` carries them to the
 weights.
 
 The generic residual functions (``voltage_residual_terms``,
-``thinning_residual_terms``) stay the definition: they serve the public
-:func:`voltage_residual` and :func:`thinning_residual`, and the tests pin
-the closed-form partials to their evaluation on ``Dual`` numbers. No
-``Dual`` runs on the training path.
+``thinning_residual_terms``) stay the definition: the tests pin the
+closed-form partials to their evaluation on ``Dual`` numbers. No ``Dual``
+runs on the training path.
 
 Training is full-batch Adam, bitwise deterministic for a given seed.
 """
@@ -69,8 +68,8 @@ __all__ = [
     "EpochRecord",
     "AdamState",
     "adam_step",
-    "voltage_residual",
-    "thinning_residual",
+    "voltage_residual_terms",
+    "thinning_residual_terms",
     "residual_partials",
     "LossPoints",
     "loss_points",
@@ -266,35 +265,6 @@ def residual_partials(
     return r_v, jac_v, r_m, jac_m
 
 
-def _outputs_with_tau_derivatives(net: NetworkParameters, t):
-    tau = np.asarray(t, dtype=float) / net.input_scale
-    y, dy, _ = mlp_with_tangent(net.weights, net.biases, tau)
-    shape = np.shape(tau)
-    return (
-        y[0].reshape(shape), y[1].reshape(shape),
-        dy[0].reshape(shape), dy[1].reshape(shape),
-    )
-
-
-def voltage_residual(net: NetworkParameters, coeffs: VoltageCoefficients, t):
-    """Voltage residual at physical times t (floats or arrays)."""
-    y_v, y_m, dyv, dym = _outputs_with_tau_derivatives(net, t)
-    return voltage_residual_terms(
-        y_v, y_m, dyv, dym, coeffs, net.v_ref, net.t_mem_ref
-    )
-
-
-def thinning_residual(
-    net: NetworkParameters, params: PhysicsParameters, cond: OperatingConditions, t
-):
-    """Thinning residual at physical times t (floats or arrays)."""
-    y_v, y_m, _, dym = _outputs_with_tau_derivatives(net, t)
-    return thinning_residual_terms(
-        y_v, y_m, dym, net.k5_hat, params, cond,
-        net.v_ref, net.t_mem_ref, cond.t_max,
-    )
-
-
 # -- composite loss -----------------------------------------------------------
 
 
@@ -443,7 +413,6 @@ def train(
     params: PhysicsParameters,
     cond: OperatingConditions,
     config: TrainingConfig,
-    net_init: NetworkParameters | None = None,
     checkpoint_hook=None,
 ):
     """Full-batch Adam on the composite loss; returns (network, metrics).
@@ -453,7 +422,7 @@ def train(
     """
     coeffs = voltage_coefficients(params, cond)
     v0 = solve_cell_voltage(coeffs, cond.t_mem0)
-    template = net_init if net_init is not None else init_parameters(
+    template = init_parameters(
         config.seed,
         input_scale=cond.t_max,
         t_mem_ref=cond.t_mem0,

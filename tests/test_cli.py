@@ -1004,7 +1004,12 @@ def test_streamed_trajectory_matches_inline_writer(
 ):
     import os
 
-    from pempinn.simulator import integrate_trajectory, save_trajectory
+    from pempinn.simulator import (
+        integrate_trajectory,
+        trajectory_arrays,
+        trajectory_rows,
+        write_trajectory,
+    )
 
     config = _config_with(tmp_path, fast_config, n_steps=n_steps)
     argv = ["simulate", "--config", str(config)] + (["--k5", k5] if k5 else [])
@@ -1013,12 +1018,17 @@ def test_streamed_trajectory_matches_inline_writer(
     _assert_children_reaped()
     # The whole-range writer, in this process.
     cfg = load_config(config)
-    traj = integrate_trajectory(
-        cfg.physics, cfg.conditions, k5=float(k5) if k5 else None, n_steps=n_steps
+    arrays = trajectory_arrays(n_steps)
+    integrate_trajectory(
+        cfg.physics, cfg.conditions, k5=float(k5) if k5 else None, n_steps=n_steps,
+        out=arrays,
     )
     whole = tmp_path / "whole"
     whole.mkdir()
-    save_trajectory(traj, *(whole / name for name in TRAJECTORY_FILES))
+    write_trajectory(
+        [trajectory_rows(arrays, 0, n_steps + 1)],
+        *(whole / name for name in TRAJECTORY_FILES),
+    )
     # The CLI's own fallback where the platform has no os.fork.
     monkeypatch.delattr(os, "fork")
     inline = tmp_path / "inline"
@@ -1088,7 +1098,7 @@ def test_writer_formats_reported_ranges_and_writes_only_at_done(tmp_path, trajec
     import os
 
     from pempinn import cli
-    from pempinn.simulator import save_trajectory
+    from pempinn.simulator import trajectory_rows, write_trajectory
 
     arrays = (
         trajectory.times, trajectory.voltages, trajectory.thicknesses,
@@ -1107,7 +1117,7 @@ def test_writer_formats_reported_ranges_and_writes_only_at_done(tmp_path, trajec
         return paths
 
     whole = [tmp_path / f"whole-{file}" for file in TRAJECTORY_FILES]
-    save_trajectory(trajectory, *whole)
+    write_trajectory([trajectory_rows(arrays, 0, len(trajectory.times))], *whole)
     for name, counts in (("none", []), ("uneven", [1, CHUNK, 300, 1000])):
         paths = write([*counts, cli._DONE], name)
         for got, expected in zip(paths, whole):
@@ -1115,3 +1125,68 @@ def test_writer_formats_reported_ranges_and_writes_only_at_done(tmp_path, trajec
     # A pipe that ends without "done" (the integration failed) writes nothing.
     write([CHUNK, 2 * CHUNK], "eof")
     assert sorted(p.name for p in tmp_path.iterdir() if "eof" in p.name) == []
+
+
+# sha256 of the two files simulate writes on the packaged config with
+# n_steps overridden, by (n_steps, --k5), from CPython 3.11 on glibc. The
+# streamed, inline and whole-range writers share one formatter, so only
+# fixed digests catch a change in the bytes it writes.
+GOLDEN_TRAJECTORY_SHA256 = [
+    (256, None, (
+        "1483e9f869c888081c7fca051fff9a7ae33648d1be296fc8a12a2b68166fe6b7",
+        "d3bb4d123a5ce762c43f574189eeddd9429ab3d1877291e6dfc5ba6b3f461ff0",
+    )),
+    (700, "777.25", (
+        "d87313a26763ed58c3a6c62ab0300f0cb49b3c886bb8fa2b20657d8e6071ce21",
+        "e01843b91a0229fc5ddea95a8451190f3cb783818a5f911ecb22ac35c664a7e8",
+    )),
+]
+
+
+@pytest.mark.parametrize("n_steps, k5, digests", GOLDEN_TRAJECTORY_SHA256)
+def test_simulate_trajectory_bytes_match_golden_digests(tmp_path, n_steps, k5, digests):
+    import hashlib
+
+    from pempinn import cli
+
+    data = json.loads(cli._default_config_path().read_text())
+    data["n_steps"] = n_steps
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    argv = ["simulate", "--config", str(config), "--out", str(out)]
+    assert main(argv + (["--k5", k5] if k5 else [])) == 0
+    for name, digest in zip(TRAJECTORY_FILES, digests):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def _fork_fails():
+    import errno
+
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+def test_simulate_fork_failure_exits_4_and_leaks_no_descriptor(
+    tmp_path, fast_config, monkeypatch, capsys
+):
+    import os
+
+    monkeypatch.setattr(os, "fork", _fork_fails)
+    out = tmp_path / "o"
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        assert main(["simulate", "--config", str(fast_config), "--out", str(out)]) == 4
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert "Resource temporarily unavailable" in capsys.readouterr().err
+    assert list(out.glob("trajectory*.csv")) == []
+    assert not out.exists()
+
+
+def test_reproduce_fork_failure_is_stage_simulate(tmp_path, fast_config, monkeypatch):
+    import os
+
+    monkeypatch.setattr(os, "fork", _fork_fails)
+    out = tmp_path / "repro"
+    assert main(["reproduce", "--config", str(fast_config), "--out", str(out)]) == 4
+    _assert_failed_reproduce(out, "simulate", "Resource temporarily unavailable")
+    assert list(out.glob("trajectory*.csv")) == []

@@ -10,8 +10,8 @@ from pempinn.network import (
     init_parameters,
     load_checkpoint,
     mlp_forward,
+    mlp_with_tangent,
     predict,
-    predict_with_time_derivative,
     save_checkpoint,
     unflatten,
 )
@@ -91,10 +91,19 @@ def test_toy_derivative_quarter_slope_at_origin():
     assert y[0].tangent == pytest.approx(w_in / 4.0 / scale, rel=1e-13)
 
 
+def time_derivatives(net, t):
+    """dV/dt and dt_mem/dt: the tau-tangent times 1/input_scale, in
+    physical units."""
+    tau = np.atleast_1d(np.asarray(t, dtype=float)) / net.input_scale
+    _, (dyv, dym), _ = mlp_with_tangent(net.weights, net.biases, tau)
+    rate = 1.0 / net.input_scale
+    return net.v_ref * rate * dyv, net.t_mem_ref * rate * dym
+
+
 def test_time_derivative_matches_finite_differences():
     net = make_net(5)
     t = np.linspace(0.0, SCALE, 9)
-    (_, _), (dv, dm) = predict_with_time_derivative(net, t)
+    dv, dm = time_derivatives(net, t)
     h = 1e-4 * SCALE
     v_hi, m_hi = predict(net, t + h)
     v_lo, m_lo = predict(net, t - h)
@@ -114,8 +123,8 @@ def test_constant_network_zero_derivative():
         v_ref=2.0,
         t_mem_ref=T_REF,
     )
-    (_, _), (dv, dm) = predict_with_time_derivative(frozen, 777.0)
-    assert dv == 0.0 and dm == 0.0
+    dv, dm = time_derivatives(frozen, 777.0)
+    assert np.all(dv == 0.0) and np.all(dm == 0.0)
 
 
 def test_flatten_unflatten_roundtrip():
@@ -262,7 +271,6 @@ def test_blocked_predict_matches_per_neuron_reference():
 
 def test_tangent_forward_matches_dual_forward():
     from pempinn.autodiff import Dual
-    from pempinn.network import mlp_with_tangent
 
     net = make_net(7)
     tau = np.linspace(-0.2, 1.3, 41)
@@ -275,7 +283,7 @@ def test_tangent_forward_matches_dual_forward():
 
 
 def test_tangent_vjp_matches_finite_differences():
-    from pempinn.network import mlp_with_tangent, mlp_with_tangent_vjp
+    from pempinn.network import mlp_with_tangent_vjp
 
     net = make_net(8)
     tau = np.linspace(0.0, 1.0, 13)

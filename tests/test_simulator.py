@@ -24,8 +24,9 @@ from pempinn.simulator import (
     integrate_trajectory,
     load_dataset,
     save_dataset,
-    save_trajectory,
     trajectory_arrays,
+    trajectory_rows,
+    write_trajectory,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "data"
@@ -814,16 +815,25 @@ def test_atomic_open_replaces_only_on_success(tmp_path):
 def test_failed_trajectory_write_keeps_previous_files(tmp_path, trajectory):
     path = tmp_path / "trajectory.csv"
     diag = tmp_path / "trajectory_diagnostics.csv"
-    save_trajectory(trajectory, path, diag)
+    arrays = [
+        trajectory.times, trajectory.voltages, trajectory.thicknesses,
+        trajectory.c_h2o2, trajectory.c_ho, trajectory.thinning,
+        trajectory.fluoride, trajectory.solver_iterations,
+    ]
+    n = len(trajectory.times)
+
+    def write(arrays):
+        write_trajectory([trajectory_rows(arrays, 0, n)], path, diag)
+
+    write(arrays)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    mid = len(trajectory.times) // 2
     # A value that cannot be formatted halfway through each file.
     volts = trajectory.voltages.astype(object)
-    volts[mid] = "not a number"
+    volts[n // 2] = "not a number"
     with pytest.raises(ValueError):
-        save_trajectory(replace(trajectory, voltages=volts), path, diag)
+        write([*arrays[:1], volts, *arrays[2:]])
     iters = trajectory.solver_iterations.astype(float)
-    iters[mid] = math.nan
+    iters[n // 2] = math.nan
     with pytest.raises(ValueError):
-        save_trajectory(replace(trajectory, solver_iterations=iters), path, diag)
+        write([*arrays[:7], iters])
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

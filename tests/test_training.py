@@ -15,6 +15,7 @@ from pempinn.network import (
     flatten,
     init_parameters,
     mlp_forward,
+    mlp_with_tangent,
     predict,
     unflatten,
 )
@@ -27,10 +28,8 @@ from pempinn.training import (
     composite_loss,
     evaluate,
     residual_partials,
-    thinning_residual,
     thinning_residual_terms,
     train,
-    voltage_residual,
     voltage_residual_terms,
 )
 
@@ -57,12 +56,28 @@ def constant_output_network(cond, y_v=1.2, y_m=0.9, k5_hat=0.0):
     )
 
 
+def network_residuals(net, params, cond, coeffs, t):
+    """(voltage, thinning) residuals of ``net`` at physical times ``t``, from
+    the outputs and tau-derivatives of one mlp_with_tangent pass."""
+    tau = np.asarray(t, dtype=float) / net.input_scale
+    (y_v, y_m), (dyv, dym), _ = mlp_with_tangent(net.weights, net.biases, tau)
+    r_v = voltage_residual_terms(
+        y_v, y_m, dyv, dym, coeffs, net.v_ref, net.t_mem_ref
+    )
+    r_m = thinning_residual_terms(
+        y_v, y_m, dym, net.k5_hat, params, cond,
+        net.v_ref, net.t_mem_ref, cond.t_max,
+    )
+    return r_v, r_m
+
+
 # -- residuals ---------------------------------------------------------------
 
 
-def test_voltage_residual_zero_for_constant_outputs(cond, coeffs):
+def test_voltage_residual_zero_for_constant_outputs(params, cond, coeffs):
     net = constant_output_network(cond)
-    r = voltage_residual(net, coeffs, np.linspace(0.0, cond.t_max, 7))
+    t = np.linspace(0.0, cond.t_max, 7)
+    r, _ = network_residuals(net, params, cond, coeffs, t)
     assert np.allclose(np.asarray(r), 0.0, atol=1e-18)
 
 
@@ -107,16 +122,18 @@ def test_voltage_residual_small_on_ground_truth(params, cond, coeffs, trajectory
     assert fine < 1e-4
 
 
-def test_thinning_residual_reduces_without_attack(params, cond):
+def test_thinning_residual_reduces_without_attack(params, cond, coeffs):
     # k5_hat = 0 leaves the pure derivative penalty.
     net = constant_output_network(cond, k5_hat=0.0)
-    r = thinning_residual(net, params, cond, np.linspace(0.0, cond.t_max, 5))
+    t = np.linspace(0.0, cond.t_max, 5)
+    _, r = network_residuals(net, params, cond, coeffs, t)
     assert np.allclose(np.asarray(r), 0.0, atol=1e-18)
 
     # and with nonzero k5_hat the same constant network picks up the
     # degradation term only.
     net2 = constant_output_network(cond, k5_hat=1.0)
-    r2 = np.asarray(thinning_residual(net2, params, cond, np.array([0.0])))
+    _, r2 = network_residuals(net2, params, cond, coeffs, np.array([0.0]))
+    r2 = np.asarray(r2)
     v = 2.0 * 1.2
     c_ho = float(np.asarray(hydroxyl_chain(params, cond, np.array([v]), k5=K5_SCALE))[0])
     tr = float(thinning_rate(params, c_ho, cond.t_mem0 * 0.9, k5=K5_SCALE))
@@ -124,13 +141,14 @@ def test_thinning_residual_reduces_without_attack(params, cond):
     assert r2[0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_thinning_residual_reduces_when_hydroxyl_clamps(params, cond):
+def test_thinning_residual_reduces_when_hydroxyl_clamps(params, cond, coeffs):
     # A (transiently) negative trainable k5 drives the hydroxyl formula
     # negative; the clamp zeroes the attack term and leaves the pure
     # derivative penalty, exactly as with k5_hat = 0.
     net = constant_output_network(cond, k5_hat=-10.0)
     t = np.linspace(0.0, cond.t_max, 5)
-    r = np.asarray(thinning_residual(net, params, cond, t))
+    _, r = network_residuals(net, params, cond, coeffs, t)
+    r = np.asarray(r)
     assert np.array_equal(r, np.zeros_like(r))  # dym = 0 for a constant net
 
 
@@ -227,11 +245,11 @@ def test_loss_hand_built_single_point(params, cond, coeffs):
     comps, _ = composite_loss(net, ds, cfg, coeffs, params, cond, v0)
 
     data = (1.2 - v_t / 2.0) ** 2 + (0.9 - m_t / cond.t_mem0) ** 2
-    r_v = np.asarray(
-        voltage_residual(net, coeffs, np.linspace(0.0, cond.t_max, 2))
-    )
-    r_m = np.asarray(
-        thinning_residual(net, params, cond, np.linspace(0.0, cond.t_max, 2))
+    r_v, r_m = (
+        np.asarray(r)
+        for r in network_residuals(
+            net, params, cond, coeffs, np.linspace(0.0, cond.t_max, 2)
+        )
     )
     ic = (1.2 - v0 / 2.0) ** 2 + (0.9 - 1.0) ** 2
     expected = (
