@@ -28,8 +28,9 @@ calls see strictly increasing counts, all below ``n_steps + 1``, and a
 failed integration never reports a row past ``fail_step``. The rows after
 the last report are final when the kernel returns status 0. Without a
 callback the loop pays one integer comparison per step. ``simulate`` and
-``reproduce`` use it to format the CSV rows in a forked child while the
-integration runs.
+``reproduce`` pass the ``send`` of a forked CLI stage as the callback, so a
+child formats the CSV rows while the integration runs; the last-row count,
+``n_steps + 1``, is theirs to send once the integration has succeeded.
 
 Status codes returned by the kernels: 0 ok, 1 no sign-definite voltage
 bracket, 2 voltage solve did not converge, 3 membrane thickness reached

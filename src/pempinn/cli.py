@@ -148,26 +148,28 @@ def _metrics_dict(metrics) -> dict:
 
 
 def _simulate_into(cfg: RunConfig, out_dir: Path, k5):
-    """Integrate the trajectory while a ``_TrajectoryWriter`` formats its
-    rows; create ``out_dir`` once it has succeeded. Returns ``(traj,
-    writer)``; ``writer.result()`` waits for the trajectory CSVs."""
+    """Integrate the trajectory while a forked ``_write_rows`` stage formats
+    its rows; create ``out_dir`` once it has succeeded and send the
+    last-row count, on which the stage writes the trajectory CSVs. Returns
+    ``(traj, paths, writer)``; ``writer.result()`` waits for the files."""
     paths = [out_dir / "trajectory.csv", out_dir / "trajectory_diagnostics.csv"]
-    writer = _TrajectoryWriter(cfg.simulation.n_steps, paths)
+    arrays = trajectory_arrays(cfg.simulation.n_steps)
+    writer = _ForkedStage(lambda stops: _write_rows(arrays, paths, stops))
     try:
         traj = integrate_trajectory(
             cfg.physics,
             cfg.conditions,
             k5=k5,
             n_steps=cfg.simulation.n_steps,
-            out=writer.arrays,
-            progress=writer.progress,
+            out=arrays,
+            progress=writer.send,
         )
         out_dir.mkdir(parents=True, exist_ok=True)
-        writer.done()
+        writer.send(len(arrays[0]))
     except BaseException:
-        writer.result()
+        writer.cancel()
         raise
-    return traj, writer
+    return traj, paths, writer
 
 
 def _dataset_into(cfg: RunConfig, traj, out_dir: Path):
@@ -188,12 +190,12 @@ def _dataset_into(cfg: RunConfig, traj, out_dir: Path):
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     out_dir = Path(args.out)
-    traj, writer = _simulate_into(cfg, out_dir, getattr(args, "k5", None))
+    traj, paths, writer = _simulate_into(cfg, out_dir, getattr(args, "k5", None))
     writer.result()
     _append_manifest(
-        out_dir, "simulate", cfg, writer.paths, diagnostics=_trajectory_counters(traj)
+        out_dir, "simulate", cfg, paths, diagnostics=_trajectory_counters(traj)
     )
-    print(f"wrote {writer.paths[0]} ({len(traj.times)} samples)")
+    print(f"wrote {paths[0]} ({len(traj.times)} samples)")
     return 0
 
 
@@ -278,39 +280,62 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-class _ForkedStage:
-    """``job()`` running in a forked child process beside the caller.
+# Counts cross a _ForkedStage's feed as 8-byte unsigned integers.
+_COUNT_BYTES = 8
 
-    ``result()`` waits for the child and returns what ``job`` returned, or
-    raises what it raised; ``cancel()`` kills and reaps a child that is not
-    wanted any more. Where the platform has no ``os.fork``, ``result()``
-    runs ``job`` inline instead, so the stages keep their sequential order.
+
+class _ForkedStage:
+    """``job(stops)`` running in a forked child process beside the caller.
+
+    ``send(n)`` feeds the child a non-negative count through a pipe;
+    ``stops`` iterates the counts sent, until the feed is closed.
+    ``result()`` closes the feed, waits for the child and returns what
+    ``job`` returned, or raises what it raised; ``cancel()`` closes the feed
+    and kills and reaps a child that is not wanted any more. Where the
+    platform has no ``os.fork``, ``send`` keeps the counts in a list and
+    ``result()`` runs ``job`` on it inline, so the stages keep their
+    sequential order.
     """
 
     def __init__(self, job):
         self._job = job
-        self._pid = self._pipe = None
+        self._pid = self._pipe = self._feed = None
+        self._sent = []
         if not hasattr(os, "fork"):
             return
         sys.stdout.flush()
         sys.stderr.flush()
         read_fd, write_fd = os.pipe()
+        feed_read, feed_write = os.pipe()
         try:
             pid = os.fork()
         except BaseException:
-            os.close(read_fd)
-            os.close(write_fd)
+            for fd in (read_fd, write_fd, feed_read, feed_write):
+                os.close(fd)
             raise
         if pid == 0:
             os.close(read_fd)
-            _run_forked(job, write_fd)
+            os.close(feed_write)
+            _run_forked(job, _received(feed_read), write_fd)
         os.close(write_fd)
+        os.close(feed_read)
         self._pid = pid
+        self._feed = feed_write
         self._pipe = os.fdopen(read_fd, "rb")
 
+    def send(self, count: int) -> None:
+        if self._feed is None:
+            self._sent.append(count)
+            return
+        try:
+            os.write(self._feed, count.to_bytes(_COUNT_BYTES, "little"))
+        except BrokenPipeError:
+            pass  # the child has ended; result() says why
+
     def result(self):
+        self._close_feed()
         if self._pipe is None:
-            return self._job()
+            return self._job(self._sent)
         try:
             payload = self._pipe.read()
         except BaseException:
@@ -329,6 +354,7 @@ class _ForkedStage:
         raise value
 
     def cancel(self) -> None:
+        self._close_feed()
         if self._pid is not None:
             import signal  # here, so that importing the CLI does not load it
 
@@ -337,14 +363,26 @@ class _ForkedStage:
             self._pid = None
             self._pipe.close()
 
+    def _close_feed(self) -> None:
+        if self._feed is not None:
+            os.close(self._feed)
+            self._feed = None
 
-def _run_forked(job, write_fd) -> None:
-    """Child side of ``_ForkedStage``: send ``job``'s outcome, then exit
-    without returning into the caller's stack."""
+
+def _received(fd):
+    """The counts ``_ForkedStage.send`` wrote to ``fd``, until the feed ends."""
+    with os.fdopen(fd, "rb") as feed:
+        while len(message := feed.read(_COUNT_BYTES)) == _COUNT_BYTES:
+            yield int.from_bytes(message, "little")
+
+
+def _run_forked(job, stops, write_fd) -> None:
+    """Child side of ``_ForkedStage``: send ``job(stops)``'s outcome, then
+    exit without returning into the caller's stack."""
     status = 1
     try:
         try:
-            outcome = (True, job())
+            outcome = (True, job(stops))
         except BaseException as exc:
             outcome = (False, exc)
         payload = pickle.dumps(outcome)
@@ -355,99 +393,20 @@ def _run_forked(job, write_fd) -> None:
         os._exit(status)
 
 
-# Row counts cross the trajectory writer's progress pipe as 8-byte signed
-# integers; _DONE says that every row is final and --out exists.
-_COUNT_BYTES = 8
-_DONE = -1
-
-
-class _TrajectoryWriter:
-    """Writes ``trajectory.csv`` and ``trajectory_diagnostics.csv`` from the
-    ``arrays`` that ``integrate_trajectory`` fills, calling ``progress``.
-
-    The arrays are allocated before a child is forked. The kernel's
-    progress reports go to the child through a pipe, and the child formats
-    each newly completed range of rows in memory. It touches the filesystem only after ``done()``, which the
-    caller sends once the integration has succeeded and the output
-    directory exists; it then writes both files with ``write_trajectory``.
-    ``result()`` waits for them and raises the child's error; called before
-    ``done()``, it ends the child, which has written nothing. Without
-    ``os.fork``, ``progress`` is None and ``result()`` formats the whole
-    range and writes the files inline.
-    """
-
-    def __init__(self, n_steps: int, paths):
-        self.paths = paths
-        self.arrays = trajectory_arrays(n_steps)
-        self._fd = None
-        self._done = False
-        if not hasattr(os, "fork"):
-            self.progress = None
-            self._stage = _ForkedStage(lambda: _write_rows(self.arrays, paths))
-            return
-        read_fd, write_fd = os.pipe()
-
-        def stream():
-            os.close(write_fd)
-            with os.fdopen(read_fd, "rb") as pipe:
-                _write_rows(self.arrays, paths, pipe)
-
-        try:
-            self._stage = _ForkedStage(stream)
-        except BaseException:
-            os.close(write_fd)
-            raise
-        finally:
-            os.close(read_fd)
-        self._fd = write_fd
-        self.progress = self._send
-
-    def _send(self, rows: int) -> None:
-        try:
-            os.write(self._fd, rows.to_bytes(_COUNT_BYTES, "little", signed=True))
-        except BrokenPipeError:
-            pass  # the child has ended; result() says why
-
-    def done(self) -> None:
-        self._done = True
-        if self._fd is not None:
-            self._send(_DONE)
-            self._close()
-
-    def result(self):
-        if self._done:
-            return self._stage.result()
-        self._close()
-        self._stage.cancel()
-
-    def _close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-
-
-def _write_rows(arrays, paths, pipe=None) -> None:
-    """Format the trajectory rows and write both CSVs (``_TrajectoryWriter``).
-
-    Each range of rows a progress ``pipe`` reports is formatted when it
-    arrives, the rest at ``_DONE``. If the pipe ends without ``_DONE`` (the
-    integration failed), nothing is written. Without a pipe the whole range
-    is formatted at once.
+def _write_rows(arrays, paths, stops) -> None:
+    """Format the trajectory rows as the counts in ``stops`` arrive, each
+    the number of leading rows that are final; at the last-row count
+    ``len(arrays[0])``, write both CSVs and return without reading
+    ``stops`` further. If ``stops`` ends short of it, nothing is written.
     """
     rows = []
     start = 0
-    if pipe is not None:
-        while True:
-            message = pipe.read(_COUNT_BYTES)
-            if len(message) < _COUNT_BYTES:
-                return
-            stop = int.from_bytes(message, "little", signed=True)
-            if stop == _DONE:
-                break
-            rows.append(trajectory_rows(arrays, start, stop))
-            start = stop
-    rows.append(trajectory_rows(arrays, start, len(arrays[0])))
-    write_trajectory(rows, *paths)
+    for stop in stops:
+        rows.append(trajectory_rows(arrays, start, stop))
+        start = stop
+        if stop == len(arrays[0]):
+            write_trajectory(rows, *paths)
+            return
 
 
 def cmd_reproduce(args) -> int:
@@ -464,15 +423,16 @@ def cmd_reproduce(args) -> int:
     writer = ann_stage = None
     try:
         try:
-            traj, writer = _simulate_into(cfg, out_dir, k5=None)
+            traj, traj_paths, writer = _simulate_into(cfg, out_dir, k5=None)
 
             stage = "generate-data"
             _, ds_path = _dataset_into(cfg, traj, out_dir)
 
-            stage = "train-pinn"
+            stage = "train-ann"
             ann_stage = _ForkedStage(
-                lambda: _train_into(ann_cfg, ds_path, out_dir / "ann", "ann")[1]
+                lambda _: _train_into(ann_cfg, ds_path, out_dir / "ann", "ann")[1]
             )
+            stage = "train-pinn"
             _, pinn = _train_into(cfg, ds_path, out_dir / "pinn", "pinn")
         finally:
             # A failed trajectory write outranks any later stage's failure.
@@ -540,7 +500,7 @@ def cmd_reproduce(args) -> int:
         "reproduce",
         cfg,
         [
-            *writer.paths,
+            *traj_paths,
             ds_path,
             Path(str(ds_path) + ".meta.json"),
             out_dir / "report.json",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import hashlib
 import json
 import math
@@ -46,11 +45,13 @@ __all__ = [
 ]
 
 DATASET_COLUMNS = ("split", "t_hours", "voltage_V", "thickness_cm", "is_noisy")
-# The columns load_dataset parses into the Dataset, in its field order.
-_VALUE_COLUMNS = ("t_hours", "voltage_V", "thickness_cm")
-# One character wider than the longest split name: loadtxt cuts a longer
-# value to this width, and the cut value still matches no split name.
-_SPLIT_DTYPE = "U6"
+# The row load_dataset parses: the split, one character wider than the
+# longest split name (loadtxt cuts a longer value to this width, and the
+# cut value still matches no split name), then the values in Dataset order.
+_ROW_DTYPE = np.dtype(
+    [("split", "U6"), ("t_hours", "f8"), ("voltage_V", "f8"), ("thickness_cm", "f8")]
+)
+_VALUE_COLUMNS = _ROW_DTYPE.names[1:]
 _HASH_CHUNK_BYTES = 1 << 20
 TRAJECTORY_HEADER = "t_hours,voltage_V,thickness_cm\n"
 DIAGNOSTICS_HEADER = (
@@ -366,22 +367,24 @@ def load_dataset(path) -> Dataset:
 
     # Like csv.DictReader, a repeated column name means its last copy.
     index = {name: i for i, name in enumerate(header)}
-    read = functools.partial(
-        np.loadtxt,
-        path,
-        delimiter=",",
-        skiprows=1,
-        comments=None,
-        encoding="utf-8",
-    )
     try:
-        values = read(usecols=[index[col] for col in _VALUE_COLUMNS], ndmin=2)
-        split = read(usecols=index["split"], dtype=_SPLIT_DTYPE, ndmin=1)
+        rows = np.loadtxt(
+            path,
+            dtype=_ROW_DTYPE,
+            delimiter=",",
+            skiprows=1,
+            usecols=[index[col] for col in _ROW_DTYPE.names],
+            comments=None,
+            encoding="utf-8",
+            ndmin=1,
+        )
     except ValueError as exc:
         raise _bad_row(path, index, exc) from exc
-    is_train = split == "train"
-    is_test = split == "test"
-    if not np.all(is_train | is_test) or not np.all(np.isfinite(values)):
+    is_train = rows["split"] == "train"
+    is_test = rows["split"] == "test"
+    t, v, m = (rows[col] for col in _VALUE_COLUMNS)
+    finite = all(np.isfinite(column).all() for column in (t, v, m))
+    if not np.all(is_train | is_test) or not finite:
         raise _bad_row(path, index, None)
     if not is_train.any() or not is_test.any():
         raise DatasetFormatError(f"{path}: needs both train and test rows")
@@ -394,15 +397,13 @@ def load_dataset(path) -> Dataset:
             f"(sha256 {meta['sha256']})"
         )
 
-    train = values[is_train]
-    test = values[is_test]
     return Dataset(
-        train_times=train[:, 0],
-        train_voltages=train[:, 1],
-        train_thicknesses=train[:, 2],
-        test_times=test[:, 0],
-        test_voltages=test[:, 1],
-        test_thicknesses=test[:, 2],
+        train_times=t[is_train],
+        train_voltages=v[is_train],
+        train_thicknesses=m[is_train],
+        test_times=t[is_test],
+        test_voltages=v[is_test],
+        test_thicknesses=m[is_test],
         noise_sigma_v=float(meta["noise_sigma_v"]),
         noise_sigma_mem=float(meta["noise_sigma_mem"]),
         seed=meta["seed"],
@@ -418,7 +419,7 @@ def _bad_row(path, index, exc) -> DatasetFormatError:
     number. ``exc`` is numpy's error, reported if no row is found at fault,
     as for a byte that is not UTF-8 in a column that is not parsed.
     """
-    width = max(index[col] for col in ("split", *_VALUE_COLUMNS)) + 1
+    width = max(index[col] for col in _ROW_DTYPE.names) + 1
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
         next(reader)

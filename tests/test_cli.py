@@ -1049,16 +1049,16 @@ def test_simulate_lets_the_writer_write_only_once_out_exists(
     from pempinn import cli
 
     out = tmp_path / "o"
-    seen = []
-    real_done = cli._TrajectoryWriter.done
+    real_write = cli.write_trajectory
 
-    def done(self):
-        seen.append(out.is_dir())
-        real_done(self)
+    def write_trajectory(rows, *paths):
+        if not out.is_dir():
+            raise OSError(2, "trajectory written before --out exists")
+        real_write(rows, *paths)
 
-    monkeypatch.setattr(cli._TrajectoryWriter, "done", done)
+    monkeypatch.setattr(cli, "write_trajectory", write_trajectory)
     assert main(["simulate", "--config", str(fast_config), "--out", str(out)]) == 0
-    assert seen == [True]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", *TRAJECTORY_FILES]
 
 
 def _failing_formatter(*args):
@@ -1094,37 +1094,81 @@ def test_reproduce_writer_failure_is_stage_simulate(tmp_path, fast_config, monke
     assert list(out.glob("*.tmp")) == []
 
 
-def test_writer_formats_reported_ranges_and_writes_only_at_done(tmp_path, trajectory):
-    import os
-
-    from pempinn import cli
-    from pempinn.simulator import trajectory_rows, write_trajectory
-
-    arrays = (
+def _trajectory_columns(trajectory):
+    return (
         trajectory.times, trajectory.voltages, trajectory.thicknesses,
         trajectory.c_h2o2, trajectory.c_ho, trajectory.thinning,
         trajectory.fluoride, trajectory.solver_iterations,
     )
 
-    def write(counts, name):
-        paths = [tmp_path / f"{name}-{file}" for file in TRAJECTORY_FILES]
-        read_fd, write_fd = os.pipe()
-        with os.fdopen(write_fd, "wb") as pipe:
-            for rows in counts:
-                pipe.write(rows.to_bytes(8, "little", signed=True))
-        with os.fdopen(read_fd, "rb") as pipe:
-            cli._write_rows(arrays, paths, pipe)
-        return paths
 
-    whole = [tmp_path / f"whole-{file}" for file in TRAJECTORY_FILES]
-    write_trajectory([trajectory_rows(arrays, 0, len(trajectory.times))], *whole)
-    for name, counts in (("none", []), ("uneven", [1, CHUNK, 300, 1000])):
-        paths = write([*counts, cli._DONE], name)
-        for got, expected in zip(paths, whole):
-            assert got.read_bytes() == expected.read_bytes()
-    # A pipe that ends without "done" (the integration failed) writes nothing.
-    write([CHUNK, 2 * CHUNK], "eof")
-    assert sorted(p.name for p in tmp_path.iterdir() if "eof" in p.name) == []
+def test_writer_formats_reported_ranges_and_writes_only_at_done(tmp_path, trajectory):
+    from pempinn import cli
+    from pempinn.simulator import trajectory_rows, write_trajectory
+
+    arrays = _trajectory_columns(trajectory)
+    n = len(trajectory.times)
+    assert n > 1000
+
+    def files(name):
+        return [tmp_path / f"{name}-{file}" for file in TRAJECTORY_FILES]
+
+    whole = files("whole")
+    write_trajectory([trajectory_rows(arrays, 0, n)], *whole)
+    uneven = [1, CHUNK, 300, 1000]
+    for name, counts in (("none", []), ("uneven", uneven)):
+        cli._write_rows(arrays, files(name), [*counts, n])
+        for got, expected in zip(files(name), whole):
+            assert got.read_bytes() == expected.read_bytes(), name
+    # Counts that end short of the last row (the integration failed) write
+    # nothing.
+    before = sorted(tmp_path.iterdir())
+    for name, counts in (("empty", []), ("short", uneven)):
+        cli._write_rows(arrays, files(name), counts)
+    assert sorted(tmp_path.iterdir()) == before
+    # The same counts through a forked stage's feed: send -> _received.
+    stage = cli._ForkedStage(lambda stops: list(stops))
+    for rows in [*uneven, n, 2**63 - 1]:
+        stage.send(rows)
+    assert stage.result() == [*uneven, n, 2**63 - 1]
+    stage = cli._ForkedStage(lambda stops: cli._write_rows(arrays, files("fed"), stops))
+    for rows in [*uneven, n]:
+        stage.send(rows)
+    stage.result()
+    for got, expected in zip(files("fed"), whole):
+        assert got.read_bytes() == expected.read_bytes()
+    _assert_children_reaped()
+
+
+def test_writer_returns_at_the_last_row_without_reading_further(tmp_path, trajectory):
+    import time
+
+    from pempinn import cli
+
+    arrays = _trajectory_columns(trajectory)
+    n = len(trajectory.times)
+    paths = [tmp_path / file for file in TRAJECTORY_FILES]
+
+    def stops():
+        yield CHUNK
+        yield n
+        raise AssertionError("the writer read past the last row")
+
+    cli._write_rows(arrays, paths, stops())
+    assert all(path.exists() for path in paths)
+    # A child forked after the writer holds a copy of its feed, so the feed
+    # does not end when result() closes it; the writer must not wait for
+    # that.
+    writer = cli._ForkedStage(lambda stops: cli._write_rows(arrays, paths, stops))
+    writer.send(n)
+    later = cli._ForkedStage(lambda _: time.sleep(30.0))
+    try:
+        start = time.monotonic()
+        writer.result()
+        assert time.monotonic() - start < 15.0
+    finally:
+        later.cancel()
+    _assert_children_reaped()
 
 
 # sha256 of the two files simulate writes on the packaged config with
@@ -1190,3 +1234,28 @@ def test_reproduce_fork_failure_is_stage_simulate(tmp_path, fast_config, monkeyp
     assert main(["reproduce", "--config", str(fast_config), "--out", str(out)]) == 4
     _assert_failed_reproduce(out, "simulate", "Resource temporarily unavailable")
     assert list(out.glob("trajectory*.csv")) == []
+
+
+def test_reproduce_ann_fork_failure_is_stage_train_ann(
+    tmp_path, fast_config, monkeypatch
+):
+    import os
+
+    real_fork = os.fork
+    calls = []
+
+    def fork():
+        # The first fork starts the trajectory writer, the second the ANN.
+        calls.append(None)
+        if len(calls) == 2:
+            _fork_fails()
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    out = tmp_path / "repro"
+    before = len(os.listdir("/proc/self/fd"))
+    assert main(["reproduce", "--config", str(fast_config), "--out", str(out)]) == 4
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert len(calls) == 2
+    _assert_failed_reproduce(out, "train-ann", "Resource temporarily unavailable")
+    assert not (out / "pinn").exists()
