@@ -3,8 +3,11 @@ calibration engine.
 
 Subpackage map: constants (registry and config), electrochem (voltage
 model), degradation (radical chemistry and thinning), simulator (trajectory
-and dataset generation), autodiff/network (differentiation engine and MLP),
-training (composite loss, Adam, metrics), cli (pipeline commands).
+and dataset generation), network (MLP, its tangent pass and VJP,
+checkpoints), training (composite loss, Adam, metrics), cli (pipeline
+commands). All of them run on plain floats and numpy arrays. autodiff
+(dual numbers and a reverse-mode graph) is the tests' differentiation
+reference; no command uses it.
 """
 
 __version__ = "0.1.0"

@@ -49,13 +49,16 @@ V_MAX_ITER = 100
 CHUNK = 256  # rows between two progress reports of rk4_thinning
 
 
-def solve_voltage(k1v, k2v, k3v, p_over_a, t_mem, v_guess, tol, max_iter):
+def solve_voltage(k1v, k2v, k3v, p_over_a, t_mem, v_guess):
     """Safeguarded Newton for V = k1v + k2v*ln(i) + k3v*i/t_mem, i = p_over_a/V.
 
     The residual g(V) = V - RHS(V) is strictly increasing, so a Newton
     step is taken whenever it stays inside the current bracket and a
-    bisection step otherwise. Returns (V, iterations, status).
+    bisection step otherwise, until |g(V)| <= V_TOL or V_MAX_ITER
+    iterations. Returns (V, iterations, status).
     """
+    tol = V_TOL
+    max_iter = V_MAX_ITER
     lo = V_BRACKET_LO
     hi = V_BRACKET_HI
     i_lo = p_over_a / lo
@@ -101,7 +104,6 @@ def rk4_thinning(
     frr_coeff,
     tr_conv,
     c_ho_override,
-    v_tol,
     out,
     progress=None,
 ):
@@ -135,6 +137,7 @@ def rk4_thinning(
     override = c_ho_override >= 0.0
     half_dt = 0.5 * dt
     sixth_dt = dt / 6.0
+    v_tol = V_TOL
     newton_iters = range(1, V_MAX_ITER + 1)
     # Index of the step whose row completes the next CHUNK; -1 never comes.
     report_step = CHUNK - 1 if progress is not None else -1

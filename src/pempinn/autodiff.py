@@ -1,9 +1,10 @@
 """Minimal automatic differentiation over numpy payloads.
 
-Training differentiates its loss in closed form on plain arrays; this
-module is the reference those closed forms are pinned to in the tests.
-The generic numeric code (the network forward pass, the physics residuals,
-the degradation chemistry) is written against its front-ends, so one
+Training differentiates its loss in closed form on plain arrays, and no
+command runs this module; it is the reference those closed forms are
+pinned to in the tests. The generic definitions in
+``tests/reference_physics.py`` (the network forward pass, the physics
+residuals, the radical chain) are written against its front-ends, so one
 definition runs on floats, arrays, ``Value`` and ``Dual``. It has the ops
 that code and the test-reference loss use and no others: ``+ - * /``,
 negation, ``sqrt``, ``sigmoid``, ``where``/``maximum``, ``@``, indexing,

@@ -3,12 +3,10 @@
 The chain evaluated at a cell voltage V: water velocity -> peroxide
 quadratic -> hydroxyl concentration -> fluoride release -> thinning rate.
 
-Functions here are written against the generic arithmetic front-ends in
-:mod:`pempinn.autodiff`, so the same code runs on plain floats (simulation,
-tests), numpy arrays (batched collocation points), and autodiff nodes (the
-reference the tests differentiate through the closed-form quadratic root).
-Training takes c_HO and its partials from :func:`hydroxyl_chain_partials`,
-written by hand on plain arrays.
+Everything here runs on plain floats and numpy arrays. Training takes
+c_HO and its partials in V and k5 from :func:`hydroxyl_chain_partials`;
+the tests pin those partials to a generic copy of the chain evaluated on
+dual numbers (``tests/reference_physics.py``).
 
 Unit notes: concentrations mol/m3, rates mol/(m3 s), thickness cm, fluoride
 release ug/(h cm2), thinning rate cm/h. The composed conversion factor in
@@ -22,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import primal, sqrt, where
 from .constants import (
     OperatingConditions,
     PhysicsParameters,
@@ -38,7 +35,6 @@ __all__ = [
     "solve_peroxide",
     "solve_peroxide_selected",
     "hydroxyl_concentration",
-    "hydroxyl_chain",
     "hydroxyl_chain_partials",
     "steady_state_radicals",
     "fluoride_release_rate",
@@ -87,8 +83,6 @@ def water_velocity(
 
     v_H2O = kappa_w * i with i = P/(A*V); strictly decreasing in V.
     """
-    if np.ndim(primal(v)) == 0 and primal(v) <= 0.0:
-        raise ConfigError("V", "cell voltage must be positive")
     i = cond.P / (cond.A_cell * v)
     return params.kappa_w * i
 
@@ -123,34 +117,26 @@ def solve_peroxide_selected(a, b, c):
     where infeasible, the root entry holds a placeholder 1.0 so downstream
     safe divisions stay finite.
     """
-    pa = np.asarray(primal(a))
-    pb = np.asarray(primal(b))
-
-    lin_mask = pa == 0.0
-    b_safe = where(pb != 0.0, b, 1.0)
-    lin_root = -c / b_safe
-    lin_feas = lin_mask & (pb != 0.0) & (np.asarray(primal(lin_root)) > 0.0)
+    # As arrays, so the masks below are numpy booleans whose ~ is a logical
+    # not also for scalar coefficients.
+    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
+    lin_mask = a == 0.0
+    lin_root = -c / np.where(b != 0.0, b, 1.0)
+    lin_feas = lin_mask & (b != 0.0) & (lin_root > 0.0)
 
     disc = b * b - 4.0 * a * c
-    disc_ok = np.asarray(primal(disc)) >= 0.0
-    sq = sqrt(where(disc_ok, disc, 0.0))
-    q = where(pb >= 0.0, -(b + sq), -(b - sq)) * 0.5
-    pq = np.asarray(primal(q))
-    a_safe = where(lin_mask, 1.0, a)
-    q_safe = where(pq != 0.0, q, 1.0)
-    r1 = q / a_safe
-    r2 = where(pq != 0.0, c / q_safe, r1)
-    p1 = np.asarray(primal(r1))
-    p2 = np.asarray(primal(r2))
-    pos1 = disc_ok & (p1 > 0.0) & ~lin_mask
-    pos2 = disc_ok & (p2 > 0.0) & ~lin_mask
-    pick1 = pos1 & (~pos2 | (p1 <= p2))
-    quad_root = where(pick1, r1, where(pos2, r2, 1.0))
-    quad_feas = pos1 | pos2
+    disc_ok = disc >= 0.0
+    sq = np.sqrt(np.where(disc_ok, disc, 0.0))
+    q = np.where(b >= 0.0, -(b + sq), -(b - sq)) * 0.5
+    r1 = q / np.where(lin_mask, 1.0, a)
+    r2 = np.where(q != 0.0, c / np.where(q != 0.0, q, 1.0), r1)
+    pos1 = disc_ok & (r1 > 0.0) & ~lin_mask
+    pos2 = disc_ok & (r2 > 0.0) & ~lin_mask
+    pick1 = pos1 & (~pos2 | (r1 <= r2))
+    quad_root = np.where(pick1, r1, np.where(pos2, r2, 1.0))
 
-    root = where(lin_mask, where(lin_feas, lin_root, 1.0), quad_root)
-    feasible = np.asarray(lin_feas | quad_feas)
-    return root, feasible
+    root = np.where(lin_mask, np.where(lin_feas, lin_root, 1.0), quad_root)
+    return root, lin_feas | pos1 | pos2
 
 
 def solve_peroxide(a: float, b: float, c: float) -> float:
@@ -158,9 +144,9 @@ def solve_peroxide(a: float, b: float, c: float) -> float:
     if a == 0.0 and b == 0.0:
         raise ChemistryError((a, b, c), "degenerate equation (A = B = 0)")
     root, feasible = solve_peroxide_selected(a, b, c)
-    if not bool(feasible):
+    if not feasible:
         raise ChemistryError((a, b, c), "no strictly positive real root")
-    return float(primal(root))
+    return float(root)
 
 
 def hydroxyl_concentration(
@@ -175,48 +161,14 @@ def hydroxyl_concentration(
     c_HO = v_H2O/(e_cl*k3) - k2/k3 - v1/(k3*c_H2O2); negative formula values
     are unphysical and clamp to zero (counted in ``diag`` when provided).
     """
-    pc = primal(c_h2o2)
-    if np.ndim(pc) == 0 and pc <= 0.0:
+    if np.ndim(c_h2o2) == 0 and c_h2o2 <= 0.0:
         raise ConfigError("c_h2o2", "peroxide concentration must be positive")
     w = water_velocity(params, cond, v) / params.e_cl
     raw = w / params.k3 - params.k2 / params.k3 - params.v1 / (params.k3 * c_h2o2)
-    positive = np.asarray(primal(raw)) > 0.0
+    positive = np.asarray(raw) > 0.0
     if diag is not None:
         diag.count("hydroxyl_clamped", np.sum(~positive))
-    return where(positive, raw, 0.0)
-
-
-def _hydroxyl_raw(params, cond, v, k5, diag):
-    """The chain V -> c_HO before its clamp: (coefficients, root, w, raw,
-    positive), with the chemistry_infeasible and hydroxyl_clamped events
-    counted in ``diag``."""
-    a, b, c = peroxide_quadratic_coefficients(params, cond, v, k5=k5)
-    root, feasible = solve_peroxide_selected(a, b, c)
-    if diag is not None:
-        diag.count("chemistry_infeasible", np.sum(~feasible))
-    w = water_velocity(params, cond, v) / params.e_cl
-    raw = w / params.k3 - params.k2 / params.k3 - params.v1 / (params.k3 * root)
-    raw_positive = np.asarray(primal(raw)) > 0.0
-    positive = feasible & raw_positive
-    if diag is not None:
-        diag.count("hydroxyl_clamped", np.sum(feasible & ~raw_positive))
-    return (a, b, c), root, w, raw, positive
-
-
-def hydroxyl_chain(
-    params: PhysicsParameters,
-    cond: OperatingConditions,
-    v,
-    k5=None,
-    diag: DiagnosticCounters | None = None,
-):
-    """Full chain V -> c_HO, with infeasible chemistry clamped to zero.
-
-    This is the differentiable path used inside the physics residual; it
-    never raises on infeasible points, it masks them (and records them).
-    """
-    _, _, _, raw, positive = _hydroxyl_raw(params, cond, v, k5, diag)
-    return where(positive, raw, 0.0)
+    return np.where(positive, raw, 0.0)
 
 
 def hydroxyl_chain_partials(
@@ -226,17 +178,27 @@ def hydroxyl_chain_partials(
     k5: float,
     diag: DiagnosticCounters | None = None,
 ):
-    """c_HO of :func:`hydroxyl_chain` on plain arrays, with dc_HO/dV and
-    dc_HO/dk5 at every point.
+    """Full chain V -> c_HO at every point of ``v``, with dc_HO/dV and
+    dc_HO/dk5.
+
+    Infeasible chemistry (no positive peroxide root) and a negative
+    hydroxyl formula value both give c_HO = 0 with zero partials; they are
+    masked, never raised, and counted in ``diag`` as chemistry_infeasible
+    and hydroxyl_clamped.
 
     The peroxide root r is differentiated implicitly through its quadratic
-    A r^2 + B r + C = 0: dr = -(dA r^2 + dB r + dC) / (2 A r + B). Where the
-    chemistry is infeasible or the hydroxyl formula clamps, c_HO is 0 and
-    so are both partials, as ``where`` gives on ``Dual`` numbers. Counts
-    the same ``diag`` events as :func:`hydroxyl_chain`.
+    A r^2 + B r + C = 0: dr = -(dA r^2 + dB r + dC) / (2 A r + B).
     """
-    (a, b, _), root, w, raw, positive = _hydroxyl_raw(params, cond, v, k5, diag)
+    a, b, c = peroxide_quadratic_coefficients(params, cond, v, k5=k5)
+    root, feasible = solve_peroxide_selected(a, b, c)
+    w = water_velocity(params, cond, v) / params.e_cl
     k2, k3, v1 = params.k2, params.k3, params.v1
+    raw = w / k3 - k2 / k3 - v1 / (k3 * root)
+    raw_positive = raw > 0.0
+    positive = feasible & raw_positive
+    if diag is not None:
+        diag.count("chemistry_infeasible", np.sum(~feasible))
+        diag.count("hydroxyl_clamped", np.sum(feasible & ~raw_positive))
     c_mem = membrane_molar_concentration(params)
     # w = kappa_w P / (A V e_cl) falls as 1/V; k5 enters only through
     # s = k4 c_O2 + k5 C_mem - w, and A = w - 3 k2, B = s (w - k2)/k3 - v1,
@@ -269,8 +231,8 @@ def steady_state_radicals(
     c_ho = hydroxyl_concentration(params, cond, v, c_h2o2, diag=diag)
     return RadicalState(
         c_h2o2=c_h2o2,
-        c_ho=float(primal(c_ho)),
-        v_h2o=float(primal(water_velocity(params, cond, v))),
+        c_ho=float(c_ho),
+        v_h2o=float(water_velocity(params, cond, v)),
         coefficients=(a, b, c),
     )
 

@@ -137,8 +137,6 @@ def solve_cell_voltage(coeffs: VoltageCoefficients, t_mem: float) -> float:
         coeffs.P_over_A,
         t_mem,
         _kernel.V_GUESS,
-        _kernel.V_TOL,
-        _kernel.V_MAX_ITER,
     )
     if status == 1:
         raise SolverError(

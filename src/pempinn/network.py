@@ -10,20 +10,22 @@ constant, physical value k5_hat * 1e3 m3/(mol s)) lives alongside the
 weights so one optimizer updates everything jointly.
 
 Two forward passes, each one ``W @ a + b`` per layer over an ``(n, N)``
-block of activations, N being the number of evaluation points:
+block of activations, N being the number of evaluation points, both on
+plain arrays:
 
-* :func:`mlp_forward` is the plain pass that :func:`predict` uses. It is
-  written generically, so the weights may also be
-  :class:`~pempinn.autodiff.Value` leaves (:class:`LiftedParameters`) and
-  the input a :class:`~pempinn.autodiff.Dual`; the reverse-mode reference
-  the tests pin the training gradient to runs through it.
-* :func:`mlp_with_tangent` carries d/dtau through the sigmoid layers on
-  plain arrays (divided by ``input_scale``, that tangent is the outputs'
-  time derivative), and :func:`mlp_with_tangent_vjp` is its hand-written
+* :func:`mlp_forward` is the plain pass that :func:`predict` uses.
+* :func:`mlp_with_tangent` carries d/dtau through the sigmoid layers
+  (divided by ``input_scale``, that tangent is the outputs' time
+  derivative), and :func:`mlp_with_tangent_vjp` is its hand-written
   vector-Jacobian product: given cotangents of the outputs and of their
   tau-derivatives it returns the gradient of every weight and bias, using
   sigma' = s(1 - s) and sigma'' = sigma'(1 - 2s). The training loss is
   differentiated through these two, with no graph.
+
+:class:`LiftedParameters` re-expresses the parameters as
+:class:`~pempinn.autodiff.Value` leaves for the tests' reverse-mode
+reference loss, which runs a generic copy of the forward pass
+(``tests/reference_physics.py``).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Dual, Value, matmul, primal, sigmoid
+from .autodiff import Value
 from .errors import ArtifactFormatError
 from .simulator import atomic_open
 
@@ -117,30 +119,22 @@ def init_parameters(
     )
 
 
-def mlp_forward(weights, biases, x):
-    """Generic forward pass; sigmoid hidden layers, affine output layer.
+def _sigmoid(x):
+    """Logistic function that never overflows: z = exp(-|x|) <= 1."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, z) / (1.0 + z)
 
-    ``x`` is a float or a 1-d array of points (or a Dual of either); it is
-    laid out as one ``(1, N)`` row and each layer maps ``(fan_in, N)`` to
-    ``(fan_out, N)``. Returns one output per network output, each in the
-    shape of ``x``. Bias leaves of LiftedParameters are ``(n, 1)`` columns
-    already; plain ``(n,)`` biases are reshaped to columns here.
-    """
-    a = _as_row(x)
-    cols = slice(None) if np.ndim(primal(x)) else 0
+
+def mlp_forward(weights, biases, tau):
+    """Outputs at the points of a 1-d array ``tau``, as an ``(n_out, N)``
+    block; sigmoid hidden layers, affine output layer."""
+    a = np.reshape(tau, (1, -1))
     last = len(weights) - 1
     for layer, (w, b) in enumerate(zip(weights, biases)):
-        a = matmul(w, a) + (b if isinstance(b, Value) else np.reshape(b, (-1, 1)))
+        a = w @ a + np.reshape(b, (-1, 1))
         if layer < last:
-            a = sigmoid(a)
-    return [a[i, cols] for i in range(np.shape(primal(weights[-1]))[0])]
-
-
-def _as_row(x):
-    if isinstance(x, Dual):
-        p = np.reshape(x.primal, (1, -1))
-        return Dual(p, np.broadcast_to(x.tangent, p.shape))
-    return np.reshape(x, (1, -1))
+            a = _sigmoid(a)
+    return a
 
 
 def predict(params: NetworkParameters, t):
@@ -151,14 +145,12 @@ def predict(params: NetworkParameters, t):
     """
     tau = t / params.input_scale
     if np.ndim(tau) == 0:
-        y_v, y_m = mlp_forward(params.weights, params.biases, tau)
+        y_v, y_m = mlp_forward(params.weights, params.biases, tau)[:, 0]
     else:
-        blocks = [
+        y_v, y_m = np.concatenate([
             mlp_forward(params.weights, params.biases, tau[i : i + PREDICT_BLOCK])
             for i in range(0, max(len(tau), 1), PREDICT_BLOCK)
-        ]
-        y_v = np.concatenate([y[0] for y in blocks])
-        y_m = np.concatenate([y[1] for y in blocks])
+        ], axis=1)
     return params.v_ref * y_v, params.t_mem_ref * y_m
 
 
@@ -177,7 +169,7 @@ def mlp_with_tangent(weights, biases, tau):
         z = w @ a + np.reshape(b, (-1, 1))
         dz = w @ da
         if layer < last:
-            s = sigmoid(z)
+            s = _sigmoid(z)
             ds = s * (1.0 - s)
             cache.append((a, da, s, ds, dz))
             a, da = s, dz * ds
@@ -300,9 +292,9 @@ def save_checkpoint(params: NetworkParameters, path) -> None:
 
 def load_checkpoint(path) -> NetworkParameters:
     """Read a checkpoint; a file that is not UTF-8 JSON, has the wrong
-    ``format`` or ``version``, lacks a key, or whose arrays do not chain
-    into a 1-input, 2-output MLP, raises ArtifactFormatError naming the
-    file."""
+    ``format`` or ``version``, lacks a key, holds a non-finite value or a
+    non-positive scale, or whose arrays do not chain into a 1-input,
+    2-output MLP, raises ArtifactFormatError naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -340,6 +332,11 @@ def load_checkpoint(path) -> NetworkParameters:
         np.isfinite(v) for v in scalars.values()
     ):
         raise ArtifactFormatError(f"{path}: non-finite parameter")
+    for key in ("input_scale", "v_ref", "t_mem_ref"):
+        if scalars[key] <= 0.0:
+            raise ArtifactFormatError(
+                f"{path}: scale '{key}' must be positive, got {scalars[key]}"
+            )
     return NetworkParameters(weights=weights, biases=biases, **scalars)
 
 

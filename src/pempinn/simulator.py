@@ -193,7 +193,6 @@ def integrate_trajectory(
         fluoride_release_rate(params, 1.0, 1.0, k5),
         thinning_per_fluoride(params),
         float(c_ho_override),
-        _kernel.V_TOL,
         out,
         progress,
     )

@@ -26,10 +26,10 @@ The chain rule then turns the loss into cotangents of the network outputs,
 and :func:`~pempinn.network.mlp_with_tangent_vjp` carries them to the
 weights.
 
-The generic residual functions (``voltage_residual_terms``,
-``thinning_residual_terms``) stay the definition: the tests pin the
-closed-form partials to their evaluation on ``Dual`` numbers. No ``Dual``
-runs on the training path.
+Everything here runs on plain arrays. The tests pin the closed-form
+partials to a generic copy of the two residuals evaluated on dual numbers,
+and the gradient to a reverse-mode reference loss
+(``tests/reference_physics.py``, ``tests/reference_loss.py``).
 
 Training is full-batch Adam, bitwise deterministic for a given seed.
 """
@@ -41,11 +41,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import maximum, primal
 from .constants import K5_SCALE, OperatingConditions, PhysicsParameters
 from .degradation import (
     DiagnosticCounters,
-    hydroxyl_chain,
     hydroxyl_chain_partials,
     thinning_rate,
 )
@@ -68,8 +66,6 @@ __all__ = [
     "EpochRecord",
     "AdamState",
     "adam_step",
-    "voltage_residual_terms",
-    "thinning_residual_terms",
     "residual_partials",
     "LossPoints",
     "loss_points",
@@ -158,72 +154,34 @@ class Metrics:
 # -- residuals ----------------------------------------------------------------
 
 
-def _clamped_physical(y_v, y_m, v_ref, t_ref, diag=None):
-    """Physical V and t_mem from normalized outputs, with floored denominators."""
-    if diag is not None:
-        diag.count("output_clamped", np.sum(np.asarray(primal(y_v)) <= CLAMP_EPS))
-        diag.count("output_clamped", np.sum(np.asarray(primal(y_m)) <= CLAMP_EPS))
-    v = v_ref * maximum(y_v, CLAMP_EPS)
-    tm = t_ref * maximum(y_m, CLAMP_EPS)
-    return v, tm
-
-
-def voltage_residual_terms(
-    y_v, y_m, dyv_dtau, dym_dtau, coeffs: VoltageCoefficients,
-    v_ref, t_ref, diag=None,
-):
-    """Nondimensional voltage-evolution residual from normalized outputs.
-
-    r = y_v' * [1 + k2V/V + k3V*(P/A)/(t_mem*V^2)]
-        + k3V*(P/A)/(V*t_mem^2) * (t_ref/v_ref) * y_m'
-
-    where y' are derivatives with respect to tau = t/t_max. Zero exactly
-    when the predicted pair satisfies the differentiated voltage equation.
-    """
-    v, tm = _clamped_physical(y_v, y_m, v_ref, t_ref, diag)
-    pa = coeffs.P_over_A
-    bracket = 1.0 + coeffs.k2V / v + coeffs.k3V * pa / (tm * v * v)
-    cross = coeffs.k3V * pa / (v * tm * tm) * (t_ref / v_ref)
-    return dyv_dtau * bracket + cross * dym_dtau
-
-
-def thinning_residual_terms(
-    y_v, y_m, dym_dtau, k5_hat,
-    params: PhysicsParameters, cond: OperatingConditions,
-    v_ref, t_ref, t_max, diag=None,
-):
-    """Nondimensional thinning-law residual, r = y_m' + (t_max/t_ref)*TR.
-
-    TR chains voltage -> water velocity -> peroxide quadratic -> hydroxyl
-    concentration -> attack rate, all differentiable (the quadratic root in
-    closed form); infeasible chemistry contributes zero attack.
-    """
-    v, tm = _clamped_physical(y_v, y_m, v_ref, t_ref, diag)
-    k5 = k5_hat * K5_SCALE
-    c_ho = hydroxyl_chain(params, cond, v, k5=k5, diag=diag)
-    tr = thinning_rate(params, c_ho, tm, k5=k5)
-    return dym_dtau + (t_max / t_ref) * tr
-
-
 def residual_partials(
     y_v, y_m, dyv_dtau, dym_dtau, k5_hat, coeffs: VoltageCoefficients,
     params: PhysicsParameters, cond: OperatingConditions,
     v_ref, t_ref, t_max, diag=None,
 ):
-    """Both residuals on plain ``(N,)`` arrays, with their per-point partials.
+    """Both nondimensional residuals on plain ``(N,)`` arrays, with their
+    per-point partials.
+
+    With y' the derivatives with respect to tau = t/t_max, and V and t_mem
+    the outputs de-normalized after flooring at CLAMP_EPS:
+
+    * voltage evolution, the explicit rearrangement of the differentiated
+      voltage equation, zero when the pair satisfies it:
+      r_v = y_v' [1 + k2V/V + k3V (P/A)/(t_mem V^2)]
+            + k3V (P/A)/(V t_mem^2) (t_ref/v_ref) y_m';
+    * thinning, r_m = y_m' + (t_max/t_ref) TR, where TR chains V -> water
+      velocity -> peroxide root -> hydroxyl -> attack rate at
+      k5 = k5_hat * K5_SCALE; infeasible chemistry contributes no attack.
 
     Returns ``(r_v, jac_v, r_m, jac_m)``. Row k of each ``(5, N)`` Jacobian
     is the partial with respect to input k of (y_v, y_m, dy_v/dtau,
-    dy_m/dtau, k5_hat): the values :func:`voltage_residual_terms` and
-    :func:`thinning_residual_terms` give on ``Dual`` numbers seeded with
-    those five unit directions, written out by hand. An output floored at
-    CLAMP_EPS has partial 0, as ``maximum`` gives; the ``diag`` events are
-    the ones the two generic functions count.
+    dy_m/dtau, k5_hat), written out by hand. An output at or below the
+    floor has partial 0 and is counted in ``diag`` as output_clamped, once
+    per residual.
     """
     live_v = y_v > CLAMP_EPS
     live_m = y_m > CLAMP_EPS
     if diag is not None:
-        # Each of the two residuals counts both clamped outputs.
         diag.count("output_clamped", 2 * (np.sum(~live_v) + np.sum(~live_m)))
     v = v_ref * np.where(live_v, y_v, CLAMP_EPS)
     tm = t_ref * np.where(live_m, y_m, CLAMP_EPS)

@@ -1,11 +1,12 @@
 """Reverse-mode reference for the training gradient.
 
-The training loss used to be built as a ``Value`` graph over
+The loss is built as a ``Value`` graph over
 :class:`~pempinn.network.LiftedParameters`, with the tau-derivatives of the
 outputs pushed through the network as ``Dual`` numbers of ``Value`` nodes
-(forward-over-reverse), and differentiated by one backward sweep. That
-engine is kept here, unchanged, as the reference the graph-free gradient
-of :func:`pempinn.training.composite_loss` is pinned to.
+(forward-over-reverse), and differentiated by one backward sweep. The
+forward pass and the residuals are the generic definitions of
+``reference_physics.py``. This is the reference the graph-free gradient of
+:func:`pempinn.training.composite_loss` is pinned to.
 """
 
 import numpy as np
@@ -13,8 +14,12 @@ import numpy as np
 from pempinn.autodiff import BackwardError, Dual, Value, primal
 from pempinn.electrochem import solve_cell_voltage
 from pempinn.errors import ConfigError
-from pempinn.network import LiftedParameters, mlp_forward
-from pempinn.training import thinning_residual_terms, voltage_residual_terms
+from pempinn.network import LiftedParameters
+from reference_physics import (
+    mlp_forward,
+    thinning_residual_terms,
+    voltage_residual_terms,
+)
 
 
 def gradient(params, loss_builder):

@@ -254,11 +254,17 @@ def test_damaged_checkpoint_exits_4(tmp_path, fast_config, capsys):
     ds_path, ckpt = _trained_checkpoint(tmp_path, fast_config)
     text = ckpt.read_text()
     payload = json.loads(text)
-    del payload["k5_hat"]
     damaged = {
         "truncated": text[: len(text) // 2],
-        "missing_key": json.dumps(payload),
+        "missing_key": json.dumps({k: v for k, v in payload.items() if k != "k5_hat"}),
     }
+    # A zero scale made evaluate divide by zero into NaN RMSEs, a negative
+    # one gave finite but meaningless RMSEs; both exited 0.
+    for key, value in (
+        ("input_scale", 0.0), ("input_scale", -1.0), ("v_ref", 0.0),
+        ("t_mem_ref", -0.0175),
+    ):
+        damaged[f"{key}_{value:g}"] = json.dumps(dict(payload, **{key: value}))
     for name, body in damaged.items():
         bad = tmp_path / f"{name}.json"
         bad.write_text(body)
@@ -273,7 +279,11 @@ def test_damaged_checkpoint_exits_4(tmp_path, fast_config, capsys):
             ]
         )
         assert code == 4, name
-        assert str(bad) in capsys.readouterr().err, name
+        err = capsys.readouterr().err
+        assert str(bad) in err, name
+        if name.startswith(("input_scale", "v_ref", "t_mem_ref")):
+            assert f"'{name.rsplit('_', 1)[0]}'" in err, name
+        assert not (tmp_path / "eval" / "metrics.json").exists(), name
 
 
 @pytest.mark.parametrize("field", ["format", "version"])

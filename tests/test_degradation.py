@@ -1,15 +1,16 @@
 import dataclasses
+import itertools
 from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+import reference_physics
 
 from pempinn.autodiff import Dual
 from pempinn.constants import PhysicsParameters, membrane_molar_concentration
 from pempinn.degradation import (
     DiagnosticCounters,
     fluoride_release_rate,
-    hydroxyl_chain,
     hydroxyl_chain_partials,
     hydroxyl_concentration,
     peroxide_quadratic_coefficients,
@@ -38,11 +39,6 @@ def test_water_velocity_inverse_in_voltage(params, cond):
 def test_water_velocity_hand_value(params, cond):
     expected = params.kappa_w * 500.0 / (680.0 * 1.8)
     assert water_velocity(params, cond, 1.8) == pytest.approx(expected, rel=1e-14)
-
-
-def test_water_velocity_rejects_nonpositive_voltage(params, cond):
-    with pytest.raises(ConfigError, match="V"):
-        water_velocity(params, cond, 0.0)
 
 
 def test_quadratic_constant_term_vanishes(cond):
@@ -121,6 +117,56 @@ def test_root_selection_smallest_positive():
     out = np.asarray(root)
     assert out[0] == pytest.approx(1.0, rel=1e-14)
     assert out[2] == pytest.approx(2.0, rel=1e-14)
+
+
+def _root_selection_grid():
+    """Coefficient triples over a small grid, with the cases each root
+    selection branch handles marked by an independent textbook solve."""
+    values = (-3.0, -1.0, 0.0, 1.0, 2.0, 3.0)
+    a, b, c = (np.array(col) for col in zip(*itertools.product(values, repeat=3)))
+    quad = a != 0.0
+    disc = b * b - 4.0 * a * c
+    sq = np.sqrt(np.where(disc >= 0.0, disc, 0.0))
+    a_safe = np.where(quad, a, 1.0)
+    n_pos = ((-b + sq) / (2.0 * a_safe) > 0.0).astype(int) + (
+        (-b - sq) / (2.0 * a_safe) > 0.0
+    )
+    real = quad & (disc >= 0.0)
+    cases = {
+        "linear": ~quad & (b != 0.0),
+        "degenerate": ~quad & (b == 0.0),
+        "no_real_root": quad & (disc < 0.0),
+        "q_zero": quad & (b == 0.0) & (c == 0.0),
+        "one_positive_root": real & (n_pos == 1),
+        "two_positive_roots": real & (n_pos == 2) & (disc > 0.0),
+    }
+    return a, b, c, cases
+
+
+def test_root_selection_matches_generic_oracle_bitwise():
+    # The plain-numpy selection the package runs and the generic one the
+    # Dual partials are checked against must pick the same root, to the
+    # bit, and agree on feasibility, in every branch.
+    a, b, c, cases = _root_selection_grid()
+    for name, mask in cases.items():
+        assert mask.any(), name
+    root, feasible = solve_peroxide_selected(a, b, c)
+    ref_root, ref_feasible = reference_physics.solve_peroxide_selected(a, b, c)
+    assert np.asarray(root).tobytes() == np.asarray(ref_root).tobytes()
+    assert np.array_equal(feasible, ref_feasible)
+    lin = cases["linear"]
+    assert np.array_equal(feasible[lin], -c[lin] / b[lin] > 0.0)
+    assert not feasible[cases["degenerate"] | cases["no_real_root"]].any()
+    assert not feasible[cases["q_zero"]].any()
+    assert feasible[cases["one_positive_root"] | cases["two_positive_roots"]].all()
+    two = cases["two_positive_roots"]
+    sq = np.sqrt(b[two] ** 2 - 4.0 * a[two] * c[two])
+    small = np.minimum((-b[two] + sq) / (2.0 * a[two]), (-b[two] - sq) / (2.0 * a[two]))
+    assert np.allclose(root[two], small, rtol=1e-14, atol=0.0)
+    # One triple at a time, as scalars, the same bits again.
+    for i in range(a.size):
+        one, ok = solve_peroxide_selected(a[i], b[i], c[i])
+        assert np.asarray(one).tobytes() == root[i].tobytes() and ok == feasible[i]
 
 
 def test_root_selection_continuity_under_perturbation():
@@ -236,7 +282,7 @@ def test_thinning_rate_definitional_identity(params):
 
 def test_hydroxyl_chain_matches_scalar_path(params, cond):
     volts = np.array([1.8, 2.2, V0_DEFAULT, 3.0])
-    batched = np.asarray(hydroxyl_chain(params, cond, volts))
+    batched = hydroxyl_chain_partials(params, cond, volts, params.k5_true)[0]
     for i, v in enumerate(volts):
         st = steady_state_radicals(params, cond, float(v))
         assert batched[i] == pytest.approx(st.c_ho, rel=1e-12)
@@ -247,8 +293,10 @@ def test_hydroxyl_chain_masks_infeasible(params, cond):
     # every voltage: c_HO is zeroed and counted, not raised.
     volts = np.linspace(1.5, 2.5, 6)
     diag = DiagnosticCounters()
-    out = hydroxyl_chain(dataclasses.replace(params, k2=0.1), cond, volts, diag=diag)
-    assert np.all(np.asarray(out) == 0.0)
+    out, dc_dv, dc_dk5 = hydroxyl_chain_partials(
+        dataclasses.replace(params, k2=0.1), cond, volts, params.k5_true, diag
+    )
+    assert np.all(out == 0.0) and np.all(dc_dv == 0.0) and np.all(dc_dk5 == 0.0)
     assert diag.chemistry_infeasible == len(volts)
     assert diag.hydroxyl_clamped == 0
 
@@ -260,8 +308,8 @@ def test_hydroxyl_chain_clamps_negative_k5(params, cond):
     diag = DiagnosticCounters()
     c_mem = membrane_molar_concentration(params)
     bad_k5 = -(params.k4 * params.c_O2 + 1.0) / c_mem
-    out = hydroxyl_chain(params, cond, volts, k5=bad_k5, diag=diag)
-    assert np.all(np.asarray(out) == 0.0)
+    out, dc_dv, dc_dk5 = hydroxyl_chain_partials(params, cond, volts, bad_k5, diag)
+    assert np.all(out == 0.0) and np.all(dc_dv == 0.0) and np.all(dc_dk5 == 0.0)
     assert diag.hydroxyl_clamped == len(volts)
     assert diag.chemistry_infeasible == 0
 
@@ -277,7 +325,8 @@ def test_hydroxyl_chain_clamps_negative_k5(params, cond):
     ],
 )
 def test_hydroxyl_chain_partials_match_dual(params, cond, k2, k5, regime):
-    # c_HO and its partials in V and k5 against hydroxyl_chain on Duals.
+    # c_HO and its partials in V and k5 against the generic hydroxyl_chain
+    # of reference_physics on Duals.
     # A negative k5 clamps the hydroxyl formula; k2 = 0.1 leaves the
     # peroxide quadratic without a positive root.
     if k2 is not None:
@@ -285,7 +334,7 @@ def test_hydroxyl_chain_partials_match_dual(params, cond, k2, k5, regime):
     volts = np.linspace(1.6, 3.2, 41)
     ref_diag = DiagnosticCounters()
     seeds = np.repeat(np.eye(2)[:, :, None], volts.size, axis=2)
-    ref = hydroxyl_chain(
+    ref = reference_physics.hydroxyl_chain(
         params, cond, Dual(volts, seeds[0]), k5=Dual(k5, seeds[1]), diag=ref_diag
     )
     diag = DiagnosticCounters()

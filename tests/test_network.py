@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference_physics
 from reference_loss import gradient, reference_gradient
 
 from pempinn.network import (
@@ -75,8 +76,11 @@ def test_toy_single_neuron_forward():
     weights = (np.array([[1.0]]), np.array([[0.7]]))
     biases = (np.zeros(1), np.zeros(1))
     tau = 0.35
-    y = mlp_forward(weights, biases, tau)
-    assert y[0] == pytest.approx(0.7 / (1 + np.exp(-tau)), rel=1e-14)
+    y = mlp_forward(weights, biases, np.array([tau]))
+    assert y.shape == (1, 1)
+    assert y[0, 0] == pytest.approx(0.7 / (1 + np.exp(-tau)), rel=1e-14)
+    ref = reference_physics.mlp_forward(weights, biases, tau)
+    assert ref[0] == pytest.approx(0.7 / (1 + np.exp(-tau)), rel=1e-14)
 
 
 def test_toy_derivative_quarter_slope_at_origin():
@@ -87,7 +91,9 @@ def test_toy_derivative_quarter_slope_at_origin():
     scale = 50.0
     weights = (np.array([[w_in]]), np.array([[1.0]]))
     biases = (np.zeros(1), np.zeros(1))
-    y = mlp_forward(weights, biases, Dual(0.0, 1.0 / scale))
+    _, dy, _ = mlp_with_tangent(weights, biases, np.array([0.0]))
+    assert dy[0, 0] / scale == pytest.approx(w_in / 4.0 / scale, rel=1e-13)
+    y = reference_physics.mlp_forward(weights, biases, Dual(0.0, 1.0 / scale))
     assert y[0].tangent == pytest.approx(w_in / 4.0 / scale, rel=1e-13)
 
 
@@ -187,7 +193,7 @@ def test_gradient_of_summed_outputs_matches_fd():
     tau = t / SCALE
 
     def loss_builder(lifted):
-        y = mlp_forward(lifted.weights, lifted.biases, tau)
+        y = reference_physics.mlp_forward(lifted.weights, lifted.biases, tau)
         return (y[0] * y[0]).sum() + (y[1] * y[1]).sum()
 
     g = gradient(net, loss_builder)
@@ -227,7 +233,7 @@ def test_forward_identical_between_plain_and_lifted():
     tau = np.linspace(0.0, 1.0, 33)
     plain = predict(net, tau * SCALE)
     lifted = LiftedParameters(net)
-    y = mlp_forward(lifted.weights, lifted.biases, tau)
+    y = reference_physics.mlp_forward(lifted.weights, lifted.biases, tau)
     assert np.array_equal(np.asarray(y[0].data) * net.v_ref, plain[0])
     assert np.array_equal(np.asarray(y[1].data) * net.t_mem_ref, plain[1])
 
@@ -275,8 +281,9 @@ def test_tangent_forward_matches_dual_forward():
     net = make_net(7)
     tau = np.linspace(-0.2, 1.3, 41)
     y, dy, _ = mlp_with_tangent(net.weights, net.biases, tau)
-    ref = mlp_forward(net.weights, net.biases, Dual(tau, 1.0))
+    ref = reference_physics.mlp_forward(net.weights, net.biases, Dual(tau, 1.0))
     assert y.shape == dy.shape == (2, tau.size)
+    assert np.array_equal(mlp_forward(net.weights, net.biases, tau), y)
     for i in range(2):
         assert np.array_equal(y[i], ref[i].primal)
         assert np.array_equal(dy[i], ref[i].tangent)

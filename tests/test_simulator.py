@@ -187,10 +187,10 @@ def _reference_steady_chemistry(i, kappa_w, e_cl, k2, k3, kc, v1):
 
 def _reference_derivative(
     t_mem, v_guess, k1v, k2v, k3v, p_over_a, kappa_w, e_cl, k2, k3, kc, v1,
-    frr_coeff, tr_conv, c_ho_override, v_tol,
+    frr_coeff, tr_conv, c_ho_override,
 ):
     v, iters, status = _kernel.solve_voltage(
-        k1v, k2v, k3v, p_over_a, t_mem, v_guess, v_tol, _kernel.V_MAX_ITER
+        k1v, k2v, k3v, p_over_a, t_mem, v_guess
     )
     if status != 0:
         return (0.0, math.nan, iters, 0.0, 0.0, 0.0, 0.0, status, 0, 0)
@@ -223,7 +223,6 @@ def _reference_rk4_thinning(
     frr_coeff,
     tr_conv,
     c_ho_override,
-    v_tol,
 ):
     n_out = n_steps + 1
     times = np.empty(n_out)
@@ -245,7 +244,7 @@ def _reference_rk4_thinning(
     for step in range(n_out):
         d, v, it, ch, cho, tr, frr, st, cl, inf = _reference_derivative(
             tm, v_guess, k1v, k2v, k3v, p_over_a, kappa_w, e_cl,
-            k2, k3, kc, v1, frr_coeff, tr_conv, c_ho_override, v_tol,
+            k2, k3, kc, v1, frr_coeff, tr_conv, c_ho_override,
         )
         if st != 0:
             status = st
@@ -273,7 +272,7 @@ def _reference_rk4_thinning(
             break
         d, v, it, ch, cho, tr, frr, st, cl, inf = _reference_derivative(
             tm2, v_guess, k1v, k2v, k3v, p_over_a, kappa_w, e_cl,
-            k2, k3, kc, v1, frr_coeff, tr_conv, c_ho_override, v_tol,
+            k2, k3, kc, v1, frr_coeff, tr_conv, c_ho_override,
         )
         if st != 0:
             status = st
@@ -290,7 +289,7 @@ def _reference_rk4_thinning(
             break
         d, v, it, ch, cho, tr, frr, st, cl, inf = _reference_derivative(
             tm3, v_guess, k1v, k2v, k3v, p_over_a, kappa_w, e_cl,
-            k2, k3, kc, v1, frr_coeff, tr_conv, c_ho_override, v_tol,
+            k2, k3, kc, v1, frr_coeff, tr_conv, c_ho_override,
         )
         if st != 0:
             status = st
@@ -307,7 +306,7 @@ def _reference_rk4_thinning(
             break
         d, v, it, ch, cho, tr, frr, st, cl, inf = _reference_derivative(
             tm4, v_guess, k1v, k2v, k3v, p_over_a, kappa_w, e_cl,
-            k2, k3, kc, v1, frr_coeff, tr_conv, c_ho_override, v_tol,
+            k2, k3, kc, v1, frr_coeff, tr_conv, c_ho_override,
         )
         if st != 0:
             status = st
@@ -370,7 +369,7 @@ def _run_kernel(args, progress=None):
 def _linear_branch(args, dkc):
     v, _, _ = _kernel.solve_voltage(
         args["k1v"], args["k2v"], args["k3v"], args["p_over_a"], args["t_mem0"],
-        1.8, args["v_tol"], _kernel.V_MAX_ITER,
+        1.8,
     )
     w = args["kappa_w"] * (args["p_over_a"] / v) / args["e_cl"]
     assert w - 3.0 * (w / 3.0) == 0.0
@@ -508,7 +507,6 @@ def test_inlined_newton_matches_solve_voltage(params, cond):
         assert _kernel.solve_voltage(
             co.k1V, co.k2V, co.k3V, co.P_over_A, t_mem,
             volts[k - 1] if k else 1.8,
-            _kernel.V_TOL, _kernel.V_MAX_ITER,
         ) == (volts[k], int(traj.solver_iterations[k]), 0)
 
 

@@ -3,11 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 from reference_loss import reference_gradient
+from reference_physics import (
+    hydroxyl_chain,
+    thinning_residual_terms,
+    voltage_residual_terms,
+)
 
 from pempinn import autodiff
 from pempinn.autodiff import Dual
 from pempinn.constants import K5_SCALE
-from pempinn.degradation import DiagnosticCounters, hydroxyl_chain, thinning_rate
+from pempinn.degradation import DiagnosticCounters, thinning_rate
 from pempinn.electrochem import solve_cell_voltage
 from pempinn.errors import ConfigError
 from pempinn.network import (
@@ -28,9 +33,7 @@ from pempinn.training import (
     composite_loss,
     evaluate,
     residual_partials,
-    thinning_residual_terms,
     train,
-    voltage_residual_terms,
 )
 
 
