@@ -37,7 +37,9 @@ from .simulator import (
     file_sha256,
     generate_dataset,
     integrate_trajectory,
+    json_key,
     load_dataset,
+    read_json_object,
     save_dataset,
     trajectory_arrays,
     trajectory_rows,
@@ -76,16 +78,11 @@ def _append_manifest(
     out_dir: Path, command: str, cfg: RunConfig, outputs, inputs=(), diagnostics=None
 ):
     manifest_path = out_dir / "manifest.json"
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ArtifactFormatError(f"{manifest_path}: not valid JSON ({exc})") from exc
-        if not isinstance(manifest, dict) or not isinstance(manifest.get("runs"), list):
-            raise ArtifactFormatError(f"{manifest_path}: missing list 'runs'")
-    else:
+    try:
+        manifest = read_json_object(manifest_path, ArtifactFormatError)
+    except FileNotFoundError:
         manifest = {"runs": []}
-    manifest["runs"].append(
+    json_key(manifest, "runs", "list", manifest_path, ArtifactFormatError).append(
         {
             "command": command,
             "tool_version": __version__,

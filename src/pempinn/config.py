@@ -3,22 +3,25 @@
 One JSON file holds every parameter of a run: physics constants, operating
 conditions, simulation/dataset settings, and training settings. Keys are
 the dataclass field names (they are unique across the four groups). The
-loader checks each value's kind against its field's annotation (``bool``,
-``int`` or finite ``float``), and each group's ``__post_init__`` checks
-its ranges; every error names the offending key. No function downstream
-checks a config value again.
+loader checks each value against its field's annotation by the kind rule
+of every JSON file the package reads (``simulator.JSON_KINDS``): ``bool``
+takes a boolean, ``int`` an integer, ``float`` a finite number that fits
+a float, and a boolean is never a number. Each group's ``__post_init__``
+checks its ranges. Every error names the offending key, and one from
+``load_config`` also the file. No function downstream checks a config
+value again.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, fields
+from functools import partial
 
 from .constants import OperatingConditions, PhysicsParameters
 from .errors import ConfigError
-from .simulator import SimulationSettings, atomic_open
+from .simulator import SimulationSettings, atomic_open, json_value, read_json_object
 from .training import TrainingConfig
 
 __all__ = ["RunConfig", "default_config", "load_config", "save_config", "config_hash"]
@@ -57,23 +60,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return out
 
 
-def _checked(key: str, kind: str, value):
-    """``value`` of ``key`` if it is of the field's kind; floats as float."""
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(key, f"expected a boolean, got {value!r}")
-        return value
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(key, f"expected an integer, got {value!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(key, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(key, f"expected a finite number, got {value!r}")
-    return float(value)
-
-
 def config_from_dict(data: dict) -> RunConfig:
     owner = {f.name: (name, f.type) for name, cls in _GROUPS for f in fields(cls)}
     unknown = [k for k in data if k not in owner]
@@ -83,7 +69,7 @@ def config_from_dict(data: dict) -> RunConfig:
     grouped: dict[str, dict] = {name: {} for name, _ in _GROUPS}
     for key, value in data.items():
         name, kind = owner[key]
-        grouped[name][key] = _checked(key, kind, value)
+        grouped[name][key] = json_value(value, kind, partial(ConfigError, key))
     return RunConfig(**{name: cls(**grouped[name]) for name, cls in _GROUPS})
 
 
@@ -95,14 +81,12 @@ def save_config(cfg: RunConfig, path) -> None:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ConfigError("<file>", f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("<file>", f"{path} must hold a flat JSON object")
-    return config_from_dict(data)
+    """The config in the JSON file ``path``; every error names the file."""
+    data = read_json_object(path, partial(ConfigError, "<file>"))
+    try:
+        return config_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(exc.key, f"{exc.message} (in {path})") from exc
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .autodiff import Value
 from .errors import ArtifactFormatError
-from .simulator import atomic_open
+from .simulator import atomic_open, json_key, json_value, read_json_object
 
 __all__ = [
     "LAYER_SIZES",
@@ -292,35 +292,24 @@ def save_checkpoint(params: NetworkParameters, path) -> None:
 
 def load_checkpoint(path) -> NetworkParameters:
     """Read a checkpoint; a file that is not UTF-8 JSON, has the wrong
-    ``format`` or ``version``, lacks a key, holds a non-finite value or a
+    ``format``, a ``version`` other than the integer 1, lacks a key, holds
+    a value that is not a finite number (``simulator.JSON_KINDS``) or a
     non-positive scale, or whose arrays do not chain into a 1-input,
-    2-output MLP, raises ArtifactFormatError naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ArtifactFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise ArtifactFormatError(f"{path}: must hold a JSON object")
+    2-output MLP, raises ArtifactFormatError naming the file, and the key
+    where one is at fault."""
+    payload = read_json_object(path, ArtifactFormatError)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ArtifactFormatError(
             f"{path}: not a checkpoint file (format {payload.get('format')!r})"
         )
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ArtifactFormatError(
-            f"{path}: unsupported checkpoint version {payload.get('version')!r}"
-        )
-    try:
-        weights = tuple(_frozen(w) for w in payload["weights"])
-        biases = tuple(_frozen(b) for b in payload["biases"])
-        scalars = {
-            key: float(payload[key])
-            for key in ("k5_hat", "input_scale", "v_ref", "t_mem_ref")
-        }
-    except KeyError as exc:
-        raise ArtifactFormatError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ArtifactFormatError(f"{path}: malformed value ({exc})") from exc
+    version = json_key(payload, "version", "int", path, ArtifactFormatError)
+    if version != CHECKPOINT_VERSION:
+        raise ArtifactFormatError(f"{path}: unsupported checkpoint version {version}")
+    weights, biases = (_layers(payload, key, path) for key in ("weights", "biases"))
+    scalars = {
+        key: json_key(payload, key, "float", path, ArtifactFormatError)
+        for key in ("k5_hat", "input_scale", "v_ref", "t_mem_ref")
+    }
     fan_in = LAYER_SIZES[0]
     for w, b in zip(weights, biases):
         if b.ndim != 1 or w.shape != (b.size, fan_in):
@@ -328,10 +317,6 @@ def load_checkpoint(path) -> NetworkParameters:
         fan_in = b.size
     if len(weights) != len(biases) or fan_in != LAYER_SIZES[-1]:
         raise ArtifactFormatError(f"{path}: layer shapes do not chain")
-    if not all(np.all(np.isfinite(a)) for a in weights + biases) or not all(
-        np.isfinite(v) for v in scalars.values()
-    ):
-        raise ArtifactFormatError(f"{path}: non-finite parameter")
     for key in ("input_scale", "v_ref", "t_mem_ref"):
         if scalars[key] <= 0.0:
             raise ArtifactFormatError(
@@ -340,7 +325,14 @@ def load_checkpoint(path) -> NetworkParameters:
     return NetworkParameters(weights=weights, biases=biases, **scalars)
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
+def _layers(payload: dict, key: str, path) -> tuple:
+    """``payload[key]``, a list of nested lists of finite numbers, as one
+    read-only float array per entry."""
+    where = f"{path}: key '{key}': "
+    layers = []
+    for values in json_key(payload, key, "list", path, ArtifactFormatError):
+        cells = np.array(values, dtype=object)  # a ragged row stays a list cell
+        floats = [json_value(v, "float", ArtifactFormatError, where) for v in cells.flat]
+        layers.append(np.reshape(floats, cells.shape))
+        layers[-1].setflags(write=False)
+    return tuple(layers)

@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,15 @@ _ROW_DTYPE = np.dtype(
     [("split", "U6"), ("t_hours", "f8"), ("voltage_V", "f8"), ("thickness_cm", "f8")]
 )
 _VALUE_COLUMNS = _ROW_DTYPE.names[1:]
+# The sidecar's keys, by kind: the Dataset fields it carries, then the
+# CSV's digest.
+_SIDECAR_KINDS = {
+    "noise_sigma_v": "float",
+    "noise_sigma_mem": "float",
+    "train_fraction": "float",
+    "seed": "uint",
+    "sha256": "str",
+}
 _HASH_CHUNK_BYTES = 1 << 20
 TRAJECTORY_HEADER = "t_hours,voltage_V,thickness_cm\n"
 DIAGNOSTICS_HEADER = (
@@ -348,7 +358,8 @@ def load_dataset(path) -> Dataset:
     - the sidecar ``<path>.meta.json`` exists and is a JSON object with
       finite numbers ``noise_sigma_v``, ``noise_sigma_mem`` and
       ``train_fraction``, a non-negative integer ``seed`` and a string
-      ``sha256``;
+      ``sha256``, by the kinds of ``JSON_KINDS`` (a boolean or a string is
+      never a number, and a number must fit a float);
     - that ``sha256`` is the digest of the CSV. It is compared after the
       rows are parsed, so a bad row is reported with its line first.
     """
@@ -388,12 +399,19 @@ def load_dataset(path) -> Dataset:
     if not is_train.any() or not is_test.any():
         raise DatasetFormatError(f"{path}: needs both train and test rows")
 
-    meta = _read_sidecar(path)
-    digest = file_sha256(path)
-    if digest != meta["sha256"]:
+    meta_path = f"{path}.meta.json"
+    try:
+        meta = read_json_object(meta_path, DatasetFormatError)
+    except FileNotFoundError as exc:
+        raise DatasetFormatError(f"{path}: missing sidecar {meta_path}") from exc
+    meta = {
+        key: json_key(meta, key, kind, meta_path, DatasetFormatError)
+        for key, kind in _SIDECAR_KINDS.items()
+    }
+    recorded, digest = meta.pop("sha256"), file_sha256(path)
+    if digest != recorded:
         raise DatasetFormatError(
-            f"{path}: sha256 {digest} does not match {path}.meta.json "
-            f"(sha256 {meta['sha256']})"
+            f"{path}: sha256 {digest} does not match {meta_path} (sha256 {recorded})"
         )
 
     return Dataset(
@@ -403,10 +421,7 @@ def load_dataset(path) -> Dataset:
         test_times=t[is_test],
         test_voltages=v[is_test],
         test_thicknesses=m[is_test],
-        noise_sigma_v=float(meta["noise_sigma_v"]),
-        noise_sigma_mem=float(meta["noise_sigma_mem"]),
-        seed=meta["seed"],
-        train_fraction=float(meta["train_fraction"]),
+        **meta,
     )
 
 
@@ -446,46 +461,52 @@ def _bad_row(path, index, exc) -> DatasetFormatError:
     return DatasetFormatError(f"{path}: bad row ({exc})")
 
 
-def _is_finite_number(value) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
-_SIDECAR_KEYS = (
-    ("noise_sigma_v", _is_finite_number, "a finite number"),
-    ("noise_sigma_mem", _is_finite_number, "a finite number"),
-    ("train_fraction", _is_finite_number, "a finite number"),
-    (
-        "seed",
-        lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
-        "a non-negative integer",
+# What a value read from a JSON file may be: each kind's name in error
+# messages, and its test. JSON gives exact types, and a boolean is never a
+# number. A finite number fits a float, so NaN, +-inf and an integer too
+# large for a float all fail the one comparison.
+JSON_KINDS = {
+    "bool": ("a boolean", lambda v: type(v) is bool),
+    "int": ("an integer", lambda v: type(v) is int),
+    "uint": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    "float": (
+        "a finite number",
+        lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
     ),
-    ("sha256", lambda v: isinstance(v, str), "a string"),
-)
+    "str": ("a string", lambda v: type(v) is str),
+    "list": ("a list", lambda v: type(v) is list),
+}
 
 
-def _read_sidecar(path) -> dict:
-    meta_path = f"{path}.meta.json"
-    try:
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DatasetFormatError(f"{path}: missing sidecar {meta_path}") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise DatasetFormatError(f"{meta_path}: not valid JSON ({exc})") from exc
-    if not isinstance(meta, dict):
-        raise DatasetFormatError(f"{meta_path}: must hold a JSON object")
-    for key, valid, kind in _SIDECAR_KEYS:
-        if key not in meta:
-            raise DatasetFormatError(f"{meta_path}: missing key '{key}'")
-        if not valid(meta[key]):
-            raise DatasetFormatError(
-                f"{meta_path}: key '{key}' must be {kind}, not {meta[key]!r}"
-            )
-    return meta
+def read_json_object(path, error) -> dict:
+    """The JSON object in the UTF-8 file ``path``; any other content raises
+    ``error(message)`` naming ``path``, and a missing file FileNotFoundError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+            raise error(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise error(f"{path}: must hold a JSON object")
+    return data
+
+
+def json_value(value, kind: str, error, where: str = ""):
+    """``value`` if it is of ``kind``, a key of ``JSON_KINDS``, a finite
+    number as a float; else raises ``error(where + "expected <kind>, got
+    <repr>")``."""
+    name, valid = JSON_KINDS[kind]
+    if not valid(value):
+        raise error(f"{where}expected {name}, got {value!r}")
+    return float(value) if kind == "float" else value
+
+
+def json_key(data: dict, key: str, kind: str, path, error):
+    """``json_value`` of ``data[key]``, read from the file ``path``; any
+    fault raises ``error(message)`` naming ``path`` and ``key``."""
+    if key not in data:
+        raise error(f"{path}: missing key '{key}'")
+    return json_value(data[key], kind, error, f"{path}: key '{key}': ")
 
 
 @contextlib.contextmanager

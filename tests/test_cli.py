@@ -67,7 +67,7 @@ def test_config_reports_offending_key():
         config_from_dict(data)
 
 
-_KIND_REJECTS = {"bool": [1], "int": [1.5, True], "float": ["1", True]}
+_KIND_REJECTS = {"bool": [1], "int": [1.5, True], "float": ["1", True, 10**400]}
 
 
 @pytest.mark.parametrize(
@@ -112,7 +112,9 @@ def test_config_file_with_nan_exits_2(tmp_path, capsys):
     assert "NaN" in path.read_text()
     code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "learning_rate" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "learning_rate" in err
+    assert str(path) in err
 
 
 # Keys that no equation read, which older configs still hold, with the
@@ -265,6 +267,18 @@ def test_damaged_checkpoint_exits_4(tmp_path, fast_config, capsys):
         ("t_mem_ref", -0.0175),
     ):
         damaged[f"{key}_{value:g}"] = json.dumps(dict(payload, **{key: value}))
+    # A string or a boolean loaded as a number and evaluate exited 0; an
+    # integer too large for a float crashed with an OverflowError.
+    for key, value in (("k5_hat", "1.5"), ("v_ref", True), ("k5_hat", 10**400)):
+        damaged[f"{key}_{type(value).__name__}"] = json.dumps(
+            dict(payload, **{key: value})
+        )
+    for key, value in (("weights", "0.25"), ("biases", True), ("weights", 10**400)):
+        layers = json.loads(json.dumps(payload[key]))  # a deep copy
+        (layers[1][0] if key == "weights" else layers[1])[0] = value
+        damaged[f"{key}_{type(value).__name__}"] = json.dumps(
+            dict(payload, **{key: layers})
+        )
     for name, body in damaged.items():
         bad = tmp_path / f"{name}.json"
         bad.write_text(body)
@@ -281,16 +295,26 @@ def test_damaged_checkpoint_exits_4(tmp_path, fast_config, capsys):
         assert code == 4, name
         err = capsys.readouterr().err
         assert str(bad) in err, name
-        if name.startswith(("input_scale", "v_ref", "t_mem_ref")):
+        if name.startswith(
+            ("input_scale", "v_ref", "t_mem_ref", "k5_hat", "weights", "biases")
+        ):
             assert f"'{name.rsplit('_', 1)[0]}'" in err, name
         assert not (tmp_path / "eval" / "metrics.json").exists(), name
 
 
-@pytest.mark.parametrize("field", ["format", "version"])
-def test_checkpoint_with_wrong_header_exits_4(tmp_path, fast_config, capsys, field):
+@pytest.mark.parametrize(
+    "field, value",
+    [("format", "some-other-file"), ("version", 99), ("version", True),
+     ("version", 1.0)],
+    ids=["format", "version", "version_true", "version_float"],
+)
+def test_checkpoint_with_wrong_header_exits_4(
+    tmp_path, fast_config, capsys, field, value
+):
+    # A version of true or 1.0 passed as version 1.
     ds_path, ckpt = _trained_checkpoint(tmp_path, fast_config)
     payload = json.loads(ckpt.read_text())
-    payload[field] = {"format": "some-other-file", "version": 99}[field]
+    payload[field] = value
     bad = tmp_path / "wrong_header.json"
     bad.write_text(json.dumps(payload))
     capsys.readouterr()
@@ -304,7 +328,9 @@ def test_checkpoint_with_wrong_header_exits_4(tmp_path, fast_config, capsys, fie
         ]
     )
     assert code == 4
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert field in err
 
 
 # -- dataset boundary ----------------------------------------------------------
@@ -441,6 +467,43 @@ def test_input_that_is_not_utf8_exits_with_its_code(
         ]
     ) == code
     assert str(target) in capsys.readouterr().err
+
+
+# Nested deeper than the JSON parser recurses, this crashed with a
+# RecursionError traceback.
+_DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("body", ["[]", _DEEP_ARRAY], ids=["array", "deep_array"])
+@pytest.mark.parametrize(
+    "kind, code", [("config", 2), ("sidecar", 4), ("checkpoint", 4), ("manifest", 4)]
+)
+def test_json_input_that_is_not_an_object_exits_with_its_code(
+    tmp_path, fast_config, capsys, kind, code, body
+):
+    # All four go through one reader, which needs a JSON object.
+    ds_path, ckpt = _trained_checkpoint(tmp_path, fast_config)
+    out = tmp_path / "eval"
+    out.mkdir()
+    target = {
+        "config": fast_config,
+        "sidecar": Path(f"{ds_path}.meta.json"),
+        "checkpoint": ckpt,
+        "manifest": out / "manifest.json",
+    }[kind]
+    target.write_text(body)
+    capsys.readouterr()
+    assert main(
+        [
+            "evaluate",
+            "--config", str(fast_config),
+            "--checkpoint", str(ckpt),
+            "--data", str(ds_path),
+            "--out", str(out),
+        ]
+    ) == code
+    assert str(target) in capsys.readouterr().err
+    assert target.read_text() == body  # left as found
 
 
 def test_train_no_physics_flag(tmp_path, fast_config):

@@ -758,8 +758,10 @@ def test_load_checks_sidecar_sha256(tmp_path, small_dataset):
         (lambda meta: meta.update(noise_sigma_v="0.01"), "noise_sigma_v"),
         (lambda meta: meta.update(train_fraction=float("nan")), "train_fraction"),
         (lambda meta: meta.update(seed=1.5), "seed"),
+        (lambda meta: meta.update(noise_sigma_v=10**400), "noise_sigma_v"),
     ],
-    ids=["no_seed", "no_sha256", "string_sigma", "nan_fraction", "float_seed"],
+    ids=["no_seed", "no_sha256", "string_sigma", "nan_fraction", "float_seed",
+         "huge_int_sigma"],
 )
 def test_load_validates_sidecar_keys(tmp_path, small_dataset, edit, key):
     path = tmp_path / "ds.csv"
