@@ -82,7 +82,8 @@ def _append_manifest(
         manifest = read_json_object(manifest_path, ArtifactFormatError)
     except FileNotFoundError:
         manifest = {"runs": []}
-    json_key(manifest, "runs", "list", manifest_path, ArtifactFormatError).append(
+    runs = json_key(manifest, "runs", "list", manifest_path, ArtifactFormatError)
+    runs.append(
         {
             "command": command,
             "tool_version": __version__,
@@ -101,7 +102,7 @@ def _append_manifest(
         }
     )
     if diagnostics is not None:
-        manifest["runs"][-1]["diagnostics"] = diagnostics
+        runs[-1]["diagnostics"] = diagnostics
     with atomic_open(manifest_path) as fh:
         fh.write(json.dumps(manifest, indent=2) + "\n")
 

@@ -269,7 +269,9 @@ def test_damaged_checkpoint_exits_4(tmp_path, fast_config, capsys):
         damaged[f"{key}_{value:g}"] = json.dumps(dict(payload, **{key: value}))
     # A string or a boolean loaded as a number and evaluate exited 0; an
     # integer too large for a float crashed with an OverflowError.
-    for key, value in (("k5_hat", "1.5"), ("v_ref", True), ("k5_hat", 10**400)):
+    for key, value in (
+        ("k5_hat", "1.5"), ("v_ref", True), ("k5_hat", 10**400), ("weights", 0.5)
+    ):
         damaged[f"{key}_{type(value).__name__}"] = json.dumps(
             dict(payload, **{key: value})
         )
