@@ -5,9 +5,9 @@ Subpackage map: constants (registry and config), electrochem (voltage
 model), degradation (radical chemistry and thinning), simulator (trajectory
 and dataset generation), network (MLP, its tangent pass and VJP,
 checkpoints), training (composite loss, Adam, metrics), cli (pipeline
-commands). All of them run on plain floats and numpy arrays. autodiff
-(dual numbers and a reverse-mode graph) is the tests' differentiation
-reference; no command uses it.
+commands). All of them run on plain floats and numpy arrays. No command
+and no test oracle runs autodiff (a reverse-mode graph): the tests pin the
+closed-form derivatives to complex steps of a plain-numpy reference.
 """
 
 __version__ = "0.1.0"

@@ -1,28 +1,15 @@
-"""Minimal automatic differentiation over numpy payloads.
+"""Minimal reverse-mode automatic differentiation over numpy payloads.
 
-Training differentiates its loss in closed form on plain arrays, and no
-command runs this module; it is the reference those closed forms are
-pinned to in the tests. The generic definitions in
-``tests/reference_physics.py`` (the network forward pass, the physics
-residuals, the radical chain) are written against its front-ends, so one
-definition runs on floats, arrays, ``Value`` and ``Dual``. It has the ops
-that code and the test-reference loss use and no others: ``+ - * /``,
-negation, ``sqrt``, ``sigmoid``, ``where``/``maximum``, ``@``, indexing,
-``sum`` and ``mean``.
+Training differentiates its loss in closed form on plain arrays, and the
+tests pin those closed forms to complex-step derivatives of a plain-numpy
+reference (``tests/complex_step.py``), so no command and no oracle runs
+this module. It stays, with its own unit tests, because the benchmark's
+tracer (``perfbench/spans.py``) patches ``Value.backward``.
 
-* ``Dual`` carries a ``(primal, tangent)`` pair through arithmetic, so the
-  tangent of the output is the directional derivative along the seeded
-  input direction (forward mode). The tangent may carry extra leading
-  axes: a ``(k, N)`` tangent over an ``(N,)`` primal tracks k directions
-  at once, as the tests' ``(5, N)`` block of residual partials does.
 * ``Value`` is a node in a dynamically built computation graph. Calling
   :meth:`Value.backward` on a scalar result accumulates d(result)/d(leaf)
-  into every leaf's ``grad`` (reverse mode).
-
-A ``Dual`` whose components are ``Value`` nodes gives forward-over-reverse:
-the tangent tracks a derivative with respect to the network input while the
-graph underneath still exposes parameter gradients through one backward
-sweep, as in the tests' reference loss.
+  into every leaf's ``grad`` (reverse mode). It has ``+ - * /``,
+  negation, ``sqrt``, ``sigmoid``, ``@``, indexing, ``sum`` and ``mean``.
 
 Payloads are python floats or numpy arrays of up to two dimensions: a
 weight matrix, an ``(n, 1)`` bias column, an ``(n, N)`` block of
@@ -41,17 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "Value",
-    "Dual",
-    "BackwardError",
-    "sqrt",
-    "sigmoid",
-    "where",
-    "maximum",
-    "matmul",
-    "primal",
-]
+__all__ = ["Value", "BackwardError"]
 
 
 class BackwardError(RuntimeError):
@@ -105,8 +82,6 @@ class Value:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Dual):
-            return NotImplemented
         other = other if isinstance(other, Value) else Value(other)
         out = Value(self.data + other.data, (self, other), "+")
 
@@ -120,8 +95,6 @@ class Value:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Dual):
-            return NotImplemented
         other = other if isinstance(other, Value) else Value(other)
         out = Value(self.data - other.data, (self, other), "-")
 
@@ -145,8 +118,6 @@ class Value:
         return out
 
     def __mul__(self, other):
-        if isinstance(other, Dual):
-            return NotImplemented
         other = other if isinstance(other, Value) else Value(other)
         out = Value(self.data * other.data, (self, other), "*")
 
@@ -160,8 +131,6 @@ class Value:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Dual):
-            return NotImplemented
         other = other if isinstance(other, Value) else Value(other)
         inv = 1.0 / other.data
         out = Value(self.data * inv, (self, other), "/")
@@ -180,8 +149,6 @@ class Value:
 
     def __matmul__(self, other):
         """Matrix product of 2-d payloads."""
-        if isinstance(other, Dual):
-            return NotImplemented
         other = other if isinstance(other, Value) else Value(other)
         out = Value(self.data @ other.data, (self, other), "@")
 
@@ -276,129 +243,3 @@ class Value:
                 raise BackwardError(
                     f"non-finite gradient at node type '{node._op}'"
                 )
-
-
-class Dual:
-    """Forward-mode pair. Components may be floats, arrays, or Values."""
-
-    __slots__ = ("primal", "tangent")
-    __array_ufunc__ = None
-
-    def __init__(self, primal, tangent):
-        self.primal = primal
-        self.tangent = tangent
-
-    def __repr__(self):
-        return f"Dual({self.primal!r}, {self.tangent!r})"
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.primal + other.primal, self.tangent + other.tangent)
-        return Dual(self.primal + other, self.tangent)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.primal - other.primal, self.tangent - other.tangent)
-        return Dual(self.primal - other, self.tangent)
-
-    def __neg__(self):
-        return Dual(-self.primal, -self.tangent)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(
-                self.primal * other.primal,
-                self.primal * other.tangent + self.tangent * other.primal,
-            )
-        return Dual(self.primal * other, self.tangent * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            inv = 1.0 / other.primal
-            return Dual(
-                self.primal * inv,
-                (self.tangent - self.primal * inv * other.tangent) * inv,
-            )
-        return Dual(self.primal / other, self.tangent / other)
-
-    def __rtruediv__(self, other):
-        inv = 1.0 / self.primal
-        return Dual(other * inv, -other * inv * inv * self.tangent)
-
-    def sqrt(self):
-        root = sqrt(self.primal)
-        return Dual(root, self.tangent * 0.5 / root)
-
-    def sigmoid(self):
-        s = sigmoid(self.primal)
-        return Dual(s, self.tangent * (s * (1.0 - s)))
-
-    def __getitem__(self, key):
-        return Dual(self.primal[key], self.tangent[key])
-
-
-# -- generic front-ends: dispatch on the payload type -------------------------
-
-
-def sqrt(x):
-    if isinstance(x, (Value, Dual)):
-        return x.sqrt()
-    return np.sqrt(x)
-
-
-def sigmoid(x):
-    if isinstance(x, (Value, Dual)):
-        return x.sigmoid()
-    s = _sigmoid_raw(x)
-    return float(s) if np.ndim(x) == 0 else s
-
-
-def primal(x):
-    """Strip Dual/Value wrappers down to the raw float or array."""
-    while isinstance(x, (Value, Dual)):
-        x = x.primal if isinstance(x, Dual) else x.data
-    return x
-
-
-def where(mask, a, b):
-    """Branchless select on a raw boolean mask (the mask carries no gradient)."""
-    mask = np.asarray(mask, dtype=bool)
-    if isinstance(a, Dual) or isinstance(b, Dual):
-        pa, ta = (a.primal, a.tangent) if isinstance(a, Dual) else (a, 0.0)
-        pb, tb = (b.primal, b.tangent) if isinstance(b, Dual) else (b, 0.0)
-        return Dual(where(mask, pa, pb), where(mask, ta, tb))
-    if isinstance(a, Value) or isinstance(b, Value):
-        a = a if isinstance(a, Value) else Value(a)
-        b = b if isinstance(b, Value) else Value(b)
-        out = Value(np.where(mask, a.data, b.data), (a, b), "where")
-        keep = mask.astype(float)
-        drop = 1.0 - keep
-
-        def back():
-            a.grad = a.grad + _reduce_to(out.grad * keep, a.data)
-            b.grad = b.grad + _reduce_to(out.grad * drop, b.data)
-
-        out._backward = back
-        return out
-    picked = np.where(mask, a, b)
-    if np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(mask) == 0:
-        return float(picked)
-    return picked
-
-
-def maximum(x, floor):
-    """max(x, floor) with subgradient 0 on the clamped side."""
-    return where(primal(x) > primal(floor), x, floor)
-
-
-def matmul(a, b):
-    """``a @ b`` for arrays and Values; a Dual right operand maps to
-    ``Dual(a @ primal, a @ tangent)``, since the product is linear in it."""
-    if isinstance(b, Dual):
-        return Dual(a @ b.primal, a @ b.tangent)
-    return a @ b
-

@@ -7,9 +7,11 @@ loader checks each value against its field's annotation by the kind rule
 of every JSON file the package reads (``simulator.JSON_KINDS``): ``bool``
 takes a boolean, ``int`` an integer, ``float`` a finite number that fits
 a float, and a boolean is never a number. Each group's ``__post_init__``
-checks its ranges. Every error names the offending key, and one from
-``load_config`` also the file. No function downstream checks a config
-value again.
+checks its ranges, every array size has an upper bound
+(``simulator.MAX_COUNT``), and ``RunConfig`` checks that the RK4 step
+``t_max / n_steps`` does not round to 0. Every error names the offending
+key, and one from ``load_config`` also the file. No function downstream
+checks a config value again.
 """
 
 from __future__ import annotations
@@ -40,6 +42,15 @@ class RunConfig:
     conditions: OperatingConditions
     simulation: SimulationSettings
     training: TrainingConfig
+
+    def __post_init__(self):
+        # The RK4 step: one that rounds to 0 stacks every sample at t = 0.
+        if self.conditions.t_max / self.simulation.n_steps == 0.0:
+            raise ConfigError(
+                "t_max",
+                f"the step t_max / n_steps rounds to 0 for t_max "
+                f"{self.conditions.t_max} and n_steps {self.simulation.n_steps}",
+            )
 
 
 def default_config() -> RunConfig:

@@ -5,8 +5,8 @@ quadratic -> hydroxyl concentration -> fluoride release -> thinning rate.
 
 Everything here runs on plain floats and numpy arrays. Training takes
 c_HO and its partials in V and k5 from :func:`hydroxyl_chain_partials`;
-the tests pin those partials to a generic copy of the chain evaluated on
-dual numbers (``tests/reference_physics.py``).
+the tests pin those partials to complex-step derivatives of a plain-numpy
+copy of the chain (``tests/reference_physics.py``).
 
 Unit notes: concentrations mol/m3, rates mol/(m3 s), thickness cm, fluoride
 release ug/(h cm2), thinning rate cm/h. The composed conversion factor in

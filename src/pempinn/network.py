@@ -23,9 +23,9 @@ plain arrays:
   differentiated through these two, with no graph.
 
 :class:`LiftedParameters` re-expresses the parameters as
-:class:`~pempinn.autodiff.Value` leaves for the tests' reverse-mode
-reference loss, which runs a generic copy of the forward pass
-(``tests/reference_physics.py``).
+:class:`~pempinn.autodiff.Value` leaves, for the reverse-mode engine's own
+tests; the training gradient's reference is a complex-step derivative of a
+plain-numpy copy of the forward pass (``tests/reference_physics.py``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Value
 from .errors import ArtifactFormatError
 from .simulator import atomic_open, json_key, json_value, read_json_object
 
@@ -215,6 +214,8 @@ class LiftedParameters:
     """
 
     def __init__(self, params: NetworkParameters):
+        from .autodiff import Value  # here, so that the CLI does not load it
+
         self.input_scale = params.input_scale
         self.v_ref = params.v_ref
         self.t_mem_ref = params.t_mem_ref

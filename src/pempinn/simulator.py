@@ -70,6 +70,12 @@ DIAGNOSTICS_HEADER = (
 )
 
 
+# Upper bound of every array size a config sets (integration steps, dataset
+# rows, collocation points): each unit costs tens of bytes or more, and a
+# larger size fails deep inside numpy or mmap instead of at the boundary.
+MAX_COUNT = 1 << 20
+
+
 @dataclass(frozen=True)
 class SimulationSettings:
     """Knobs of the data-generation pipeline."""
@@ -81,12 +87,12 @@ class SimulationSettings:
     dataset_seed: int = 11
 
     def __post_init__(self):
-        if self.n_steps < 10:
-            raise ConfigError("n_steps", "need at least 10 integration steps")
-        if self.n_train < 2:
-            raise ConfigError("n_train", "need at least 2 training points")
-        if self.n_test < 2:
-            raise ConfigError("n_test", "need at least 2 test points")
+        if not 10 <= self.n_steps <= MAX_COUNT:
+            raise ConfigError("n_steps", f"need 10 to {MAX_COUNT} integration steps")
+        if not 2 <= self.n_train <= MAX_COUNT:
+            raise ConfigError("n_train", f"need 2 to {MAX_COUNT} training points")
+        if not 2 <= self.n_test <= MAX_COUNT:
+            raise ConfigError("n_test", f"need 2 to {MAX_COUNT} test points")
         if not 0.0 < self.train_fraction <= 1.0:
             raise ConfigError("train_fraction", "must lie in (0, 1]")
         if self.dataset_seed < 0:

@@ -27,9 +27,9 @@ and :func:`~pempinn.network.mlp_with_tangent_vjp` carries them to the
 weights.
 
 Everything here runs on plain arrays. The tests pin the closed-form
-partials to a generic copy of the two residuals evaluated on dual numbers,
-and the gradient to a reverse-mode reference loss
-(``tests/reference_physics.py``, ``tests/reference_loss.py``).
+partials, and the gradient, to complex-step derivatives of a plain-numpy
+copy of the two residuals and of the loss (``tests/reference_physics.py``,
+``tests/reference_loss.py``).
 
 Training is full-batch Adam, bitwise deterministic for a given seed.
 """
@@ -59,6 +59,7 @@ from .network import (
     predict,
     unflatten,
 )
+from .simulator import MAX_COUNT
 
 __all__ = [
     "TrainingConfig",
@@ -108,8 +109,10 @@ class TrainingConfig:
             raise ConfigError("learning_rate", "must be positive")
         if self.max_epochs < 0:
             raise ConfigError("max_epochs", "must be non-negative")
-        if self.n_collocation < 2:
-            raise ConfigError("n_collocation", "need at least 2 collocation points")
+        if not 2 <= self.n_collocation <= MAX_COUNT:
+            raise ConfigError(
+                "n_collocation", f"need 2 to {MAX_COUNT} collocation points"
+            )
         for key in ("lambda_v", "lambda_tmem", "lambda_ic"):
             if getattr(self, key) < 0.0:
                 raise ConfigError(key, "loss weights must be non-negative")

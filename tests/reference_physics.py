@@ -1,22 +1,18 @@
-"""Generic definitions of the network forward pass and the two physics
-residuals, the oracle the package's plain-array code is pinned to.
+"""Plain-numpy definitions of the network forward pass and the two physics
+residuals, the oracle the package's closed-form code is pinned to.
 
-Each function here runs unchanged on floats, numpy arrays and the
-``Dual``/``Value`` numbers of :mod:`pempinn.autodiff`, through its
-``where``/``sqrt``/``maximum``/``matmul``/``sigmoid``/``primal``
-front-ends. Evaluated on ``Dual`` numbers they give the derivatives that
-``training.residual_partials`` and ``degradation.hydroxyl_chain_partials``
-write in closed form, and on ``Value`` leaves (with
-:class:`~pempinn.network.LiftedParameters`) they build the graph of the
-reverse-mode reference loss in ``reference_loss.py``. The arithmetic-only
-helpers of :mod:`pempinn.degradation` (``water_velocity``,
-``peroxide_quadratic_coefficients``, ``thinning_rate``) are generic as
-they stand and are used from there.
+Each function here runs unchanged on real and on complex arrays, so
+``complex_step.py`` differentiates it: every comparison and mask reads the
+real part, and the clamps are ``where(real(x) > floor, x, floor)`` with the
+strict ``>`` production uses, so a clamped entry carries no derivative. On
+real input they give the bits the tests pin production's forward pass and
+root selection to. The arithmetic-only helpers of :mod:`pempinn.degradation`
+(``water_velocity``, ``peroxide_quadratic_coefficients``,
+``thinning_rate``) are analytic as they stand and are used from there.
 """
 
 import numpy as np
 
-from pempinn.autodiff import Dual, Value, matmul, maximum, primal, sigmoid, sqrt, where
 from pempinn.constants import K5_SCALE
 from pempinn.degradation import (
     peroxide_quadratic_coefficients,
@@ -28,30 +24,36 @@ from pempinn.training import CLAMP_EPS
 # -- network -------------------------------------------------------------------
 
 
-def mlp_forward(weights, biases, x):
-    """Forward pass; sigmoid hidden layers, affine output layer.
+def sigmoid(z):
+    """Logistic function: the analytic 1/(1 + exp(-z)) on complex input,
+    the overflow-safe form on real input."""
+    if np.iscomplexobj(z):
+        return 1.0 / (1.0 + np.exp(-z))
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    ``x`` is a float or a 1-d array of points (or a Dual of either); it is
-    laid out as one ``(1, N)`` row and each layer maps ``(fan_in, N)`` to
-    ``(fan_out, N)``. Returns one output per network output, each in the
-    shape of ``x``. Bias leaves of LiftedParameters are ``(n, 1)`` columns
-    already; plain ``(n,)`` biases are reshaped to columns here.
+
+def mlp_forward(weights, biases, tau):
+    """Outputs and their tau-derivatives, ``(y, dy)``, as ``(n_out, N)``
+    blocks at the points of ``tau`` (a float or a 1-d array); sigmoid
+    hidden layers, affine output layer.
+
+    The tangent recursion is sigma(z)' = s (1 - s) z', seeded with
+    d(tau)/d(tau) = 1; it is analytic in the parameters, so a complex step
+    in a weight differentiates ``dy`` too.
     """
-    a = _as_row(x)
-    cols = slice(None) if np.ndim(primal(x)) else 0
+    a = np.reshape(tau, (1, -1))
+    da = np.ones_like(a)
     last = len(weights) - 1
     for layer, (w, b) in enumerate(zip(weights, biases)):
-        a = matmul(w, a) + (b if isinstance(b, Value) else np.reshape(b, (-1, 1)))
+        z = w @ a + np.reshape(b, (-1, 1))
+        dz = w @ da
         if layer < last:
-            a = sigmoid(a)
-    return [a[i, cols] for i in range(np.shape(primal(weights[-1]))[0])]
-
-
-def _as_row(x):
-    if isinstance(x, Dual):
-        p = np.reshape(x.primal, (1, -1))
-        return Dual(p, np.broadcast_to(x.tangent, p.shape))
-    return np.reshape(x, (1, -1))
+            a = sigmoid(z)
+            da = dz * (a * (1.0 - a))
+        else:
+            a, da = z, dz
+    return a, da
 
 
 # -- radical chemistry ---------------------------------------------------------
@@ -59,36 +61,30 @@ def _as_row(x):
 
 def solve_peroxide_selected(a, b, c):
     """Smallest strictly positive root of A c^2 + B c + C = 0 and its
-    feasibility mask, selected on the primals; the selected root carries
-    the tangent of its closed form. Infeasible entries hold 1.0."""
-    pa = np.asarray(primal(a))
-    pb = np.asarray(primal(b))
+    feasibility mask, selected on the real parts; the selected root keeps
+    the imaginary part of its closed form. Infeasible entries hold 1.0."""
+    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
+    pb = np.real(b)
 
-    lin_mask = pa == 0.0
-    b_safe = where(pb != 0.0, b, 1.0)
-    lin_root = -c / b_safe
-    lin_feas = lin_mask & (pb != 0.0) & (np.asarray(primal(lin_root)) > 0.0)
+    lin_mask = np.real(a) == 0.0
+    lin_root = -c / np.where(pb != 0.0, b, 1.0)
+    lin_feas = lin_mask & (pb != 0.0) & (np.real(lin_root) > 0.0)
 
     disc = b * b - 4.0 * a * c
-    disc_ok = np.asarray(primal(disc)) >= 0.0
-    sq = sqrt(where(disc_ok, disc, 0.0))
-    q = where(pb >= 0.0, -(b + sq), -(b - sq)) * 0.5
-    pq = np.asarray(primal(q))
-    a_safe = where(lin_mask, 1.0, a)
-    q_safe = where(pq != 0.0, q, 1.0)
-    r1 = q / a_safe
-    r2 = where(pq != 0.0, c / q_safe, r1)
-    p1 = np.asarray(primal(r1))
-    p2 = np.asarray(primal(r2))
+    disc_ok = np.real(disc) >= 0.0
+    sq = np.sqrt(np.where(disc_ok, disc, 0.0))
+    q = np.where(pb >= 0.0, -(b + sq), -(b - sq)) * 0.5
+    pq = np.real(q)
+    r1 = q / np.where(lin_mask, 1.0, a)
+    r2 = np.where(pq != 0.0, c / np.where(pq != 0.0, q, 1.0), r1)
+    p1, p2 = np.real(r1), np.real(r2)
     pos1 = disc_ok & (p1 > 0.0) & ~lin_mask
     pos2 = disc_ok & (p2 > 0.0) & ~lin_mask
     pick1 = pos1 & (~pos2 | (p1 <= p2))
-    quad_root = where(pick1, r1, where(pos2, r2, 1.0))
-    quad_feas = pos1 | pos2
+    quad_root = np.where(pick1, r1, np.where(pos2, r2, 1.0))
 
-    root = where(lin_mask, where(lin_feas, lin_root, 1.0), quad_root)
-    feasible = np.asarray(lin_feas | quad_feas)
-    return root, feasible
+    root = np.where(lin_mask, np.where(lin_feas, lin_root, 1.0), quad_root)
+    return root, lin_feas | pos1 | pos2
 
 
 def hydroxyl_chain(params, cond, v, k5=None, diag=None):
@@ -100,10 +96,10 @@ def hydroxyl_chain(params, cond, v, k5=None, diag=None):
         diag.count("chemistry_infeasible", np.sum(~feasible))
     w = water_velocity(params, cond, v) / params.e_cl
     raw = w / params.k3 - params.k2 / params.k3 - params.v1 / (params.k3 * root)
-    raw_positive = np.asarray(primal(raw)) > 0.0
+    raw_positive = np.real(raw) > 0.0
     if diag is not None:
         diag.count("hydroxyl_clamped", np.sum(feasible & ~raw_positive))
-    return where(feasible & raw_positive, raw, 0.0)
+    return np.where(feasible & raw_positive, raw, 0.0)
 
 
 # -- residuals -----------------------------------------------------------------
@@ -112,10 +108,10 @@ def hydroxyl_chain(params, cond, v, k5=None, diag=None):
 def _clamped_physical(y_v, y_m, v_ref, t_ref, diag=None):
     """Physical V and t_mem from normalized outputs, with floored denominators."""
     if diag is not None:
-        diag.count("output_clamped", np.sum(np.asarray(primal(y_v)) <= CLAMP_EPS))
-        diag.count("output_clamped", np.sum(np.asarray(primal(y_m)) <= CLAMP_EPS))
-    v = v_ref * maximum(y_v, CLAMP_EPS)
-    tm = t_ref * maximum(y_m, CLAMP_EPS)
+        diag.count("output_clamped", np.sum(np.real(y_v) <= CLAMP_EPS))
+        diag.count("output_clamped", np.sum(np.real(y_m) <= CLAMP_EPS))
+    v = v_ref * np.where(np.real(y_v) > CLAMP_EPS, y_v, CLAMP_EPS)
+    tm = t_ref * np.where(np.real(y_m) > CLAMP_EPS, y_m, CLAMP_EPS)
     return v, tm
 
 
@@ -143,7 +139,7 @@ def thinning_residual_terms(
     """Nondimensional thinning-law residual, r = y_m' + (t_max/t_ref)*TR.
 
     TR chains voltage -> water velocity -> peroxide quadratic -> hydroxyl
-    concentration -> attack rate, all differentiable (the quadratic root in
+    concentration -> attack rate, all analytic (the quadratic root in
     closed form); infeasible chemistry contributes zero attack.
     """
     v, tm = _clamped_physical(y_v, y_m, v_ref, t_ref, diag)

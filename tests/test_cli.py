@@ -732,6 +732,16 @@ def test_failed_training_artifact_write_keeps_previous_file(tmp_path):
         ("train", "adam_beta2", 1.0),
         ("train", "lambda_hydration", 0.5),
         ("reproduce", "v_ref", 0.0),
+        # Oversized counts, each within the float range.
+        ("generate-data", "n_steps", 2**63),
+        ("generate-data", "n_steps", 2**40),
+        pytest.param(
+            "generate-data", "n_train", 10**400, id="generate-data-n_train-10**400"
+        ),
+        ("generate-data", "n_test", 2**40),
+        ("train", "n_collocation", 2**40),
+        # t_max / n_steps rounds to 0 at the fast config's 256 steps.
+        ("simulate", "t_max", 5e-322),
     ],
 )
 def test_bad_config_value_exits_2_before_out(

@@ -2,11 +2,11 @@ import dataclasses
 import itertools
 from decimal import Decimal, getcontext
 
+import complex_step
 import numpy as np
 import pytest
 import reference_physics
 
-from pempinn.autodiff import Dual
 from pempinn.constants import PhysicsParameters, membrane_molar_concentration
 from pempinn.degradation import (
     DiagnosticCounters,
@@ -144,9 +144,9 @@ def _root_selection_grid():
 
 
 def test_root_selection_matches_generic_oracle_bitwise():
-    # The plain-numpy selection the package runs and the generic one the
-    # Dual partials are checked against must pick the same root, to the
-    # bit, and agree on feasibility, in every branch.
+    # The plain-numpy selection the package runs and the reference one the
+    # complex-step partials are checked against must pick the same root,
+    # to the bit, and agree on feasibility, in every branch.
     a, b, c, cases = _root_selection_grid()
     for name, mask in cases.items():
         assert mask.any(), name
@@ -314,7 +314,6 @@ def test_hydroxyl_chain_clamps_negative_k5(params, cond):
     assert diag.chemistry_infeasible == 0
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "k2, k5, regime",
     [
@@ -325,23 +324,26 @@ def test_hydroxyl_chain_clamps_negative_k5(params, cond):
     ],
 )
 def test_hydroxyl_chain_partials_match_dual(params, cond, k2, k5, regime):
-    # c_HO and its partials in V and k5 against the generic hydroxyl_chain
-    # of reference_physics on Duals.
+    # c_HO and its partials in V and k5 against complex steps of the
+    # reference hydroxyl_chain.
     # A negative k5 clamps the hydroxyl formula; k2 = 0.1 leaves the
     # peroxide quadratic without a positive root.
     if k2 is not None:
         params = dataclasses.replace(params, k2=k2)
     volts = np.linspace(1.6, 3.2, 41)
     ref_diag = DiagnosticCounters()
-    seeds = np.repeat(np.eye(2)[:, :, None], volts.size, axis=2)
-    ref = reference_physics.hydroxyl_chain(
-        params, cond, Dual(volts, seeds[0]), k5=Dual(k5, seeds[1]), diag=ref_diag
+    ref = reference_physics.hydroxyl_chain(params, cond, volts, k5=k5, diag=ref_diag)
+    ref_dv = complex_step.derivative(
+        lambda v: reference_physics.hydroxyl_chain(params, cond, v, k5=k5), volts
+    )
+    ref_dk5 = complex_step.derivative(
+        lambda k: reference_physics.hydroxyl_chain(params, cond, volts, k5=k), k5
     )
     diag = DiagnosticCounters()
     c_ho, dc_dv, dc_dk5 = hydroxyl_chain_partials(params, cond, volts, k5, diag)
-    assert np.allclose(c_ho, ref.primal, rtol=1e-6, atol=0.0)
-    assert np.allclose(dc_dv, ref.tangent[0], rtol=1e-6, atol=0.0)
-    assert np.allclose(dc_dk5, ref.tangent[1], rtol=1e-6, atol=0.0)
+    assert np.allclose(c_ho, ref, rtol=1e-6, atol=0.0)
+    assert np.allclose(dc_dv, ref_dv, rtol=1e-6, atol=0.0)
+    assert np.allclose(dc_dk5, ref_dk5, rtol=1e-6, atol=0.0)
     assert vars(diag) == vars(ref_diag)
     if regime == "live":
         assert vars(diag) == vars(DiagnosticCounters())

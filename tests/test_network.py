@@ -1,8 +1,10 @@
+import complex_step
 import numpy as np
 import pytest
 import reference_physics
-from reference_loss import gradient, reference_gradient
+from reference_loss import reference_gradient
 
+from pempinn.autodiff import Value
 from pempinn.network import (
     LAYER_SIZES,
     LiftedParameters,
@@ -79,22 +81,22 @@ def test_toy_single_neuron_forward():
     y = mlp_forward(weights, biases, np.array([tau]))
     assert y.shape == (1, 1)
     assert y[0, 0] == pytest.approx(0.7 / (1 + np.exp(-tau)), rel=1e-14)
-    ref = reference_physics.mlp_forward(weights, biases, tau)
-    assert ref[0] == pytest.approx(0.7 / (1 + np.exp(-tau)), rel=1e-14)
+    ref, _ = reference_physics.mlp_forward(weights, biases, tau)
+    assert ref[0, 0] == pytest.approx(0.7 / (1 + np.exp(-tau)), rel=1e-14)
 
 
 def test_toy_derivative_quarter_slope_at_origin():
     # y = sigmoid(w * tau): dy/dt at tau=0 is w/4 / input_scale.
-    from pempinn.autodiff import Dual
-
     w_in = 1.3
     scale = 50.0
     weights = (np.array([[w_in]]), np.array([[1.0]]))
     biases = (np.zeros(1), np.zeros(1))
     _, dy, _ = mlp_with_tangent(weights, biases, np.array([0.0]))
     assert dy[0, 0] / scale == pytest.approx(w_in / 4.0 / scale, rel=1e-13)
-    y = reference_physics.mlp_forward(weights, biases, Dual(0.0, 1.0 / scale))
-    assert y[0].tangent == pytest.approx(w_in / 4.0 / scale, rel=1e-13)
+    slope = complex_step.derivative(
+        lambda tau: reference_physics.mlp_forward(weights, biases, tau)[0], 0.0
+    )
+    assert slope[0, 0] / scale == pytest.approx(w_in / 4.0 / scale, rel=1e-13)
 
 
 def time_derivatives(net, t):
@@ -179,6 +181,27 @@ def test_checkpoint_with_bad_arrays_is_rejected(tmp_path):
             load_checkpoint(path)
 
 
+def gradient(params, build_loss):
+    """Reverse-mode gradient of ``build_loss(lifted)``, a scalar Value,
+    over every parameter, by one backward sweep."""
+    lifted = LiftedParameters(params)
+    loss = build_loss(lifted)
+    if not isinstance(loss, Value):
+        raise TypeError("the loss must be an autodiff Value")
+    loss.backward()
+    return lifted.gradients()
+
+
+def lifted_forward(lifted, tau):
+    """The network's forward pass as a graph over the lifted leaves."""
+    a = np.reshape(tau, (1, -1))
+    for layer, (w, b) in enumerate(zip(lifted.weights, lifted.biases)):
+        a = w @ a + b
+        if layer < len(lifted.weights) - 1:
+            a = a.sigmoid()
+    return a
+
+
 def test_gradient_isolated_k5_quadratic():
     net = make_net(1)
     net = unflatten(flatten(net) * 0.0 + 0.25, net)  # all params 0.25
@@ -192,11 +215,11 @@ def test_gradient_of_summed_outputs_matches_fd():
     t = np.linspace(0.0, SCALE, 21)
     tau = t / SCALE
 
-    def loss_builder(lifted):
-        y = reference_physics.mlp_forward(lifted.weights, lifted.biases, tau)
+    def build_loss(lifted):
+        y = lifted_forward(lifted, tau)
         return (y[0] * y[0]).sum() + (y[1] * y[1]).sum()
 
-    g = gradient(net, loss_builder)
+    g = gradient(net, build_loss)
 
     vec = flatten(net)
 
@@ -232,10 +255,9 @@ def test_forward_identical_between_plain_and_lifted():
     net = make_net(8)
     tau = np.linspace(0.0, 1.0, 33)
     plain = predict(net, tau * SCALE)
-    lifted = LiftedParameters(net)
-    y = reference_physics.mlp_forward(lifted.weights, lifted.biases, tau)
-    assert np.array_equal(np.asarray(y[0].data) * net.v_ref, plain[0])
-    assert np.array_equal(np.asarray(y[1].data) * net.t_mem_ref, plain[1])
+    y = lifted_forward(LiftedParameters(net), tau).data
+    assert np.array_equal(y[0] * net.v_ref, plain[0])
+    assert np.array_equal(y[1] * net.t_mem_ref, plain[1])
 
 
 def test_physics_off_gradient_has_zero_k5_entry(
@@ -276,17 +298,20 @@ def test_blocked_predict_matches_per_neuron_reference():
 
 
 def test_tangent_forward_matches_dual_forward():
-    from pempinn.autodiff import Dual
-
+    # The tangent pass bit for bit against the reference's recursion, and
+    # that recursion against a complex step in tau.
     net = make_net(7)
     tau = np.linspace(-0.2, 1.3, 41)
     y, dy, _ = mlp_with_tangent(net.weights, net.biases, tau)
-    ref = reference_physics.mlp_forward(net.weights, net.biases, Dual(tau, 1.0))
+    ref_y, ref_dy = reference_physics.mlp_forward(net.weights, net.biases, tau)
     assert y.shape == dy.shape == (2, tau.size)
     assert np.array_equal(mlp_forward(net.weights, net.biases, tau), y)
-    for i in range(2):
-        assert np.array_equal(y[i], ref[i].primal)
-        assert np.array_equal(dy[i], ref[i].tangent)
+    assert np.array_equal(y, ref_y)
+    assert np.array_equal(dy, ref_dy)
+    slope = complex_step.derivative(
+        lambda t: reference_physics.mlp_forward(net.weights, net.biases, t)[0], tau
+    )
+    assert np.allclose(ref_dy, slope, rtol=1e-13, atol=1e-15)
 
 
 def test_tangent_vjp_matches_finite_differences():

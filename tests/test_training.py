@@ -1,5 +1,6 @@
 import dataclasses
 
+import complex_step
 import numpy as np
 import pytest
 from reference_loss import reference_gradient
@@ -10,7 +11,6 @@ from reference_physics import (
 )
 
 from pempinn import autodiff
-from pempinn.autodiff import Dual
 from pempinn.constants import K5_SCALE
 from pempinn.degradation import DiagnosticCounters, thinning_rate
 from pempinn.electrochem import solve_cell_voltage
@@ -495,8 +495,8 @@ def _parity_networks(cond, v0):
 
 
 def test_gradient_matches_reference_engine(params, cond, coeffs, small_dataset):
-    # The graph-free gradient against the reverse-mode Value engine it
-    # replaced (tests/reference_loss.py), entry by entry.
+    # The closed-form gradient against the complex-step gradient of the
+    # reference loss (tests/reference_loss.py), entry by entry.
     v0 = solve_cell_voltage(coeffs, cond.t_mem0)
     configs = {
         "pinn": small_config(n_collocation=64),
@@ -536,16 +536,14 @@ def test_train_steps_along_composite_loss_gradient(params, cond, coeffs, small_d
     assert metrics.loss_history[0].loss_total == comps["total"]
 
 
-# The Dual reference takes sqrt(0) at points without a real root, whose
-# NaN tangent its mask then drops.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "case", ["live", "clamped_outputs", "hydroxyl_clamp", "infeasible"]
 )
 def test_residual_partials_match_dual_jacobian(params, cond, coeffs, case):
-    # The closed-form partials, point by point, against the generic residual
-    # code evaluated on Duals whose (5, N) tangent is seeded with unit
-    # directions for y_v, y_m, dy_v/dtau, dy_m/dtau and k5_hat.
+    # The closed-form partials, point by point, against complex steps of
+    # the reference residuals in each of y_v, y_m, dy_v/dtau, dy_m/dtau and
+    # k5_hat; the residuals are pointwise, so one step per input gives
+    # every point's partial.
     rng = np.random.default_rng(5)
     n = 64
     v_ref, t_ref = 2.0, cond.t_mem0
@@ -564,18 +562,22 @@ def test_residual_partials_match_dual_jacobian(params, cond, coeffs, case):
         # k2 = 0.1 leaves the peroxide quadratic without a positive root.
         params = dataclasses.replace(params, k2=0.1)
 
-    seeds = np.repeat(np.eye(5)[:, :, None], n, axis=2)
-    d_v, d_m, d_dyv, d_dym = (
-        Dual(x, seed) for x, seed in zip((y_v, y_m, dyv, dym), seeds)
-    )
+    def residuals(y_v, y_m, dyv, dym, k5_hat, diag=None):
+        r_v = voltage_residual_terms(y_v, y_m, dyv, dym, coeffs, v_ref, t_ref, diag)
+        r_m = thinning_residual_terms(
+            y_v, y_m, dym, k5_hat, params, cond, v_ref, t_ref, cond.t_max, diag,
+        )
+        return np.stack([r_v, r_m])
+
+    inputs = (y_v, y_m, dyv, dym, k5_hat)
     ref_diag = DiagnosticCounters()
-    ref_v = voltage_residual_terms(
-        d_v, d_m, d_dyv, d_dym, coeffs, v_ref, t_ref, ref_diag
-    )
-    ref_m = thinning_residual_terms(
-        d_v, d_m, d_dym, Dual(k5_hat, seeds[4]), params, cond,
-        v_ref, t_ref, cond.t_max, ref_diag,
-    )
+    ref_v, ref_m = residuals(*inputs, diag=ref_diag)
+    ref_jac = [
+        complex_step.derivative(
+            lambda x: residuals(*inputs[:k], x, *inputs[k + 1:]), inputs[k]
+        )
+        for k in range(5)
+    ]
     diag = DiagnosticCounters()
     r_v, jac_v, r_m, jac_m = residual_partials(
         y_v, y_m, dyv, dym, k5_hat, coeffs, params, cond,
@@ -584,10 +586,10 @@ def test_residual_partials_match_dual_jacobian(params, cond, coeffs, case):
 
     assert jac_v.shape == jac_m.shape == (5, n)
     for got, ref in ((r_v, ref_v), (r_m, ref_m)):
-        assert np.allclose(got, ref.primal, rtol=1e-6, atol=0.0), case
-    for got, ref in ((jac_v, ref_v), (jac_m, ref_m)):
+        assert np.allclose(got, ref, rtol=1e-6, atol=0.0), case
+    for i, got in enumerate((jac_v, jac_m)):
         for k in range(5):
-            assert np.allclose(got[k], ref.tangent[k], rtol=1e-6, atol=0.0), (case, k)
+            assert np.allclose(got[k], ref_jac[k][i], rtol=1e-6, atol=0.0), (case, k)
     assert vars(diag) == vars(ref_diag)
     if case == "clamped_outputs":
         dead = (y_v <= CLAMP_EPS) | (y_m <= CLAMP_EPS)
@@ -610,18 +612,16 @@ def test_residual_partials_match_dual_jacobian(params, cond, coeffs, case):
             assert np.all(jac_m[4] != 0.0)
 
 
-def test_composite_loss_builds_no_dual_or_value(
+def test_composite_loss_builds_no_value(
     params, cond, coeffs, small_dataset, monkeypatch
 ):
-    # The training path runs on plain arrays; Duals and Values are the
-    # test reference only.
+    # The training path runs on plain arrays and never builds a graph.
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"composite_loss built a {type(self).__name__}")
 
     v0 = solve_cell_voltage(coeffs, cond.t_mem0)
     nets = [net for label, net in _parity_networks(cond, v0)
             if label in ("init_0", "k5_1", "clamp_0", "clamp_1")]
-    monkeypatch.setattr(autodiff.Dual, "__init__", refuse)
     monkeypatch.setattr(autodiff.Value, "__init__", refuse)
     for cfg in (small_config(), small_config(physics_enabled=False)):
         for net in nets:
