@@ -215,8 +215,9 @@ def cmd_generate_data(args) -> int:
     return 0
 
 
-def _train_into(cfg: RunConfig, dataset_path: Path, out_dir: Path, label: str):
-    ds = load_dataset(dataset_path)
+def _train_into(cfg: RunConfig, ds, dataset_path: Path, out_dir: Path, label: str):
+    """Train on ``ds``, the dataset that ``dataset_path`` holds, into
+    ``out_dir``; returns (net, metrics)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.json"
 
@@ -248,7 +249,8 @@ def cmd_train(args) -> int:
         print(f"error: dataset not found: {dataset_path}", file=sys.stderr)
         return 2
     label = "ann" if not cfg.training.physics_enabled else "pinn"
-    net, metrics = _train_into(cfg, dataset_path, Path(args.out), label)
+    ds = load_dataset(dataset_path)
+    net, metrics = _train_into(cfg, ds, dataset_path, Path(args.out), label)
     print(
         f"trained {label}: k5_hat={metrics.k5_hat_final:.4f} "
         f"test RMSE V={metrics.rmse_test_v:.5f} mem={metrics.rmse_test_mem:.6f}"
@@ -424,14 +426,16 @@ def cmd_reproduce(args) -> int:
             traj, traj_paths, writer = _simulate_into(cfg, out_dir, k5=None)
 
             stage = "generate-data"
-            _, ds_path = _dataset_into(cfg, traj, out_dir)
+            ds, ds_path = _dataset_into(cfg, traj, out_dir)
 
+            # Both models train from the dataset in memory; dataset.csv
+            # holds its values exactly (each float written as its repr).
             stage = "train-ann"
             ann_stage = _ForkedStage(
-                lambda _: _train_into(ann_cfg, ds_path, out_dir / "ann", "ann")[1]
+                lambda _: _train_into(ann_cfg, ds, ds_path, out_dir / "ann", "ann")[1]
             )
             stage = "train-pinn"
-            _, pinn = _train_into(cfg, ds_path, out_dir / "pinn", "pinn")
+            _, pinn = _train_into(cfg, ds, ds_path, out_dir / "pinn", "pinn")
         finally:
             # A failed trajectory write outranks any later stage's failure.
             if writer is not None:

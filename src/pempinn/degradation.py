@@ -99,13 +99,19 @@ def peroxide_quadratic_coefficients(
     """
     if k5 is None:
         k5 = params.k5_true
+    return _quadratic(params, cond, v, k5)[:3]
+
+
+def _quadratic(params: PhysicsParameters, cond: OperatingConditions, v, k5):
+    """``(A, B, C, w, s)``: the peroxide quadratic's coefficients with the w
+    and s they are built from."""
     w = water_velocity(params, cond, v) / params.e_cl
     c_mem = membrane_molar_concentration(params)
     s = params.k4 * params.c_O2 + k5 * c_mem - w
     a = w - 3.0 * params.k2
     b = s * (w - params.k2) / params.k3 - params.v1
     c = -s * params.v1 / params.k3
-    return a, b, c
+    return a, b, c, w, s
 
 
 def solve_peroxide_selected(a, b, c):
@@ -121,9 +127,6 @@ def solve_peroxide_selected(a, b, c):
     # not also for scalar coefficients.
     a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
     lin_mask = a == 0.0
-    lin_root = -c / np.where(b != 0.0, b, 1.0)
-    lin_feas = lin_mask & (b != 0.0) & (lin_root > 0.0)
-
     disc = b * b - 4.0 * a * c
     disc_ok = disc >= 0.0
     sq = np.sqrt(np.where(disc_ok, disc, 0.0))
@@ -134,7 +137,11 @@ def solve_peroxide_selected(a, b, c):
     pos2 = disc_ok & (r2 > 0.0) & ~lin_mask
     pick1 = pos1 & (~pos2 | (r1 <= r2))
     quad_root = np.where(pick1, r1, np.where(pos2, r2, 1.0))
+    if not lin_mask.any():  # no linear entry to splice in
+        return quad_root, pos1 | pos2
 
+    lin_root = -c / np.where(b != 0.0, b, 1.0)
+    lin_feas = lin_mask & (b != 0.0) & (lin_root > 0.0)
     root = np.where(lin_mask, np.where(lin_feas, lin_root, 1.0), quad_root)
     return root, lin_feas | pos1 | pos2
 
@@ -189,22 +196,20 @@ def hydroxyl_chain_partials(
     The peroxide root r is differentiated implicitly through its quadratic
     A r^2 + B r + C = 0: dr = -(dA r^2 + dB r + dC) / (2 A r + B).
     """
-    a, b, c = peroxide_quadratic_coefficients(params, cond, v, k5=k5)
+    a, b, c, w, s = _quadratic(params, cond, v, k5)
     root, feasible = solve_peroxide_selected(a, b, c)
-    w = water_velocity(params, cond, v) / params.e_cl
     k2, k3, v1 = params.k2, params.k3, params.v1
     raw = w / k3 - k2 / k3 - v1 / (k3 * root)
-    raw_positive = raw > 0.0
-    positive = feasible & raw_positive
+    positive = feasible & (raw > 0.0)
     if diag is not None:
-        diag.count("chemistry_infeasible", np.sum(~feasible))
-        diag.count("hydroxyl_clamped", np.sum(feasible & ~raw_positive))
+        n_feasible = np.count_nonzero(feasible)
+        diag.count("chemistry_infeasible", feasible.size - n_feasible)
+        diag.count("hydroxyl_clamped", n_feasible - np.count_nonzero(positive))
     c_mem = membrane_molar_concentration(params)
     # w = kappa_w P / (A V e_cl) falls as 1/V; k5 enters only through
     # s = k4 c_O2 + k5 C_mem - w, and A = w - 3 k2, B = s (w - k2)/k3 - v1,
     # C = -s v1/k3.
     dw_dv = -w / v
-    s = params.k4 * params.c_O2 + k5 * c_mem - w
     r2 = root * root
     inv_slope = -1.0 / np.where(positive, 2.0 * a * root + b, 1.0)
     dr_dv = (r2 + (s - w + k2) / k3 * root + v1 / k3) * dw_dv * inv_slope

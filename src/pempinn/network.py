@@ -11,7 +11,8 @@ weights so one optimizer updates everything jointly.
 
 Two forward passes, each one ``W @ a + b`` per layer over an ``(n, N)``
 block of activations, N being the number of evaluation points, both on
-plain arrays:
+plain arrays (the tangent pass forms its one-input first layer as the
+outer product ``W * a``):
 
 * :func:`mlp_forward` is the plain pass that :func:`predict` uses.
 * :func:`mlp_with_tangent` carries d/dtau through the sigmoid layers
@@ -159,14 +160,22 @@ def mlp_with_tangent(weights, biases, tau):
     Returns ``(y, dy, cache)``: ``y`` and ``dy`` are ``(n_out, N)`` blocks,
     ``cache`` holds what :func:`mlp_with_tangent_vjp` needs of each layer.
     The tangent is seeded with d(tau)/d(tau) = 1 at every point.
+
+    The first hidden layer has one input, so its ``w @ a`` is the outer
+    product ``w * a``, and its tangent ``w @ 1`` is the ``(n, 1)`` column
+    ``w`` itself, which broadcasts over the points: one product per entry
+    either way, so the values are those of the matmuls.
     """
     a = np.reshape(tau, (1, -1))
     da = np.ones_like(a)
     cache = []
     last = len(weights) - 1
     for layer, (w, b) in enumerate(zip(weights, biases)):
-        z = w @ a + np.reshape(b, (-1, 1))
-        dz = w @ da
+        if layer == 0 and last:
+            z, dz = w * a, w
+        else:
+            z, dz = w @ a, w @ da
+        z = z + np.reshape(b, (-1, 1))
         if layer < last:
             s = _sigmoid(z)
             ds = s * (1.0 - s)
@@ -197,7 +206,7 @@ def mlp_with_tangent_vjp(weights, cache, g_y, g_dy) -> np.ndarray:
         else:
             g_dz = g_da * ds
             g_z = g_a * ds + g_dz * (1.0 - 2.0 * s) * dz
-        parts.append(np.sum(g_z, axis=1))
+        parts.append(g_z.sum(axis=1))
         parts.append(np.ravel(g_z @ a.T + g_dz @ da.T))
         if layer:
             w = weights[layer]

@@ -231,6 +231,15 @@ def integrate_trajectory(
         )
 
     times, volts, tmems, c_h2o2s, c_hos, trs, frrs, iters = out
+    if k5 > 0.0 and c_hos[0] > 0.0 and tmems[1] == tmems[0]:
+        # The membrane is attacked, but dt * TR is below half an ulp of
+        # t_mem, so the thickness can never move.
+        raise ConfigError(
+            "t_max",
+            f"the step dt = t_max / n_steps = {dt} h is too short for the "
+            f"first RK4 step to change the membrane thickness ({tmems[0]} cm); "
+            f"lengthen t_max ({cond.t_max} h) or use fewer steps",
+        )
     traj = Trajectory(
         times=times,
         voltages=volts,

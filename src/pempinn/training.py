@@ -20,11 +20,12 @@ The gradient is computed without a reverse-mode graph. One pass of
 tau-derivatives at every point (collocation, training times and tau = 0).
 The residuals are pointwise in time, so their Jacobians are per point:
 :func:`residual_partials` writes the partials with respect to y_v, y_m,
-dy_v/dtau, dy_m/dtau and k5_hat in closed form on plain arrays, with the
+dy_v/dtau, dy_m/dtau and k5_hat in closed form on plain arrays, one
+``(N,)`` row for each partial that varies from point to point, with the
 chemistry's from :func:`~pempinn.degradation.hydroxyl_chain_partials`.
 The chain rule then turns the loss into cotangents of the network outputs,
-and :func:`~pempinn.network.mlp_with_tangent_vjp` carries them to the
-weights.
+written row by row straight into the gradient blocks, and
+:func:`~pempinn.network.mlp_with_tangent_vjp` carries them to the weights.
 
 Everything here runs on plain arrays. The tests pin the closed-form
 partials, and the gradient, to complex-step derivatives of a plain-numpy
@@ -36,6 +37,7 @@ Training is full-batch Adam, bitwise deterministic for a given seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -83,6 +85,19 @@ __all__ = [
 # the dynamic range any finite-difference check can resolve. 0.1 is a
 # factor ~5 below the smallest physically reachable normalized output.
 CLAMP_EPS = 0.1
+
+# Float64s per loss point in a block that train() allocates and frees,
+# untouched, before its first epoch. An epoch's temporaries peak at about
+# 1.1 KiB per point and are freed and made again every epoch, and glibc
+# gives the free top of its heap back to the system whenever more than its
+# trim threshold (128 KiB at start) lies there, so a fresh process faulted
+# those pages in again every epoch, which nearly doubled its epoch time.
+# Freeing a block above the mmap threshold raises that threshold to the
+# block's size, 1 KiB per point here, and the trim threshold to twice it,
+# for the rest of the process (mallopt(3), dynamic mmap threshold). The
+# block is never written, so it costs one mmap and one munmap; another
+# allocator just frees it.
+HEAP_BLOCK_PER_POINT = 128
 
 
 @dataclass
@@ -176,16 +191,20 @@ def residual_partials(
       velocity -> peroxide root -> hydroxyl -> attack rate at
       k5 = k5_hat * K5_SCALE; infeasible chemistry contributes no attack.
 
-    Returns ``(r_v, jac_v, r_m, jac_m)``. Row k of each ``(5, N)`` Jacobian
-    is the partial with respect to input k of (y_v, y_m, dy_v/dtau,
-    dy_m/dtau, k5_hat), written out by hand. An output at or below the
-    floor has partial 0 and is counted in ``diag`` as output_clamped, once
-    per residual.
+    Returns ``(r_v, (dv_yv, dv_ym, dv_dyv, dv_dym), r_m, (dm_yv, dm_ym,
+    dm_k5))``, each partial written out by hand: ``dv_yv`` is dr_v/dy_v,
+    ``dm_k5`` is dr_m/dk5_hat, and so on. The partials that are the same
+    at every point are left out: dr_v/dk5_hat = 0, dr_m/dy_v' = 0 and
+    dr_m/dy_m' = 1. An output at or below the floor has partial 0 and is
+    counted in ``diag`` as output_clamped, once per residual.
     """
     live_v = y_v > CLAMP_EPS
     live_m = y_m > CLAMP_EPS
     if diag is not None:
-        diag.count("output_clamped", 2 * (np.sum(~live_v) + np.sum(~live_m)))
+        diag.count("output_clamped", 2 * (
+            live_v.size - np.count_nonzero(live_v)
+            + live_m.size - np.count_nonzero(live_m)
+        ))
     v = v_ref * np.where(live_v, y_v, CLAMP_EPS)
     tm = t_ref * np.where(live_m, y_m, CLAMP_EPS)
     # dV/dy_v and dt_mem/dy_m: the scale where the output is live, else 0.
@@ -201,13 +220,8 @@ def residual_partials(
     bracket = 1.0 + kin + ohm
     cross = ohm * v * inv_tm * (t_ref / v_ref)
     r_v = dyv_dtau * bracket + cross * dym_dtau
-    jac_v = np.stack([
-        -(dyv_dtau * (kin + 2.0 * ohm) + dym_dtau * cross) * inv_v * dv,
-        -(dyv_dtau * ohm + 2.0 * dym_dtau * cross) * inv_tm * dtm,
-        bracket,
-        cross,
-        np.zeros_like(r_v),
-    ])
+    dv_yv = -(dyv_dtau * (kin + 2.0 * ohm) + dym_dtau * cross) * inv_v * dv
+    dv_ym = -(dyv_dtau * ohm + 2.0 * dym_dtau * cross) * inv_tm * dtm
 
     # Thinning: r = y_m' + (t_max/t_ref) TR, and TR = rate k5 c_HO t_mem is
     # linear in each of k5, c_HO and t_mem.
@@ -216,17 +230,19 @@ def residual_partials(
     scale = t_max / t_ref
     rate = scale * thinning_rate(params, 1.0, 1.0, k5=1.0)
     r_m = dym_dtau + scale * thinning_rate(params, c_ho, tm, k5=k5)
-    jac_m = np.stack([
-        (rate * k5) * tm * dc_dv * dv,
-        (rate * k5) * c_ho * dtm,
-        np.zeros_like(r_m),
-        np.ones_like(r_m),
-        (rate * K5_SCALE) * tm * (c_ho + k5 * dc_dk5),
-    ])
-    return r_v, jac_v, r_m, jac_m
+    dm_yv = (rate * k5) * tm * dc_dv * dv
+    dm_ym = (rate * k5) * c_ho * dtm
+    dm_k5 = (rate * K5_SCALE) * tm * (c_ho + k5 * dc_dk5)
+    return r_v, (dv_yv, dv_ym, bracket, cross), r_m, (dm_yv, dm_ym, dm_k5)
 
 
 # -- composite loss -----------------------------------------------------------
+
+
+def _mean(x) -> float:
+    """``float(np.mean(x))`` of a 1-d float array, without np.mean's Python
+    wrapper: the same pairwise sum, divided by the same count."""
+    return float(np.add.reduce(x)) / x.size
 
 
 @dataclass(frozen=True)
@@ -292,25 +308,29 @@ def composite_loss(
     n_d = points.targets.shape[1]
     data_cols = slice(n_c, n_c + n_d)
     r = y[:, data_cols] - points.targets
-    data = float(np.mean(r[0] * r[0])) + float(np.mean(r[1] * r[1]))
+    data = _mean(r[0] * r[0]) + _mean(r[1] * r[1])
     g_y[:, data_cols] = (2.0 / n_d) * r
 
-    # Physics residuals at the collocation points, with their Jacobians.
+    # Physics residuals at the collocation points, with their partials.
     g_k5 = 0.0
     if n_c:
-        r_v, jac_v, r_m, jac_m = residual_partials(
+        r_v, (v_yv, v_ym, v_dyv, v_dym), r_m, (m_yv, m_ym, m_k5) = residual_partials(
             y[0, :n_c], y[1, :n_c], dy[0, :n_c], dy[1, :n_c], net.k5_hat,
             coeffs, params, cond, net.v_ref, net.t_mem_ref, cond.t_max, diag,
         )
-        physics_v = config.lambda_v * float(np.mean(r_v * r_v))
-        physics_mem = config.lambda_tmem * float(np.mean(r_m * r_m))
-        # d(lambda * mean(r^2))/dx = (2 lambda / N) * r * dr/dx, per point.
-        jac = ((2.0 * config.lambda_v / n_c) * r_v) * jac_v + (
-            (2.0 * config.lambda_tmem / n_c) * r_m
-        ) * jac_m
-        g_y[:, :n_c] = jac[0:2]
-        g_dy[:, :n_c] = jac[2:4]
-        g_k5 = float(np.sum(jac[4]))
+        physics_v = config.lambda_v * _mean(r_v * r_v)
+        physics_mem = config.lambda_tmem * _mean(r_m * r_m)
+        # d(lambda * mean(r^2))/dx = (2 lambda / N) * r * dr/dx, per point,
+        # summed over both residuals. The constant partials keep their
+        # products (cm * 0.0, cv * 0.0; cm * 1.0 is cm), so that signed
+        # zeros and NaNs come out as they would from the full Jacobians.
+        cv = (2.0 * config.lambda_v / n_c) * r_v
+        cm = (2.0 * config.lambda_tmem / n_c) * r_m
+        g_y[0, :n_c] = cv * v_yv + cm * m_yv
+        g_y[1, :n_c] = cv * v_ym + cm * m_ym
+        g_dy[0, :n_c] = cv * v_dyv + cm * 0.0
+        g_dy[1, :n_c] = cv * v_dym + cm
+        g_k5 = float(np.add.reduce(cv * 0.0 + cm * m_k5))
     else:
         physics_v = 0.0
         physics_mem = 0.0
@@ -352,7 +372,7 @@ def adam_step(
     config: TrainingConfig,
 ):
     """One bias-corrected Adam update; returns (new_params, new_state)."""
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise TrainingError("non-finite gradient passed to adam_step")
     b1, b2 = config.adam_beta1, config.adam_beta2
     step = state.step + 1
@@ -393,6 +413,7 @@ def train(
     adam = AdamState.zeros(vec.size)
     diag = DiagnosticCounters()
     points = loss_points(template, dataset, config, cond)
+    np.empty(HEAP_BLOCK_PER_POINT * points.tau.size)  # see HEAP_BLOCK_PER_POINT
     history: list[EpochRecord] = []
 
     for epoch in range(config.max_epochs):
@@ -400,8 +421,8 @@ def train(
         comps, grad = composite_loss(
             net, dataset, config, coeffs, params, cond, v0, diag, points
         )
-        if not np.isfinite(comps["total"]):
-            bad = max(comps, key=lambda k: 0 if np.isfinite(comps[k]) else 1)
+        if not math.isfinite(comps["total"]):
+            bad = max(comps, key=lambda k: 0 if math.isfinite(comps[k]) else 1)
             raise TrainingError(
                 f"non-finite loss at epoch {epoch} (component '{bad}')"
             )

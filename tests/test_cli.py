@@ -649,6 +649,52 @@ def test_reproduce_fast_smoke(tmp_path, fast_config):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_reproduce_trains_on_the_dataset_it_wrote(tmp_path, fast_config):
+    # reproduce trains both models from the dataset in memory; training
+    # again from its dataset.csv must give the same bytes.
+    out = tmp_path / "repro"
+    common = ["--config", str(fast_config), "--seed", "3"]
+    assert main(["reproduce", *common, "--out", str(out)]) == 1
+    for label, flags in (("pinn", []), ("ann", ["--no-physics"])):
+        again = tmp_path / label
+        assert main([
+            "train", *common, "--data", str(out / "dataset.csv"),
+            "--out", str(again), *flags,
+        ]) == 0
+        for name in ("history.csv", "checkpoint.json", "metrics.json"):
+            assert (again / name).read_bytes() == (out / label / name).read_bytes(), (
+                label, name,
+            )
+
+
+@pytest.mark.parametrize("t_max", [1.0e-10, 1.0e-300])
+def test_horizon_too_short_to_thin_exits_2(tmp_path, fast_config, capsys, t_max):
+    # At the fast config's 256 steps, dt * TR is below half an ulp of
+    # t_mem0: the attacked membrane could never thin.
+    data = json.loads(fast_config.read_text())
+    data["t_max"] = t_max
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config key 't_max'" in err
+    assert f"dt = t_max / n_steps = {t_max / 256} h" in err
+    assert not out.exists()
+    _assert_children_reaped()
+    # Without attack a flat trajectory is the right answer.
+    argv = ["simulate", "--config", str(path), "--out", str(out), "--k5", "0"]
+    assert main(argv) == 0
+
+
+def test_short_horizon_that_thins_runs(tmp_path, fast_config):
+    data = json.loads(fast_config.read_text())
+    data["t_max"] = 1.0e-3
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
 @pytest.mark.parametrize("command", ["simulate", "generate-data"])
 def test_rejected_run_creates_no_output_directory(tmp_path, fast_config, command):
     out = tmp_path / "never"

@@ -579,24 +579,32 @@ def test_residual_partials_match_dual_jacobian(params, cond, coeffs, case):
         for k in range(5)
     ]
     diag = DiagnosticCounters()
-    r_v, jac_v, r_m, jac_m = residual_partials(
+    r_v, rows_v, r_m, rows_m = residual_partials(
         y_v, y_m, dyv, dym, k5_hat, coeffs, params, cond,
         v_ref, t_ref, cond.t_max, diag,
     )
 
-    assert jac_v.shape == jac_m.shape == (5, n)
     for got, ref in ((r_v, ref_v), (r_m, ref_m)):
         assert np.allclose(got, ref, rtol=1e-6, atol=0.0), case
-    for i, got in enumerate((jac_v, jac_m)):
-        for k in range(5):
-            assert np.allclose(got[k], ref_jac[k][i], rtol=1e-6, atol=0.0), (case, k)
+    # The varying partials: residual i's rows against ref_jac[k][i] for the
+    # inputs k they stand for.
+    for i, rows, inputs_of_rows in ((0, rows_v, (0, 1, 2, 3)), (1, rows_m, (0, 1, 4))):
+        assert len(rows) == len(inputs_of_rows)
+        for got, k in zip(rows, inputs_of_rows):
+            assert got.shape == (n,)
+            assert np.allclose(got, ref_jac[k][i], rtol=1e-6, atol=0.0), (case, i, k)
+    # The constant ones, exactly: dr_v/dk5_hat = 0, dr_m/dy_v' = 0 and
+    # dr_m/dy_m' = 1.
+    assert np.all(ref_jac[4][0] == 0.0)
+    assert np.all(ref_jac[2][1] == 0.0)
+    assert np.all(ref_jac[3][1] == 1.0)
     assert vars(diag) == vars(ref_diag)
     if case == "clamped_outputs":
         dead = (y_v <= CLAMP_EPS) | (y_m <= CLAMP_EPS)
         assert 0 < diag.output_clamped < 4 * n
-        assert np.all(jac_v[0][y_v <= CLAMP_EPS] == 0.0)
-        assert np.all(jac_m[1][y_m <= CLAMP_EPS] == 0.0)
-        assert np.all(jac_v[0][~dead] != 0.0)
+        assert np.all(rows_v[0][y_v <= CLAMP_EPS] == 0.0)
+        assert np.all(rows_m[1][y_m <= CLAMP_EPS] == 0.0)
+        assert np.all(rows_v[0][~dead] != 0.0)
     else:
         assert diag.output_clamped == 0
     if case == "hydroxyl_clamp":
@@ -605,11 +613,11 @@ def test_residual_partials_match_dual_jacobian(params, cond, coeffs, case):
         assert diag.chemistry_infeasible == n
         # No attack: the thinning residual depends on dy_m/dtau alone.
         assert np.array_equal(r_m, dym)
-        assert not np.any(jac_m[[0, 1, 4]])
+        assert not np.any(rows_m)
     else:
         assert diag.chemistry_infeasible == 0
         if case != "hydroxyl_clamp":
-            assert np.all(jac_m[4] != 0.0)
+            assert np.all(rows_m[2] != 0.0)
 
 
 def test_composite_loss_builds_no_value(
