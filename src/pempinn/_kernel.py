@@ -16,9 +16,15 @@ bit-identical to a per-stage function-call form. The rewrites only hoist
 values that do not change within a call (the bracket end residual terms
 ``lo - k1v - k2v*log(p/lo)`` and ``k3v*p/lo``, ``k3v*p``, ``0.5*dt``,
 ``dt/6``, ``3*k2``) and replace ``abs``/``min`` by comparisons that pick
-the same float, NaN included. ``tests/test_simulator.py`` pins the loop
-to that per-stage reference (all arrays, status and counters, failure
-exits included) and pins its Newton iterates to ``solve_voltage``.
+the same float, NaN included. Stages 1-3 of a step and stage 0 of the
+next all start Newton from the voltage of the step's stage 0, so the
+first iteration is unrolled and its parts that do not depend on ``t_mem``
+are computed once per start: the first iterate ``x0``, ``i0 = p/x0``,
+``x0 - k1v - k2v*log(i0)``, ``k3v*i0``, ``1 + k2v/x0`` and ``x0*x0``. Each
+is a left-associated prefix of the expression it stood in, so the iterates
+do not change. ``tests/test_simulator.py`` pins the loop to that per-stage
+reference (all arrays, status and counters, failure exits included) and
+pins its Newton iterates to ``solve_voltage``.
 
 ``rk4_thinning`` fills output arrays that the caller passes in, so they
 may live in memory shared with another process. With a ``progress``
@@ -138,7 +144,7 @@ def rk4_thinning(
     half_dt = 0.5 * dt
     sixth_dt = dt / 6.0
     v_tol = V_TOL
-    newton_iters = range(1, V_MAX_ITER + 1)
+    newton_iters = range(2, V_MAX_ITER + 1)  # the first iteration is unrolled
     # Index of the step whose row completes the next CHUNK; -1 never comes.
     report_step = CHUNK - 1 if progress is not None else -1
 
@@ -148,7 +154,16 @@ def rk4_thinning(
     infeasible_count = 0
     tm = t_mem0      # thickness at the start of the step
     t_mem = tm       # thickness the current stage is evaluated at
-    v_guess = V_GUESS
+    # The first Newton iterate x0 and the parts of g(x0) and g'(x0) that do
+    # not depend on t_mem, shared by the four solves that start from one
+    # guess; recomputed, the same way, each time the guess changes.
+    x = V_GUESS
+    x0 = mid0 if x <= lo0 or x >= hi0 else x
+    i_x = p_over_a / x0
+    g0_head = x0 - k1v - k2v * log(i_x)
+    g0_tail = k3v * i_x
+    dg0_head = 1.0 + k2v / x0
+    xx0 = x0 * x0
     step = 0
     stage = 0
 
@@ -161,26 +176,35 @@ def rk4_thinning(
             break
         lo = lo0
         hi = hi0
-        x = v_guess
-        if x <= lo or x >= hi:
-            x = mid0
-        for it in newton_iters:
-            i_x = p_over_a / x
-            g_x = x - k1v - k2v * log(i_x) - k3v * i_x / t_mem
-            if -v_tol <= g_x <= v_tol:
-                break
+        x = x0
+        g_x = g0_head - g0_tail / t_mem
+        it = 1
+        if not -v_tol <= g_x <= v_tol:
             if g_x > 0.0:
                 hi = x
             else:
                 lo = x
-            x_new = x - g_x / (1.0 + k2v / x + k3p / (x * x * t_mem))
+            x_new = x - g_x / (dg0_head + k3p / (xx0 * t_mem))
             if x_new <= lo or x_new >= hi:
                 x_new = 0.5 * (lo + hi)
             x = x_new
-        else:
-            status = 2
-            fail_step = step
-            break
+            for it in newton_iters:
+                i_x = p_over_a / x
+                g_x = x - k1v - k2v * log(i_x) - k3v * i_x / t_mem
+                if -v_tol <= g_x <= v_tol:
+                    break
+                if g_x > 0.0:
+                    hi = x
+                else:
+                    lo = x
+                x_new = x - g_x / (1.0 + k2v / x + k3p / (x * x * t_mem))
+                if x_new <= lo or x_new >= hi:
+                    x_new = 0.5 * (lo + hi)
+                x = x_new
+            else:
+                status = 2
+                fail_step = step
+                break
 
         # Chemistry: smallest positive root of the peroxide quadratic
         # (sign-aware stable formula), then hydroxyl clamped at zero.
@@ -236,9 +260,14 @@ def rk4_thinning(
             trs[step] = tr
             frrs[step] = frr
             iters[step] = it
-            v_guess = x
             if step == n_steps:
                 break
+            x0 = mid0 if x <= lo0 or x >= hi0 else x
+            i_x = p_over_a / x0
+            g0_head = x0 - k1v - k2v * log(i_x)
+            g0_tail = k3v * i_x
+            dg0_head = 1.0 + k2v / x0
+            xx0 = x0 * x0
             if step == report_step:
                 progress(step + 1)
                 report_step += CHUNK

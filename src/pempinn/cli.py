@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import pickle
 import sys
 import time
 from dataclasses import replace
@@ -23,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._fork import ForkedStage
 from .config import RunConfig, config_hash, load_config
 from .constants import K5_SCALE
 from .errors import (
@@ -152,7 +151,7 @@ def _simulate_into(cfg: RunConfig, out_dir: Path, k5):
     ``(traj, paths, writer)``; ``writer.result()`` waits for the files."""
     paths = [out_dir / "trajectory.csv", out_dir / "trajectory_diagnostics.csv"]
     arrays = trajectory_arrays(cfg.simulation.n_steps)
-    writer = _ForkedStage(lambda stops: _write_rows(arrays, paths, stops))
+    writer = ForkedStage(lambda stops: _write_rows(arrays, paths, stops))
     try:
         traj = integrate_trajectory(
             cfg.physics,
@@ -280,119 +279,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# Counts cross a _ForkedStage's feed as 8-byte unsigned integers.
-_COUNT_BYTES = 8
-
-
-class _ForkedStage:
-    """``job(stops)`` running in a forked child process beside the caller.
-
-    ``send(n)`` feeds the child a non-negative count through a pipe;
-    ``stops`` iterates the counts sent, until the feed is closed.
-    ``result()`` closes the feed, waits for the child and returns what
-    ``job`` returned, or raises what it raised; ``cancel()`` closes the feed
-    and kills and reaps a child that is not wanted any more. Where the
-    platform has no ``os.fork``, ``send`` keeps the counts in a list and
-    ``result()`` runs ``job`` on it inline, so the stages keep their
-    sequential order.
-    """
-
-    def __init__(self, job):
-        self._job = job
-        self._pid = self._pipe = self._feed = None
-        self._sent = []
-        if not hasattr(os, "fork"):
-            return
-        sys.stdout.flush()
-        sys.stderr.flush()
-        read_fd, write_fd = os.pipe()
-        feed_read, feed_write = os.pipe()
-        try:
-            pid = os.fork()
-        except BaseException:
-            for fd in (read_fd, write_fd, feed_read, feed_write):
-                os.close(fd)
-            raise
-        if pid == 0:
-            os.close(read_fd)
-            os.close(feed_write)
-            _run_forked(job, _received(feed_read), write_fd)
-        os.close(write_fd)
-        os.close(feed_read)
-        self._pid = pid
-        self._feed = feed_write
-        self._pipe = os.fdopen(read_fd, "rb")
-
-    def send(self, count: int) -> None:
-        if self._feed is None:
-            self._sent.append(count)
-            return
-        try:
-            os.write(self._feed, count.to_bytes(_COUNT_BYTES, "little"))
-        except BrokenPipeError:
-            pass  # the child has ended; result() says why
-
-    def result(self):
-        self._close_feed()
-        if self._pipe is None:
-            return self._job(self._sent)
-        try:
-            payload = self._pipe.read()
-        except BaseException:
-            self.cancel()
-            raise
-        self._pipe.close()
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        if not payload:
-            raise ChildProcessError(
-                f"forked stage ended without a result (wait status {status})"
-            )
-        ok, value = pickle.loads(payload)
-        if ok:
-            return value
-        raise value
-
-    def cancel(self) -> None:
-        self._close_feed()
-        if self._pid is not None:
-            import signal  # here, so that importing the CLI does not load it
-
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-            self._pipe.close()
-
-    def _close_feed(self) -> None:
-        if self._feed is not None:
-            os.close(self._feed)
-            self._feed = None
-
-
-def _received(fd):
-    """The counts ``_ForkedStage.send`` wrote to ``fd``, until the feed ends."""
-    with os.fdopen(fd, "rb") as feed:
-        while len(message := feed.read(_COUNT_BYTES)) == _COUNT_BYTES:
-            yield int.from_bytes(message, "little")
-
-
-def _run_forked(job, stops, write_fd) -> None:
-    """Child side of ``_ForkedStage``: send ``job(stops)``'s outcome, then
-    exit without returning into the caller's stack."""
-    status = 1
-    try:
-        try:
-            outcome = (True, job(stops))
-        except BaseException as exc:
-            outcome = (False, exc)
-        payload = pickle.dumps(outcome)
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _write_rows(arrays, paths, stops) -> None:
     """Format the trajectory rows as the counts in ``stops`` arrive, each
     the number of leading rows that are final; at the last-row count
@@ -431,7 +317,7 @@ def cmd_reproduce(args) -> int:
             # Both models train from the dataset in memory; dataset.csv
             # holds its values exactly (each float written as its repr).
             stage = "train-ann"
-            ann_stage = _ForkedStage(
+            ann_stage = ForkedStage(
                 lambda _: _train_into(ann_cfg, ds, ds_path, out_dir / "ann", "ann")[1]
             )
             stage = "train-pinn"

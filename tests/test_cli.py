@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from pempinn._fork import ForkedStage
 from pempinn._kernel import CHUNK
 from pempinn.cli import main
 from pempinn.config import (
@@ -1258,11 +1259,11 @@ def test_writer_formats_reported_ranges_and_writes_only_at_done(tmp_path, trajec
         cli._write_rows(arrays, files(name), counts)
     assert sorted(tmp_path.iterdir()) == before
     # The same counts through a forked stage's feed: send -> _received.
-    stage = cli._ForkedStage(lambda stops: list(stops))
+    stage = ForkedStage(lambda stops: list(stops))
     for rows in [*uneven, n, 2**63 - 1]:
         stage.send(rows)
     assert stage.result() == [*uneven, n, 2**63 - 1]
-    stage = cli._ForkedStage(lambda stops: cli._write_rows(arrays, files("fed"), stops))
+    stage = ForkedStage(lambda stops: cli._write_rows(arrays, files("fed"), stops))
     for rows in [*uneven, n]:
         stage.send(rows)
     stage.result()
@@ -1290,9 +1291,9 @@ def test_writer_returns_at_the_last_row_without_reading_further(tmp_path, trajec
     # A child forked after the writer holds a copy of its feed, so the feed
     # does not end when result() closes it; the writer must not wait for
     # that.
-    writer = cli._ForkedStage(lambda stops: cli._write_rows(arrays, paths, stops))
+    writer = ForkedStage(lambda stops: cli._write_rows(arrays, paths, stops))
     writer.send(n)
-    later = cli._ForkedStage(lambda _: time.sleep(30.0))
+    later = ForkedStage(lambda _: time.sleep(30.0))
     try:
         start = time.monotonic()
         writer.result()

@@ -1,23 +1,28 @@
 import csv
+import dataclasses
 import functools
 import hashlib
 import inspect
 import json
 import math
 import os
+import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pempinn import _kernel
+from pempinn import _kernel, simulator
+from pempinn._fork import ForkedStage
 from pempinn.constants import default_conditions, default_parameters
 from pempinn.degradation import steady_state_radicals, thinning_rate
 from pempinn.electrochem import voltage_coefficients
 from pempinn.errors import ConfigError, DatasetFormatError, SimulationError
 from pempinn.simulator import (
     DATASET_COLUMNS,
+    Dataset,
     atomic_open,
     dataset_csv_bytes,
     generate_dataset,
@@ -580,14 +585,13 @@ def test_load_reports_missing_column(tmp_path, small_dataset):
         load_dataset(path)
 
 
-def test_load_reports_bad_line_number(tmp_path, small_dataset):
+def test_load_reports_bad_line_number(tmp_path, small_dataset, monkeypatch):
     path = tmp_path / "ds.csv"
     save_dataset(small_dataset, path)
     lines = path.read_text().splitlines()
     lines[3] = "train,not_a_number,1.0,0.01,1"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DatasetFormatError, match=":4"):
-        load_dataset(path)
+    _raises_both_ways(monkeypatch, path, ":4")
 
 
 def test_golden_dataset_checksum(params, cond):
@@ -624,8 +628,13 @@ def _csv_reference(path):
 
 def _write_with_sidecar(path, text):
     """Write dataset CSV text plus a sidecar whose sha256 matches it."""
-    payload = text.encode()
-    path.write_bytes(payload)
+    path.write_bytes(text.encode())
+    _write_with_sidecar_of(path)
+
+
+def _write_with_sidecar_of(path):
+    """Write a sidecar whose sha256 matches the dataset CSV ``path``."""
+    payload = path.read_bytes()
     meta = {
         "config_hash": "",
         "noise_sigma_mem": 0.002,
@@ -655,16 +664,82 @@ def _interleaved(text):
     return "\n".join([header, *mixed]) + "\n"
 
 
+def _blank_half(half):
+    """A layout with more blank lines than text, before or after the rows,
+    so that one half of the split file holds no row (loadtxt warns about
+    input without rows)."""
+
+    def layout(text):
+        header, rows = text.split("\n", 1)
+        blank = "\n" * (len(text) + 2)
+        return header + "\n" + (blank + rows if half == "first" else rows + blank)
+
+    return layout
+
+
 LAYOUTS = {
     "reordered_columns": _reordered,
     "crlf": lambda text: text.replace("\n", "\r\n"),
     "trailing_blank_line": lambda text: text + "\n",
     "interleaved_splits": _interleaved,
+    "blank_first_half": _blank_half("first"),
+    "blank_second_half": _blank_half("second"),
 }
 
 
-def _assert_matches_reference(path):
-    ds = load_dataset(path)
+# load_dataset's two ways of parsing a file, by the SPLIT_BYTES that picks
+# each: whole in this process, or split at the midpoint with the head
+# parsed in a forked child.
+SERIAL, SPLIT = sys.maxsize, 0
+
+
+def _counted_forks(monkeypatch) -> list:
+    """The jobs load_dataset forks from now on, in a list."""
+    forks = []
+
+    def counted(job):
+        forks.append(job)
+        return ForkedStage(job)
+
+    monkeypatch.setattr(simulator, "ForkedStage", counted)
+    return forks
+
+
+def _loaded_both_ways(monkeypatch, path, forks=1):
+    """load_dataset(path) parsed whole and parsed split, which must give
+    byte-identical arrays and equal metadata; returns the Dataset. The split
+    parse forks ``forks`` times: 0 where the file has no line feed past its
+    midpoint."""
+    forked = _counted_forks(monkeypatch)
+    monkeypatch.setattr(simulator, "SPLIT_BYTES", SERIAL)
+    whole = load_dataset(path)
+    assert forked == []
+    monkeypatch.setattr(simulator, "SPLIT_BYTES", SPLIT)
+    split = load_dataset(path)
+    assert len(forked) == forks
+    for field in dataclasses.fields(Dataset):
+        a, b = getattr(whole, field.name), getattr(split, field.name)
+        if isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        else:
+            assert a == b, field.name
+    return whole
+
+
+def _raises_both_ways(monkeypatch, path, match):
+    """load_dataset(path) raises the same DatasetFormatError, matching
+    ``match``, whether it parses the file whole or split."""
+    messages = []
+    for split_bytes in (SERIAL, SPLIT):
+        monkeypatch.setattr(simulator, "SPLIT_BYTES", split_bytes)
+        with pytest.raises(DatasetFormatError, match=match) as info:
+            load_dataset(path)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def _assert_matches_reference(monkeypatch, path, forks=1):
+    ds = _loaded_both_ways(monkeypatch, path, forks)
     ref = _csv_reference(path)
     for split in ("train", "test"):
         got = np.column_stack(
@@ -681,73 +756,169 @@ def _assert_matches_reference(path):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_loader_matches_csv_reference(tmp_path, small_dataset, layout):
+def test_loader_matches_csv_reference(tmp_path, small_dataset, layout, monkeypatch):
     path = tmp_path / "ds.csv"
     text = dataset_csv_bytes(small_dataset).decode()
     _write_with_sidecar(path, LAYOUTS[layout](text))
-    _assert_matches_reference(path)
+    _assert_matches_reference(monkeypatch, path)
 
 
 @pytest.mark.filterwarnings("error")
-def test_loader_matches_csv_reference_beyond_one_chunk(tmp_path, trajectory):
+def test_loader_matches_csv_reference_beyond_one_chunk(
+    tmp_path, trajectory, monkeypatch
+):
     # numpy's loadtxt works through files in chunks of 50 000 rows.
     ds = generate_dataset(trajectory, 24, 60_001, 1 / 3, seed=5)
     path = tmp_path / "long.csv"
     save_dataset(ds, path)
-    _assert_matches_reference(path)
+    assert path.stat().st_size >= simulator.SPLIT_BYTES  # split by default
+    _assert_matches_reference(monkeypatch, path)
 
 
 @pytest.mark.filterwarnings("error")
-def test_loader_matches_csv_reference_on_golden_dataset():
-    _assert_matches_reference(GOLDEN_DIR / "golden_dataset.csv")
+def test_loader_matches_csv_reference_on_golden_dataset(monkeypatch):
+    _assert_matches_reference(monkeypatch, GOLDEN_DIR / "golden_dataset.csv")
 
 
-def test_load_reports_short_row_line_number(tmp_path, small_dataset):
+@pytest.mark.filterwarnings("error")
+def test_split_inside_a_crlf_row(tmp_path, small_dataset, monkeypatch):
+    # Each blank line appended moves the midpoint one byte on, so the
+    # midpoints cover a whole row: its "\r" and its "\n" included.
+    text = dataset_csv_bytes(small_dataset).decode().replace("\n", "\r\n")
+    at_midpoint = set()
+    for blank in range(len(text.splitlines()[-1]) + 2):
+        path = tmp_path / f"ds{blank}.csv"
+        _write_with_sidecar(path, text + "\r\n" * blank)
+        raw = path.read_bytes()
+        at_midpoint.add(raw[len(raw) // 2 : len(raw) // 2 + 1])
+        _assert_matches_reference(monkeypatch, path)
+    assert {b"\r", b"\n"} <= at_midpoint
+
+
+@pytest.mark.filterwarnings("error")
+def test_file_without_line_feed_past_midpoint_stays_serial(
+    tmp_path, small_dataset, monkeypatch
+):
+    path = tmp_path / "ds.csv"
+    text = dataset_csv_bytes(small_dataset).decode().replace("\n", "\r")
+    _write_with_sidecar(path, text)
+    _assert_matches_reference(monkeypatch, path, forks=0)
+
+
+def _damaged_row(small_dataset, half, damage):
+    """The dataset CSV with ``damage`` done to a row in its ``half``, and
+    that row's line number."""
+    raw = dataset_csv_bytes(small_dataset)
+    lines = raw.split(b"\n")
+    k = 3 if half == "head" else len(lines) - 3
+    start = sum(len(line) + 1 for line in lines[:k])
+    assert (start < len(raw) // 2) == (half == "head")
+    lines[k] = damage(lines[k])
+    return b"\n".join(lines), k + 1
+
+
+@pytest.mark.parametrize("half", ["head", "tail"])
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda row: b"train,not_a_number" + row[row.index(b",", 6):],
+        lambda row: row.replace(b",", b",\xff", 1),  # in t_hours
+    ],
+    ids=["not_a_number", "not_utf8"],
+)
+def test_bad_row_in_either_half_is_reported_as_when_parsed_whole(
+    tmp_path, small_dataset, monkeypatch, half, damage
+):
+    path = tmp_path / "ds.csv"
+    raw, line = _damaged_row(small_dataset, half, damage)
+    path.write_bytes(raw)
+    _write_with_sidecar_of(path)
+    _raises_both_ways(monkeypatch, path, rf"ds\.csv:{line}: bad row")
+
+
+@pytest.mark.parametrize("half", ["head", "tail"])
+def test_byte_not_utf8_in_unparsed_column_of_either_half(
+    tmp_path, small_dataset, monkeypatch, half
+):
+    # No row is at fault, so the decoder's error is reported. Its byte
+    # position counts from where decoding began, which differs between the
+    # two ways, so only the kind of error is compared.
+    path = tmp_path / "ds.csv"
+    raw, _ = _damaged_row(small_dataset, half, lambda row: row + b"\xff")
+    path.write_bytes(raw)
+    _write_with_sidecar_of(path)
+    for split_bytes in (SERIAL, SPLIT):
+        monkeypatch.setattr(simulator, "SPLIT_BYTES", split_bytes)
+        with pytest.raises(DatasetFormatError, match=r"ds\.csv: bad row \('utf-8'"):
+            load_dataset(path)
+
+
+def test_bad_row_in_tail_kills_the_running_head_parse(
+    tmp_path, small_dataset, monkeypatch
+):
+    # The head's child is still parsing when this process finds a bad row
+    # in the tail; load_dataset must not wait for it, and must reap it.
+    path = tmp_path / "ds.csv"
+    raw, line = _damaged_row(small_dataset, "tail", lambda row: row[: row.index(b",")])
+    path.write_bytes(raw)
+    _write_with_sidecar_of(path)
+    parse_head = simulator._parse_head
+
+    def slow_parse_head(*args):
+        time.sleep(30.0)
+        return parse_head(*args)
+
+    monkeypatch.setattr(simulator, "_parse_head", slow_parse_head)
+    forked = _counted_forks(monkeypatch)
+    monkeypatch.setattr(simulator, "SPLIT_BYTES", SPLIT)
+    start = time.monotonic()
+    with pytest.raises(DatasetFormatError, match=rf"ds\.csv:{line}: bad row"):
+        load_dataset(path)
+    assert time.monotonic() - start < 15.0
+    assert len(forked) == 1  # and conftest checks that it was reaped
+
+
+def test_load_reports_short_row_line_number(tmp_path, small_dataset, monkeypatch):
     path = tmp_path / "ds.csv"
     lines = dataset_csv_bytes(small_dataset).decode().splitlines()
     lines[5] = "train,1.0,2.4"
     _write_with_sidecar(path, "\n".join(lines) + "\n")
-    with pytest.raises(DatasetFormatError, match=r"ds\.csv:6: bad row"):
-        load_dataset(path)
+    _raises_both_ways(monkeypatch, path, r"ds\.csv:6: bad row")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_load_rejects_non_finite_row(tmp_path, small_dataset, value):
+def test_load_rejects_non_finite_row(tmp_path, small_dataset, value, monkeypatch):
     path = tmp_path / "ds.csv"
     lines = dataset_csv_bytes(small_dataset).decode().splitlines()
     fields = lines[30].split(",")
     fields[3] = value
     lines[30] = ",".join(fields)
     _write_with_sidecar(path, "\n".join(lines) + "\n")
-    with pytest.raises(DatasetFormatError, match=r"ds\.csv:31: .*thickness_cm"):
-        load_dataset(path)
+    _raises_both_ways(monkeypatch, path, r"ds\.csv:31: .*thickness_cm")
 
 
-def test_load_reports_unknown_split_line_number(tmp_path, small_dataset):
+def test_load_reports_unknown_split_line_number(tmp_path, small_dataset, monkeypatch):
     path = tmp_path / "ds.csv"
     lines = dataset_csv_bytes(small_dataset).decode().splitlines()
     lines[7] = lines[7].replace("train", "trainee", 1)
     _write_with_sidecar(path, "\n".join(lines) + "\n")
-    with pytest.raises(DatasetFormatError, match=r"ds\.csv:8: unknown split 'trainee'"):
-        load_dataset(path)
+    _raises_both_ways(monkeypatch, path, r"ds\.csv:8: unknown split 'trainee'")
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("rows", ["", "\n\n", "train,0.0,2.4,0.02,1\n"])
-def test_load_needs_both_splits(tmp_path, rows):
+def test_load_needs_both_splits(tmp_path, rows, monkeypatch):
     path = tmp_path / "ds.csv"
     _write_with_sidecar(path, ",".join(DATASET_COLUMNS) + "\n" + rows)
-    with pytest.raises(DatasetFormatError, match="needs both train and test"):
-        load_dataset(path)
+    _raises_both_ways(monkeypatch, path, "needs both train and test")
 
 
-def test_load_checks_sidecar_sha256(tmp_path, small_dataset):
+def test_load_checks_sidecar_sha256(tmp_path, small_dataset, monkeypatch):
     path = tmp_path / "ds.csv"
     save_dataset(small_dataset, path)
     text = path.read_text()
     path.write_text(text.replace("train,", "test,", 1))
-    with pytest.raises(DatasetFormatError, match=r"sha256.*ds\.csv\.meta\.json"):
-        load_dataset(path)
+    _raises_both_ways(monkeypatch, path, r"sha256.*ds\.csv\.meta\.json")
 
 
 @pytest.mark.parametrize(
@@ -763,24 +934,24 @@ def test_load_checks_sidecar_sha256(tmp_path, small_dataset):
     ids=["no_seed", "no_sha256", "string_sigma", "nan_fraction", "float_seed",
          "huge_int_sigma"],
 )
-def test_load_validates_sidecar_keys(tmp_path, small_dataset, edit, key):
+def test_load_validates_sidecar_keys(tmp_path, small_dataset, edit, key, monkeypatch):
     path = tmp_path / "ds.csv"
     save_dataset(small_dataset, path)
     meta_path = Path(f"{path}.meta.json")
     meta = json.loads(meta_path.read_text())
     edit(meta)
     meta_path.write_text(json.dumps(meta))
-    with pytest.raises(DatasetFormatError, match=rf"ds\.csv\.meta\.json: .*'{key}'"):
-        load_dataset(path)
+    _raises_both_ways(monkeypatch, path, rf"ds\.csv\.meta\.json: .*'{key}'")
 
 
 @pytest.mark.parametrize("body", ['{"seed": 11', "[]"])
-def test_load_rejects_sidecar_that_is_not_a_json_object(tmp_path, small_dataset, body):
+def test_load_rejects_sidecar_that_is_not_a_json_object(
+    tmp_path, small_dataset, body, monkeypatch
+):
     path = tmp_path / "ds.csv"
     save_dataset(small_dataset, path)
     Path(f"{path}.meta.json").write_text(body)
-    with pytest.raises(DatasetFormatError, match=r"ds\.csv\.meta\.json: "):
-        load_dataset(path)
+    _raises_both_ways(monkeypatch, path, r"ds\.csv\.meta\.json: ")
 
 
 def test_settings_validation():
