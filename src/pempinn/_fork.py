@@ -28,8 +28,11 @@ class ForkedStage:
     ``send(n)`` feeds the child a non-negative count through a pipe;
     ``stops`` iterates the counts sent, until the feed is closed.
     ``result()`` closes the feed, waits for the child and returns what
-    ``job`` returned, or raises what it raised; ``cancel()`` closes the feed
-    and kills and reaps a child that is not wanted any more. Where the
+    ``job`` returned, or raises what it raised, unpickled straight from the
+    pipe; if the child ends before it sends a whole result, as when it is
+    killed while it writes, ``result()`` raises ChildProcessError with the
+    wait status (an OSError, so the CLI exits 4). ``cancel()`` closes the
+    feed and kills and reaps a child that is not wanted any more. Where the
     platform has no ``os.fork``, ``send`` keeps the counts in a list and
     ``result()`` runs ``job`` on it inline, so the stages keep their
     sequential order.
@@ -75,18 +78,22 @@ class ForkedStage:
         if self._pipe is None:
             return self._job(self._sent)
         try:
-            payload = self._pipe.read()
+            outcome = pickle.load(self._pipe)
+        except (EOFError, pickle.UnpicklingError):
+            # The child ended before it sent a whole result: nothing, or a
+            # payload cut short.
+            outcome = None
         except BaseException:
             self.cancel()
             raise
         self._pipe.close()
         _, status = os.waitpid(self._pid, 0)
         self._pid = None
-        if not payload:
+        if outcome is None:
             raise ChildProcessError(
                 f"forked stage ended without a result (wait status {status})"
             )
-        ok, value = pickle.loads(payload)
+        ok, value = outcome
         if ok:
             return value
         raise value

@@ -11,8 +11,8 @@ times them (``kernel.rk4_s``).
 Newton solve, the peroxide/hydroxyl chemistry and the RK4 update written
 inline, so no Python call is made per stage. Every floating-point
 operation keeps the operands and the order of the standalone
-``solve_voltage`` and of the scalar chemistry, so the trajectories are
-bit-identical to a per-stage function-call form. The rewrites only hoist
+``solve_voltage`` and of a per-stage chemistry function, so the
+trajectories are bit-identical to a per-stage function-call form. The rewrites only hoist
 values that do not change within a call (the bracket end residual terms
 ``lo - k1v - k2v*log(p/lo)`` and ``k3v*p/lo``, ``k3v*p``, ``0.5*dt``,
 ``dt/6``, ``3*k2``) and replace ``abs``/``min`` by comparisons that pick

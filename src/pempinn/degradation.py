@@ -3,10 +3,15 @@
 The chain evaluated at a cell voltage V: water velocity -> peroxide
 quadratic -> hydroxyl concentration -> fluoride release -> thinning rate.
 
-Everything here runs on plain floats and numpy arrays. Training takes
-c_HO and its partials in V and k5 from :func:`hydroxyl_chain_partials`;
-the tests pin those partials to complex-step derivatives of a plain-numpy
-copy of the chain (``tests/reference_physics.py``).
+Everything here runs on plain floats and numpy arrays. The chain from V to
+c_HO has one implementation: :func:`hydroxyl_chain_partials`, built on
+:func:`peroxide_quadratic_coefficients` and :func:`solve_peroxide_selected`,
+gives c_HO and its partials in V and k5 at every voltage of an array, and
+masks and counts infeasible chemistry instead of raising. Training runs it;
+the tests pin it to complex-step derivatives of a plain-numpy copy of the
+chain (``tests/reference_physics.py``). The fused RK4 kernel
+(``_kernel``) keeps its own inline copy for speed, which the tests pin to
+a per-stage reference bit for bit.
 
 Unit notes: concentrations mol/m3, rates mol/(m3 s), thickness cm, fluoride
 release ug/(h cm2), thinning rate cm/h. The composed conversion factor in
@@ -16,8 +21,6 @@ m3 per cm3, ug per g, g per ug).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constants import (
@@ -25,18 +28,13 @@ from .constants import (
     PhysicsParameters,
     membrane_molar_concentration,
 )
-from .errors import ChemistryError, ConfigError
 
 __all__ = [
-    "RadicalState",
     "DiagnosticCounters",
     "water_velocity",
     "peroxide_quadratic_coefficients",
-    "solve_peroxide",
     "solve_peroxide_selected",
-    "hydroxyl_concentration",
     "hydroxyl_chain_partials",
-    "steady_state_radicals",
     "fluoride_release_rate",
     "thinning_per_fluoride",
     "thinning_rate",
@@ -55,27 +53,6 @@ class DiagnosticCounters:
         setattr(self, name, getattr(self, name) + int(n))
 
 
-@dataclass(frozen=True)
-class RadicalState:
-    """Steady-state radical concentrations at one operating point."""
-
-    c_h2o2: float       # mol/m3
-    c_ho: float         # mol/m3
-    v_h2o: float        # m/s
-    coefficients: tuple  # (A, B, C) of the peroxide quadratic
-
-    def residuals(self):
-        """Back-substitution residuals of both algebraic equations.
-
-        Returned relative to the magnitude of the participating terms, so a
-        well-conditioned solution reports values near machine epsilon.
-        """
-        a, b, c = self.coefficients
-        quad = a * self.c_h2o2**2 + b * self.c_h2o2 + c
-        quad_scale = abs(a * self.c_h2o2**2) + abs(b * self.c_h2o2) + abs(c)
-        return abs(quad) / quad_scale if quad_scale > 0 else abs(quad)
-
-
 def water_velocity(
     params: PhysicsParameters, cond: OperatingConditions, v
 ):
@@ -88,23 +65,16 @@ def water_velocity(
 
 
 def peroxide_quadratic_coefficients(
-    params: PhysicsParameters, cond: OperatingConditions, v, k5=None
+    params: PhysicsParameters, cond: OperatingConditions, v, k5
 ):
-    """Coefficients (A, B, C) of A*c^2 + B*c + C = 0 for c = c_H2O2.
+    """``(A, B, C, w, s)``: the coefficients of A*c^2 + B*c + C = 0 for
+    c = c_H2O2, with the w and s they are built from.
 
     With w = v_H2O/e_cl and s = k4*c_O2 + k5*C_mem - w:
         A = -3*k2 + w
         B = s*(w - k2)/k3 - v1
         C = -s*v1/k3
     """
-    if k5 is None:
-        k5 = params.k5_true
-    return _quadratic(params, cond, v, k5)[:3]
-
-
-def _quadratic(params: PhysicsParameters, cond: OperatingConditions, v, k5):
-    """``(A, B, C, w, s)``: the peroxide quadratic's coefficients with the w
-    and s they are built from."""
     w = water_velocity(params, cond, v) / params.e_cl
     c_mem = membrane_molar_concentration(params)
     s = params.k4 * params.c_O2 + k5 * c_mem - w
@@ -146,38 +116,6 @@ def solve_peroxide_selected(a, b, c):
     return root, lin_feas | pos1 | pos2
 
 
-def solve_peroxide(a: float, b: float, c: float) -> float:
-    """Scalar peroxide concentration; raises when no positive root exists."""
-    if a == 0.0 and b == 0.0:
-        raise ChemistryError((a, b, c), "degenerate equation (A = B = 0)")
-    root, feasible = solve_peroxide_selected(a, b, c)
-    if not feasible:
-        raise ChemistryError((a, b, c), "no strictly positive real root")
-    return float(root)
-
-
-def hydroxyl_concentration(
-    params: PhysicsParameters,
-    cond: OperatingConditions,
-    v,
-    c_h2o2,
-    diag: DiagnosticCounters | None = None,
-):
-    """Hydroxyl radical concentration, clamped at zero.
-
-    c_HO = v_H2O/(e_cl*k3) - k2/k3 - v1/(k3*c_H2O2); negative formula values
-    are unphysical and clamp to zero (counted in ``diag`` when provided).
-    """
-    if np.ndim(c_h2o2) == 0 and c_h2o2 <= 0.0:
-        raise ConfigError("c_h2o2", "peroxide concentration must be positive")
-    w = water_velocity(params, cond, v) / params.e_cl
-    raw = w / params.k3 - params.k2 / params.k3 - params.v1 / (params.k3 * c_h2o2)
-    positive = np.asarray(raw) > 0.0
-    if diag is not None:
-        diag.count("hydroxyl_clamped", np.sum(~positive))
-    return np.where(positive, raw, 0.0)
-
-
 def hydroxyl_chain_partials(
     params: PhysicsParameters,
     cond: OperatingConditions,
@@ -196,7 +134,7 @@ def hydroxyl_chain_partials(
     The peroxide root r is differentiated implicitly through its quadratic
     A r^2 + B r + C = 0: dr = -(dA r^2 + dB r + dC) / (2 A r + B).
     """
-    a, b, c, w, s = _quadratic(params, cond, v, k5)
+    a, b, c, w, s = peroxide_quadratic_coefficients(params, cond, v, k5)
     root, feasible = solve_peroxide_selected(a, b, c)
     k2, k3, v1 = params.k2, params.k3, params.v1
     raw = w / k3 - k2 / k3 - v1 / (k3 * root)
@@ -220,25 +158,6 @@ def hydroxyl_chain_partials(
         np.where(positive, raw, 0.0),
         np.where(positive, dw_dv / k3 + dc_dr * dr_dv, 0.0),
         np.where(positive, dc_dr * dr_dk5, 0.0),
-    )
-
-
-def steady_state_radicals(
-    params: PhysicsParameters,
-    cond: OperatingConditions,
-    v: float,
-    k5=None,
-    diag: DiagnosticCounters | None = None,
-) -> RadicalState:
-    """Scalar steady state at voltage v; raises if chemistry is infeasible."""
-    a, b, c = peroxide_quadratic_coefficients(params, cond, v, k5=k5)
-    c_h2o2 = solve_peroxide(a, b, c)
-    c_ho = hydroxyl_concentration(params, cond, v, c_h2o2, diag=diag)
-    return RadicalState(
-        c_h2o2=c_h2o2,
-        c_ho=float(c_ho),
-        v_h2o=float(water_velocity(params, cond, v)),
-        coefficients=(a, b, c),
     )
 
 

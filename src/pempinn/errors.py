@@ -3,6 +3,10 @@
 The CLI maps these onto stable exit codes (config 2, numerical 3, I/O 4),
 so new error types should subclass one of the groups below. Every error
 survives pickling, so a stage run in a forked process can hand it back.
+
+Radical chemistry without a positive peroxide root is no error of its own:
+the chain masks it to zero attack and counts it, and a trajectory that has
+it at every stage raises SimulationError.
 """
 
 
@@ -28,18 +32,6 @@ class NumericalError(PempinnError):
 
 class SolverError(NumericalError):
     """Scalar root solve failed (no bracket or no convergence)."""
-
-
-class ChemistryError(NumericalError):
-    """Radical steady state has no physically admissible solution."""
-
-    def __init__(self, coefficients, message):
-        self.coefficients = coefficients
-        self.message = message
-        super().__init__(f"{message} (quadratic coefficients {coefficients})")
-
-    def __reduce__(self):
-        return type(self), (self.coefficients, self.message)
 
 
 class SimulationError(NumericalError):

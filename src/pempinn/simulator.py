@@ -522,17 +522,23 @@ def _bad_row(path, index, exc) -> DatasetFormatError:
 
     Runs on the error path only: it rescans the file row by row with the
     csv module, because numpy's error text does not give a stable line
-    number. ``exc`` is numpy's error, reported if no row is found at fault,
-    as for a byte that is not UTF-8 in a column that is not parsed.
+    number. Each row, the header too, is decoded strictly, so a byte that
+    is not UTF-8 is reported with its line, in whichever column it is.
+    ``exc`` is numpy's error, reported if no row is found at fault.
     """
     width = max(index[col] for col in _ROW_DTYPE.names) + 1
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue
+        for number, row in enumerate(reader):
             where = f"{path}:{reader.line_num}"
+            try:
+                # A byte that is not UTF-8 was read as a lone surrogate;
+                # decoding the row's bytes again strictly names it.
+                ",".join(row).encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as err:
+                return DatasetFormatError(f"{where}: bad row ({err})")
+            if number == 0 or not row:  # the header, or a blank line
+                continue
             if len(row) < width:
                 return DatasetFormatError(
                     f"{where}: bad row (needs {width} fields, has {len(row)})"

@@ -7,8 +7,9 @@ real part, and the clamps are ``where(real(x) > floor, x, floor)`` with the
 strict ``>`` production uses, so a clamped entry carries no derivative. On
 real input they give the bits the tests pin production's forward pass and
 root selection to. The arithmetic-only helpers of :mod:`pempinn.degradation`
-(``water_velocity``, ``peroxide_quadratic_coefficients``,
-``thinning_rate``) are analytic as they stand and are used from there.
+(``peroxide_quadratic_coefficients``, which also returns w = v_H2O/e_cl,
+and ``thinning_rate``) are analytic as they stand and are used from there. The root selection and the hydroxyl clamp are copied here, with
+masks that read the real part.
 """
 
 import numpy as np
@@ -17,7 +18,6 @@ from pempinn.constants import K5_SCALE
 from pempinn.degradation import (
     peroxide_quadratic_coefficients,
     thinning_rate,
-    water_velocity,
 )
 from pempinn.training import CLAMP_EPS
 
@@ -87,14 +87,13 @@ def solve_peroxide_selected(a, b, c):
     return root, lin_feas | pos1 | pos2
 
 
-def hydroxyl_chain(params, cond, v, k5=None, diag=None):
+def hydroxyl_chain(params, cond, v, k5, diag=None):
     """Full chain V -> c_HO, with infeasible chemistry and a negative
     hydroxyl formula value both masked to zero and counted in ``diag``."""
-    a, b, c = peroxide_quadratic_coefficients(params, cond, v, k5=k5)
+    a, b, c, w, _ = peroxide_quadratic_coefficients(params, cond, v, k5)
     root, feasible = solve_peroxide_selected(a, b, c)
     if diag is not None:
         diag.count("chemistry_infeasible", np.sum(~feasible))
-    w = water_velocity(params, cond, v) / params.e_cl
     raw = w / params.k3 - params.k2 / params.k3 - params.v1 / (params.k3 * root)
     raw_positive = np.real(raw) > 0.0
     if diag is not None:

@@ -17,11 +17,10 @@ import pytest
 from pempinn.cli import main
 from pempinn.constants import default_conditions, default_parameters
 from pempinn.degradation import (
+    hydroxyl_chain_partials,
     peroxide_quadratic_coefficients,
-    solve_peroxide,
-    steady_state_radicals,
+    solve_peroxide_selected,
     thinning_rate,
-    water_velocity,
 )
 from pempinn.electrochem import (
     activation_overpotential,
@@ -163,11 +162,10 @@ def test_criterion_5_integrator_order_and_exponential():
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(3)]
 
     # Frozen-coefficient trajectory against the closed-form exponential.
-    st = steady_state_radicals(params, cond, solve_cell_voltage(
-        voltage_coefficients(params, cond), cond.t_mem0
-    ))
-    traj = integrate_trajectory(params, cond, n_steps=4096, c_ho_override=st.c_ho)
-    kappa = float(thinning_rate(params, st.c_ho, cond.t_mem0)) / cond.t_mem0
+    v0 = solve_cell_voltage(voltage_coefficients(params, cond), cond.t_mem0)
+    c_ho = hydroxyl_chain_partials(params, cond, np.array([v0]), params.k5_true)[0][0]
+    traj = integrate_trajectory(params, cond, n_steps=4096, c_ho_override=c_ho)
+    kappa = float(thinning_rate(params, c_ho, cond.t_mem0)) / cond.t_mem0
     exact = cond.t_mem0 * np.exp(-kappa * traj.times)
     max_rel = float(np.max(np.abs(traj.thicknesses - exact) / exact))
 
@@ -221,12 +219,13 @@ def test_criterion_7_chemistry_contracts():
     cond = default_conditions()
     traj = integrate_trajectory(params, cond, n_steps=1024)
 
-    a, b, c = peroxide_quadratic_coefficients(params, cond, traj.voltages)
+    a, b, c, w, _ = peroxide_quadratic_coefficients(
+        params, cond, traj.voltages, params.k5_true
+    )
     quad = a * traj.c_h2o2**2 + b * traj.c_h2o2 + c
     quad_scale = np.abs(a * traj.c_h2o2**2) + np.abs(b * traj.c_h2o2) + np.abs(c)
     quad_rel = float(np.max(np.abs(quad) / quad_scale))
 
-    w = np.asarray(water_velocity(params, cond, traj.voltages)) / params.e_cl
     terms = np.stack(
         [w / params.k3,
          np.full_like(w, params.k2 / params.k3),
@@ -235,23 +234,28 @@ def test_criterion_7_chemistry_contracts():
     resid = np.abs(traj.c_ho - (terms[0] - terms[1] - terms[2]))
     ho_rel = float(np.max(resid / np.max(np.abs(terms), axis=0)))
 
-    # Root-selection continuity under 1e-12 relative coefficient noise.
-    max_shift = 0.0
-    for idx in np.linspace(0, len(traj.times) - 1, 32, dtype=int):
-        ai, bi, ci = float(a[idx]), float(b[idx]), float(c[idx])
-        base = solve_peroxide(ai, bi, ci)
-        pert = solve_peroxide(
-            ai * (1 + 1e-12), bi * (1 - 1e-12), ci * (1 + 1e-12)
-        )
-        max_shift = max(max_shift, abs(pert - base) / max(1.0, abs(base)))
+    # Root-selection continuity under 1e-12 relative coefficient noise, at
+    # 32 points of the trajectory: base and perturbed triples in one solve.
+    idx = np.linspace(0, len(traj.times) - 1, 32, dtype=int)
+    ai, bi, ci = a[idx], b[idx], c[idx]
+    roots, feasible = solve_peroxide_selected(
+        np.concatenate([ai, ai * (1 + 1e-12)]),
+        np.concatenate([bi, bi * (1 - 1e-12)]),
+        np.concatenate([ci, ci * (1 + 1e-12)]),
+    )
+    base, pert = roots[: idx.size], roots[idx.size :]
+    max_shift = float(np.max(np.abs(pert - base) / np.maximum(1.0, np.abs(base))))
+    all_feasible = bool(feasible.all())
 
-    ok = quad_rel <= 1e-9 and ho_rel <= 1e-9 and max_shift <= 1e-6
+    ok = all_feasible and quad_rel <= 1e-9 and ho_rel <= 1e-9 and max_shift <= 1e-6
     report(
         7,
         f"steady-state chemistry (quadratic {quad_rel:.2e}, hydroxyl "
-        f"{ho_rel:.2e} <= 1e-9; root shift {max_shift:.2e})",
+        f"{ho_rel:.2e} <= 1e-9; root shift {max_shift:.2e} <= 1e-6, "
+        f"every triple feasible: {all_feasible})",
         ok,
     )
+    assert all_feasible
     assert quad_rel <= 1e-9
     assert ho_rel <= 1e-9
     assert max_shift <= 1e-6

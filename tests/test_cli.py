@@ -964,7 +964,6 @@ def test_every_error_survives_pickling():
 
     special = {
         errors.ConfigError: ("n_steps", "need at least 10 integration steps"),
-        errors.ChemistryError: ((1.0, -2.0, 3.0), "no positive root"),
     }
     classes = [
         cls for _, cls in inspect.getmembers(errors, inspect.isclass)
@@ -976,7 +975,28 @@ def test_every_error_survives_pickling():
         back = pickle.loads(pickle.dumps(exc))
         assert type(back) is cls
         assert str(back) == str(exc)
-        assert vars(back) == vars(exc)  # key, coefficients
+        assert vars(back) == vars(exc)  # ConfigError.key
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [
+        lambda payload: payload[:1],
+        lambda payload: payload[: len(payload) // 2],
+        lambda payload: payload[:-1],
+    ],
+    ids=["first_byte", "half", "all_but_last_byte"],
+)
+def test_result_cut_short_is_child_process_error(cut):
+    # A child killed while it writes leaves a payload cut short; result()
+    # reaps it and reports it, instead of an unpickling error.
+    def job(_):
+        _truncate_results(cut)
+        return list(range(10_000))
+
+    with pytest.raises(ChildProcessError, match=r"without a result \(wait status 0\)"):
+        ForkedStage(job).result()
+    _assert_children_reaped()
 
 
 def _assert_children_reaped():
@@ -1006,6 +1026,19 @@ def _stub_child_death():
     import os
 
     os._exit(1)  # the forked stage ends before it sends a result
+
+
+def _truncate_results(cut):
+    """Cut every result this forked child sends with ``cut``, as if it were
+    killed while it wrote; the stub runs in the child only."""
+    import pickle
+
+    dumps = pickle.dumps
+    pickle.dumps = lambda obj: cut(dumps(obj))
+
+
+def _stub_truncated_result():
+    _truncate_results(lambda payload: payload[: len(payload) // 2])
 
 
 def _train_failing_for(physics_enabled, monkeypatch, fail=_stub_training_error):
@@ -1046,6 +1079,7 @@ def test_reproduce_trajectory_write_failure_is_stage_simulate(
     [
         (_stub_training_error, 3, "stub training failure"),
         (_stub_child_death, 4, "forked stage ended without a result"),
+        (_stub_truncated_result, 4, "forked stage ended without a result"),
     ],
 )
 def test_reproduce_ann_failure_is_stage_train_ann(

@@ -12,17 +12,26 @@ from pempinn.degradation import (
     DiagnosticCounters,
     fluoride_release_rate,
     hydroxyl_chain_partials,
-    hydroxyl_concentration,
     peroxide_quadratic_coefficients,
-    solve_peroxide,
     solve_peroxide_selected,
-    steady_state_radicals,
     thinning_rate,
     water_velocity,
 )
-from pempinn.errors import ChemistryError, ConfigError
 
 V0_DEFAULT = 2.426453768299751  # bisection-oracle value for the default config
+
+
+def _c_ho_at(params, cond, v):
+    """c_HO at the voltage ``v`` and the true k5, from the array chain."""
+    return hydroxyl_chain_partials(params, cond, np.array([v]), params.k5_true)[0][0]
+
+
+def _selected_root(a, b, c):
+    """The root ``solve_peroxide_selected`` picks from one triple, which
+    must be feasible."""
+    root, feasible = solve_peroxide_selected(a, b, c)
+    assert feasible
+    return float(root)
 
 
 def test_water_velocity_zero_coefficient(cond):
@@ -44,7 +53,7 @@ def test_water_velocity_hand_value(params, cond):
 def test_quadratic_constant_term_vanishes(cond):
     # v_H2O = 0 (kappa_w -> 0) and v1 -> 0 collapse C to zero.
     p = PhysicsParameters(kappa_w=1e-300, v1=1e-300)
-    a, b, c = peroxide_quadratic_coefficients(p, cond, 1.8)
+    _, _, c, _, _ = peroxide_quadratic_coefficients(p, cond, 1.8, p.k5_true)
     assert c == pytest.approx(0.0, abs=1e-280)
 
 
@@ -54,7 +63,7 @@ def test_quadratic_linear_regime(params, cond):
     i = cond.P / (cond.A_cell * v)
     kappa = 3.0 * params.k2 * params.e_cl / i
     p = PhysicsParameters(kappa_w=kappa)
-    a, _, _ = peroxide_quadratic_coefficients(p, cond, v)
+    a = peroxide_quadratic_coefficients(p, cond, v, p.k5_true)[0]
     assert a == pytest.approx(0.0, abs=1e-18)
 
 
@@ -69,7 +78,7 @@ def test_quadratic_golden_triple(params, cond):
         params.k2 / params.k3
     )
     exp_c = -s * (params.v1 / params.k3)
-    a, b, c = peroxide_quadratic_coefficients(params, cond, v)
+    a, b, c, _, _ = peroxide_quadratic_coefficients(params, cond, v, params.k5_true)
     assert a == pytest.approx(exp_a, rel=1e-12)
     assert b == pytest.approx(exp_b, rel=1e-12)
     assert c == pytest.approx(exp_c, rel=1e-12)
@@ -80,11 +89,11 @@ def test_quadratic_golden_triple(params, cond):
 
 
 def test_solve_peroxide_factorable():
-    assert solve_peroxide(1.0, -3.0, 2.0) == pytest.approx(1.0, rel=1e-14)
+    assert _selected_root(1.0, -3.0, 2.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_solve_peroxide_linear_case():
-    assert solve_peroxide(0.0, 2.0, -4.0) == pytest.approx(2.0, rel=1e-14)
+    assert _selected_root(0.0, 2.0, -4.0) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_solve_peroxide_no_cancellation():
@@ -93,19 +102,9 @@ def test_solve_peroxide_no_cancellation():
     b = Decimal(-1e8)
     disc = b * b - Decimal(4)
     small = float((-b - disc.sqrt()) / 2)
-    got = solve_peroxide(1.0, -1e8, 1.0)
+    got = _selected_root(1.0, -1e8, 1.0)
     assert got == pytest.approx(small, rel=1e-15)
     assert got == pytest.approx(1e-8, rel=1e-12)
-
-
-def test_solve_peroxide_degenerate_rejected():
-    with pytest.raises(ChemistryError):
-        solve_peroxide(0.0, 0.0, 1.0)
-
-
-def test_solve_peroxide_no_positive_root():
-    with pytest.raises(ChemistryError, match="no strictly positive"):
-        solve_peroxide(1.0, 2.0, 1.0)  # roots both -1
 
 
 def test_root_selection_smallest_positive():
@@ -172,75 +171,50 @@ def test_root_selection_matches_generic_oracle_bitwise():
 def test_root_selection_continuity_under_perturbation():
     # Perturbing coefficients by 1e-12 relative never switches the root.
     rng = np.random.default_rng(7)
-    for _ in range(300):
-        a = rng.uniform(0.01, 2.0)
-        b = rng.uniform(0.5, 50.0)
-        c = -rng.uniform(1.0, 1e3)  # physical regime: A > 0, C < 0
-        base = solve_peroxide(a, b, c)
-        pert = solve_peroxide(
-            a * (1 + 1e-12), b * (1 - 1e-12), c * (1 + 1e-12)
-        )
-        assert abs(pert - base) <= 1e-6 * max(1.0, abs(base))
-
-
-def test_hydroxyl_exact_cancellation(params, cond):
-    # Pick c_H2O2 so the formula value is exactly zero.
-    v = 2.0
-    w = water_velocity(params, cond, v) / params.e_cl
-    c_h2o2 = params.v1 / (w - params.k2)
-    got = hydroxyl_concentration(params, cond, v, c_h2o2)
-    assert float(got) == pytest.approx(0.0, abs=1e-18)
-
-
-def test_hydroxyl_hand_substitution(cond):
-    # v1 -> 0 and w = 2*k2 leaves exactly k2/k3.
-    base = PhysicsParameters()
-    v = 2.0
-    i = cond.P / (cond.A_cell * v)
-    kappa = 2.0 * base.k2 * base.e_cl / i
-    p = PhysicsParameters(kappa_w=kappa, v1=1e-300)
-    got = hydroxyl_concentration(params=p, cond=cond, v=v, c_h2o2=1.0)
-    assert float(got) == pytest.approx(p.k2 / p.k3, rel=1e-9)
+    # 300 draws of (a, b, -c), in the physical regime A > 0, C < 0.
+    a, b, c = rng.uniform((0.01, 0.5, 1.0), (2.0, 50.0, 1e3), size=(300, 3)).T
+    c = -c
+    base, base_ok = solve_peroxide_selected(a, b, c)
+    pert, pert_ok = solve_peroxide_selected(
+        a * (1 + 1e-12), b * (1 - 1e-12), c * (1 + 1e-12)
+    )
+    assert base_ok.all() and pert_ok.all()
+    assert np.all(np.abs(pert - base) <= 1e-6 * np.maximum(1.0, np.abs(base)))
 
 
 def test_hydroxyl_golden_at_default_operating_point(params, cond):
     # Symbolic-substitution oracle: numpy's eigenvalue root finder plus the
     # definition of c_HO, fully independent of the stable-formula path.
-    a, b, c = peroxide_quadratic_coefficients(params, cond, V0_DEFAULT)
+    a, b, c, _, _ = peroxide_quadratic_coefficients(
+        params, cond, V0_DEFAULT, params.k5_true
+    )
     roots = np.roots([a, b, c])
     root = min(r.real for r in roots if r.real > 0 and abs(r.imag) < 1e-12)
     w = water_velocity(params, cond, V0_DEFAULT) / params.e_cl
     expected = w / params.k3 - params.k2 / params.k3 - params.v1 / (params.k3 * root)
-    st = steady_state_radicals(params, cond, V0_DEFAULT)
-    assert st.c_h2o2 == pytest.approx(root, rel=1e-10)
-    assert st.c_ho == pytest.approx(expected, rel=1e-6)
-    assert st.c_ho == pytest.approx(3.158182887351245e-12, rel=1e-8)
-
-
-def test_hydroxyl_clamp_counted(params, cond):
-    # Huge v1 drives the formula negative; the clamp must fire and count.
-    diag = DiagnosticCounters()
-    got = hydroxyl_concentration(params, cond, 2.0, 1e-9, diag=diag)
-    assert float(got) == 0.0
-    assert diag.hydroxyl_clamped == 1
-
-
-def test_hydroxyl_rejects_nonpositive_peroxide(params, cond):
-    with pytest.raises(ConfigError, match="c_h2o2"):
-        hydroxyl_concentration(params, cond, 2.0, 0.0)
+    c_ho = _c_ho_at(params, cond, V0_DEFAULT)
+    assert _selected_root(a, b, c) == pytest.approx(root, rel=1e-10)
+    assert c_ho == pytest.approx(expected, rel=1e-6)
+    assert c_ho == pytest.approx(3.158182887351245e-12, rel=1e-8)
 
 
 def test_steady_state_back_substitution(params, cond):
-    st = steady_state_radicals(params, cond, V0_DEFAULT)
-    assert st.residuals() <= 1e-9
+    a, b, c, _, _ = peroxide_quadratic_coefficients(
+        params, cond, V0_DEFAULT, params.k5_true
+    )
+    c_h2o2 = _selected_root(a, b, c)
+    # Peroxide quadratic residual, relative to the magnitude of its terms.
+    quad = a * c_h2o2**2 + b * c_h2o2 + c
+    quad_scale = abs(a * c_h2o2**2) + abs(b * c_h2o2) + abs(c)
+    assert abs(quad) / quad_scale <= 1e-9
     # c_HO equation residual, scaled by its largest term.
     w = water_velocity(params, cond, V0_DEFAULT) / params.e_cl
     terms = (
         w / params.k3,
         params.k2 / params.k3,
-        params.v1 / (params.k3 * st.c_h2o2),
+        params.v1 / (params.k3 * c_h2o2),
     )
-    resid = abs(st.c_ho - (terms[0] - terms[1] - terms[2]))
+    resid = abs(_c_ho_at(params, cond, V0_DEFAULT) - (terms[0] - terms[1] - terms[2]))
     assert resid <= 1e-9 * max(abs(t) for t in terms)
 
 
@@ -258,16 +232,16 @@ def test_thinning_rate_linear_in_thickness(params):
 
 def test_thinning_rate_golden_composition(params, cond):
     # Compose the chain v5 -> v_fluor -> FRR -> TR independently.
-    st = steady_state_radicals(params, cond, V0_DEFAULT)
+    c_ho = _c_ho_at(params, cond, V0_DEFAULT)
     c_mem = membrane_molar_concentration(params)
-    v5 = params.k5_true * st.c_ho * c_mem
+    v5 = params.k5_true * c_ho * c_mem
     v_fluor = 3.6 * v5
     frr = v_fluor * params.MM_F * cond.t_mem0 * 3600.0 * 1e-6 * 1e6
     tr = frr / (params.rho_naf_cgs * 0.82) * 1e-6
-    assert float(fluoride_release_rate(params, st.c_ho, cond.t_mem0)) == pytest.approx(
+    assert float(fluoride_release_rate(params, c_ho, cond.t_mem0)) == pytest.approx(
         frr, rel=1e-12
     )
-    assert float(thinning_rate(params, st.c_ho, cond.t_mem0)) == pytest.approx(
+    assert float(thinning_rate(params, c_ho, cond.t_mem0)) == pytest.approx(
         tr, rel=1e-12
     )
 
@@ -278,14 +252,6 @@ def test_thinning_rate_definitional_identity(params):
     frr = fluoride_release_rate(params, c_ho, t_mem)
     tr = thinning_rate(params, c_ho, t_mem)
     assert float(tr) == float(frr) * 1e-6 / (params.rho_naf_cgs * 0.82)
-
-
-def test_hydroxyl_chain_matches_scalar_path(params, cond):
-    volts = np.array([1.8, 2.2, V0_DEFAULT, 3.0])
-    batched = hydroxyl_chain_partials(params, cond, volts, params.k5_true)[0]
-    for i, v in enumerate(volts):
-        st = steady_state_radicals(params, cond, float(v))
-        assert batched[i] == pytest.approx(st.c_ho, rel=1e-12)
 
 
 def test_hydroxyl_chain_masks_infeasible(params, cond):
@@ -323,7 +289,7 @@ def test_hydroxyl_chain_clamps_negative_k5(params, cond):
         (0.1, 1000.0, "chemistry_infeasible"),
     ],
 )
-def test_hydroxyl_chain_partials_match_dual(params, cond, k2, k5, regime):
+def test_hydroxyl_chain_partials_match_complex_step(params, cond, k2, k5, regime):
     # c_HO and its partials in V and k5 against complex steps of the
     # reference hydroxyl_chain.
     # A negative k5 clamps the hydroxyl formula; k2 = 0.1 leaves the

@@ -297,7 +297,7 @@ def test_blocked_predict_matches_per_neuron_reference():
     assert np.allclose(m, net.t_mem_ref * acts[1], rtol=1e-13, atol=1e-18)
 
 
-def test_tangent_forward_matches_dual_forward():
+def test_tangent_forward_matches_complex_step():
     # The tangent pass bit for bit against the reference's recursion, and
     # that recursion against a complex step in tau.
     net = make_net(7)

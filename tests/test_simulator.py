@@ -17,7 +17,7 @@ import pytest
 from pempinn import _kernel, simulator
 from pempinn._fork import ForkedStage
 from pempinn.constants import default_conditions, default_parameters
-from pempinn.degradation import steady_state_radicals, thinning_rate
+from pempinn.degradation import hydroxyl_chain_partials, thinning_rate
 from pempinn.electrochem import voltage_coefficients
 from pempinn.errors import ConfigError, DatasetFormatError, SimulationError
 from pempinn.simulator import (
@@ -35,6 +35,12 @@ from pempinn.simulator import (
 )
 
 GOLDEN_DIR = Path(__file__).parent / "data"
+
+
+def _c_ho_at_v0(params, cond):
+    """c_HO at the default configuration's initial voltage and the true k5."""
+    v0 = np.array([2.4264537682997105])
+    return hydroxyl_chain_partials(params, cond, v0, params.k5_true)[0][0]
 
 
 def test_zero_attack_rate_gives_flat_trajectory(params, cond):
@@ -55,11 +61,11 @@ def test_trajectory_structure(trajectory, cond):
 
 def test_frozen_hydroxyl_matches_analytic_exponential(params, cond):
     # With c_HO frozen, dt_mem/dt = -kappa * t_mem exactly.
-    st = steady_state_radicals(params, cond, 2.4264537682997105)
+    c_ho = _c_ho_at_v0(params, cond)
     traj = integrate_trajectory(
-        params, cond, n_steps=4096, c_ho_override=st.c_ho
+        params, cond, n_steps=4096, c_ho_override=c_ho
     )
-    kappa = float(thinning_rate(params, st.c_ho, cond.t_mem0)) / cond.t_mem0
+    kappa = float(thinning_rate(params, c_ho, cond.t_mem0)) / cond.t_mem0
     exact = cond.t_mem0 * np.exp(-kappa * traj.times)
     rel = np.abs(traj.thicknesses - exact) / exact
     assert rel.max() <= 1e-8
@@ -91,11 +97,12 @@ def test_step_halving_order_at_least_3_8(cond):
 def test_diagnostics_consistent_with_degradation_module(params, cond, trajectory):
     # Re-evaluate TR from the logged (V, t_mem) at a sample of steps.
     idx = np.linspace(0, len(trajectory.times) - 1, 25, dtype=int)
-    for i in idx:
-        st = steady_state_radicals(params, cond, float(trajectory.voltages[i]))
-        tr = float(thinning_rate(params, st.c_ho, float(trajectory.thicknesses[i])))
-        assert abs(st.c_ho - trajectory.c_ho[i]) <= 1e-10 * max(1.0, abs(st.c_ho))
-        assert abs(tr - trajectory.thinning[i]) <= 1e-10 * max(1.0, abs(tr))
+    c_ho = hydroxyl_chain_partials(
+        params, cond, trajectory.voltages[idx], params.k5_true
+    )[0]
+    tr = thinning_rate(params, c_ho, trajectory.thicknesses[idx])
+    for got, logged in ((c_ho, trajectory.c_ho[idx]), (tr, trajectory.thinning[idx])):
+        assert np.all(np.abs(got - logged) <= 1e-10 * np.maximum(1.0, np.abs(got)))
 
 
 def test_membrane_vanish_aborts(params, cond):
@@ -394,7 +401,7 @@ def _parity_cases():
     cases["v1_14_k5_5e3"] = (
         0, dict(params=fast, cond=cond, k5=5.0e3, n_steps=1024), {}
     )
-    c_ho = steady_state_radicals(params, cond, 2.4264537682997105).c_ho
+    c_ho = _c_ho_at_v0(params, cond)
     cases["frozen_c_ho"] = (
         0, dict(params=params, cond=cond, n_steps=1024, c_ho_override=c_ho), {}
     )
@@ -449,7 +456,7 @@ def test_fused_kernel_matches_per_stage_reference(case):
 def _progress_cases():
     params = default_parameters()
     cond = default_conditions()
-    c_ho = steady_state_radicals(params, cond, 2.4264537682997105).c_ho
+    c_ho = _c_ho_at_v0(params, cond)
     chunk = _kernel.CHUNK
     return {
         "below_one_chunk": dict(params=params, cond=cond, n_steps=10),
@@ -840,17 +847,13 @@ def test_bad_row_in_either_half_is_reported_as_when_parsed_whole(
 def test_byte_not_utf8_in_unparsed_column_of_either_half(
     tmp_path, small_dataset, monkeypatch, half
 ):
-    # No row is at fault, so the decoder's error is reported. Its byte
-    # position counts from where decoding began, which differs between the
-    # two ways, so only the kind of error is compared.
+    # The byte is in a column that is not parsed, so only the rescan's
+    # strict decoding finds it; both ways name its line.
     path = tmp_path / "ds.csv"
-    raw, _ = _damaged_row(small_dataset, half, lambda row: row + b"\xff")
+    raw, line = _damaged_row(small_dataset, half, lambda row: row + b"\xff")
     path.write_bytes(raw)
     _write_with_sidecar_of(path)
-    for split_bytes in (SERIAL, SPLIT):
-        monkeypatch.setattr(simulator, "SPLIT_BYTES", split_bytes)
-        with pytest.raises(DatasetFormatError, match=r"ds\.csv: bad row \('utf-8'"):
-            load_dataset(path)
+    _raises_both_ways(monkeypatch, path, rf"ds\.csv:{line}: bad row \('utf-8'")
 
 
 def test_bad_row_in_tail_kills_the_running_head_parse(

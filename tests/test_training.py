@@ -539,7 +539,7 @@ def test_train_steps_along_composite_loss_gradient(params, cond, coeffs, small_d
 @pytest.mark.parametrize(
     "case", ["live", "clamped_outputs", "hydroxyl_clamp", "infeasible"]
 )
-def test_residual_partials_match_dual_jacobian(params, cond, coeffs, case):
+def test_residual_partials_match_complex_step_jacobian(params, cond, coeffs, case):
     # The closed-form partials, point by point, against complex steps of
     # the reference residuals in each of y_v, y_m, dy_v/dtau, dy_m/dtau and
     # k5_hat; the residuals are pointwise, so one step per input gives
