@@ -2,15 +2,19 @@
 
 Every command writes its artifacts into an output directory together with an
 append-only ``manifest.json`` recording the command, config hash, seeds,
-file checksums and the Python and numpy versions. Exit codes are a stable
-contract for CI: 0 success, 2 configuration error, 3 numerical failure, 4
-I/O failure (1 is reserved for a completed reproduction run whose
-acceptance checks did not all pass).
+file checksums and the environment that fixes the output bits (the Python
+and numpy versions, numpy's SIMD targets and OpenBLAS's core). Exit codes
+are a stable contract for CI: 0 success, 2 configuration error, 3 numerical
+failure, 4 I/O failure (1 is reserved for a completed reproduction run
+whose acceptance checks did not all pass).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import json
 import sys
 import time
@@ -73,6 +77,28 @@ def _load(args) -> RunConfig:
     return cfg
 
 
+@functools.cache
+def _native_environment(libs: Path) -> dict:
+    """The SIMD targets numpy dispatches to (baseline and found, as
+    ``numpy.show_runtime()`` lists them) and the core and config of the
+    OpenBLAS in ``libs``: with the Python and numpy versions, what fixes a
+    run's bits. Each is "unknown" where this numpy build does not expose it.
+    """
+    env = dict.fromkeys(("numpy_simd", "openblas_core", "openblas_config"), "unknown")
+    with contextlib.suppress(ImportError, AttributeError):
+        from numpy._core import _multiarray_umath as umath
+
+        targets = (*umath.__cpu_baseline__, *umath.__cpu_dispatch__)
+        env["numpy_simd"] = tuple(t for t in targets if umath.__cpu_features__.get(t))
+    with contextlib.suppress(IndexError, OSError, AttributeError):
+        lib = ctypes.CDLL(str(sorted(libs.glob("libscipy_openblas64_*.so"))[0]))
+        for key, name in (("openblas_core", "corename"), ("openblas_config", "config")):
+            getter = getattr(lib, f"scipy_openblas_get_{name}64_")
+            getter.argtypes, getter.restype = [], ctypes.c_char_p
+            env[key] = getter().decode()
+    return env
+
+
 def _append_manifest(
     out_dir: Path, command: str, cfg: RunConfig, outputs, inputs=(), diagnostics=None
 ):
@@ -97,6 +123,7 @@ def _append_manifest(
             "environment": {
                 "python": ".".join(map(str, sys.version_info[:3])),
                 "numpy": np.__version__,
+                **_native_environment(Path(np.__file__).parents[1] / "numpy.libs"),
             },
         }
     )

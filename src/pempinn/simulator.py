@@ -13,7 +13,6 @@ deviation of the clean full-horizon signal.
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import io
 import json
@@ -387,9 +386,11 @@ def load_dataset(path) -> Dataset:
     naming the file, and the line for a fault in a row:
 
     - the CSV and the sidecar are UTF-8 text;
-    - the header has every column of ``DATASET_COLUMNS``;
-    - every row parses, its values are finite, its split is ``train`` or
-      ``test``, and both splits occur;
+    - the header has every column of ``DATASET_COLUMNS`` (a repeated name
+      means its last copy);
+    - every row parses: comma-separated and unquoted, one per physical line
+      (blank lines skipped, a whitespace-only line is a bad row), its values
+      finite, its split ``train`` or ``test``, and both splits occur;
     - the sidecar ``<path>.meta.json`` exists and is a JSON object with
       finite numbers ``noise_sigma_v``, ``noise_sigma_mem`` and
       ``train_fraction``, a non-negative integer ``seed`` and a string
@@ -400,17 +401,12 @@ def load_dataset(path) -> Dataset:
     """
     # Bytes that are not UTF-8 pass here as U+FFFD; loadtxt decodes strictly
     # and sends them to _bad_row.
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        header = next(csv.reader(fh), [])
-        for col in DATASET_COLUMNS:
-            if col not in header:
-                raise DatasetFormatError(f"{path}: missing column '{col}'")
-        has_rows = any(line.strip() for line in fh)
-    if not has_rows:
-        # Caught here because loadtxt warns about a file without data rows.
-        raise DatasetFormatError(f"{path}: needs both train and test rows")
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+    for col in DATASET_COLUMNS:
+        if col not in header:
+            raise DatasetFormatError(f"{path}: missing column '{col}'")
 
-    # Like csv.DictReader, a repeated column name means its last copy.
     index = {name: i for i, name in enumerate(header)}
     try:
         parts, digest = _read_columns(path, [index[col] for col in _ROW_DTYPE.names])
@@ -502,8 +498,8 @@ def _parse(source, usecols, skiprows) -> np.ndarray:
     """``np.loadtxt`` of dataset rows from ``source``, a path or a text file
     read with universal newlines, as a 1-D ``_ROW_DTYPE`` array."""
     with warnings.catch_warnings():
-        # Half of a split file may hold no row; load_dataset has checked
-        # that the whole file holds some.
+        # A file, or half of a split file, may hold no row; load_dataset
+        # reports a file without rows as lacking both splits.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         return np.loadtxt(
             source,
@@ -520,35 +516,44 @@ def _parse(source, usecols, skiprows) -> np.ndarray:
 def _bad_row(path, index, exc) -> DatasetFormatError:
     """Error naming the first row of ``path`` that load_dataset rejects.
 
-    Runs on the error path only: it rescans the file row by row with the
-    csv module, because numpy's error text does not give a stable line
-    number. Each row, the header too, is decoded strictly, so a byte that
-    is not UTF-8 is reported with its line, in whichever column it is.
+    Runs on the error path only, because numpy's error text does not give
+    a stable line number: it splits each line on commas as numpy does (no
+    quoting, blank lines skipped, a whitespace-only line is one field).
+    Each line, the header too, is decoded strictly, so a byte that is not
+    UTF-8 is reported with its line, in whichever column it is.
     ``exc`` is numpy's error, reported if no row is found at fault.
     """
     width = max(index[col] for col in _ROW_DTYPE.names) + 1
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        for number, row in enumerate(reader):
-            where = f"{path}:{reader.line_num}"
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh, 1):
+            where = f"{path}:{number}"
+            line = line.rstrip("\n")
             try:
                 # A byte that is not UTF-8 was read as a lone surrogate;
-                # decoding the row's bytes again strictly names it.
-                ",".join(row).encode("utf-8", "surrogateescape").decode("utf-8")
+                # decoding the line's bytes again strictly names it.
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
             except UnicodeDecodeError as err:
                 return DatasetFormatError(f"{where}: bad row ({err})")
-            if number == 0 or not row:  # the header, or a blank line
+            if number == 1 or not line:  # the header, or a blank line
                 continue
+            row = line.split(",")
             if len(row) < width:
                 return DatasetFormatError(
                     f"{where}: bad row (needs {width} fields, has {len(row)})"
                 )
             for col in _VALUE_COLUMNS:
                 field = row[index[col]]
+                # As numpy reads a number: float() of the field stripped of
+                # all Unicode whitespace, in ASCII and without "_".
+                text = field.strip()
                 try:
-                    value = float(field)
-                except ValueError as err:
-                    return DatasetFormatError(f"{where}: bad row ({err})")
+                    if not text.isascii() or "_" in text:
+                        raise ValueError
+                    value = float(text)
+                except ValueError:
+                    return DatasetFormatError(
+                        f"{where}: bad row (could not convert string to float: {field!r})"
+                    )
                 if not math.isfinite(value):
                     return DatasetFormatError(
                         f"{where}: non-finite {col} ({field!r})"

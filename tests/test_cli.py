@@ -831,6 +831,7 @@ def test_manifest_records_environment(tmp_path, fast_config):
     import platform
 
     import numpy as np
+    from numpy._core import _multiarray_umath as umath
 
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(fast_config), "--out", str(out)]) == 0
@@ -840,10 +841,32 @@ def test_manifest_records_environment(tmp_path, fast_config):
     runs = json.loads((out / "manifest.json").read_text())["runs"]
     assert len(runs) == 2
     for entry in runs:
-        assert entry["environment"] == {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        }
+        env = entry["environment"]
+        assert sorted(env) == [
+            "numpy", "numpy_simd", "openblas_config", "openblas_core", "python"
+        ]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        # SIMD targets in dispatch order, the baseline first.
+        baseline = list(umath.__cpu_baseline__)
+        assert env["numpy_simd"][: len(baseline)] == baseline
+        # A DYNAMIC_ARCH OpenBLAS names the core it picked in its config.
+        assert env["openblas_core"] in env["openblas_config"]
+
+
+def test_native_environment_falls_back_to_unknown(tmp_path, monkeypatch):
+    # No OpenBLAS in the library directory, and a numpy that does not
+    # report its CPU features.
+    from numpy._core import _multiarray_umath as umath
+
+    from pempinn import cli
+
+    monkeypatch.delattr(umath, "__cpu_features__")
+    assert cli._native_environment.__wrapped__(tmp_path) == {
+        "numpy_simd": "unknown",
+        "openblas_core": "unknown",
+        "openblas_config": "unknown",
+    }
 
 
 @pytest.mark.parametrize("k5_hat, code", [(1.5, 0), (1.0, 1)])

@@ -830,8 +830,11 @@ def _damaged_row(small_dataset, half, damage):
     [
         lambda row: b"train,not_a_number" + row[row.index(b",", 6):],
         lambda row: row.replace(b",", b",\xff", 1),  # in t_hours
+        # float() reads these two, numpy does not.
+        lambda row: b"train,1_0" + row[row.index(b",", 6):],
+        lambda row: b"train,\xd9\xa1" + row[row.index(b",", 6):],  # Arabic 1
     ],
-    ids=["not_a_number", "not_utf8"],
+    ids=["not_a_number", "not_utf8", "underscore", "non_ascii_digit"],
 )
 def test_bad_row_in_either_half_is_reported_as_when_parsed_whole(
     tmp_path, small_dataset, monkeypatch, half, damage
@@ -889,6 +892,17 @@ def test_load_reports_short_row_line_number(tmp_path, small_dataset, monkeypatch
     _raises_both_ways(monkeypatch, path, r"ds\.csv:6: bad row")
 
 
+def test_load_reports_the_row_numpy_rejects(tmp_path, small_dataset, monkeypatch):
+    # numpy strips any Unicode whitespace around a number, while float()
+    # keeps "\x1c", so line 3 is a good row and line 6 the bad one.
+    path = tmp_path / "ds.csv"
+    lines = dataset_csv_bytes(small_dataset).decode().splitlines()
+    lines[2] = lines[2].replace(",", ",\x1c\u2003", 1)
+    lines[5] = "train,1.0,2.4"
+    _write_with_sidecar(path, "\n".join(lines) + "\n")
+    _raises_both_ways(monkeypatch, path, r"ds\.csv:6: bad row \(needs")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_load_rejects_non_finite_row(tmp_path, small_dataset, value, monkeypatch):
     path = tmp_path / "ds.csv"
@@ -914,6 +928,33 @@ def test_load_needs_both_splits(tmp_path, rows, monkeypatch):
     path = tmp_path / "ds.csv"
     _write_with_sidecar(path, ",".join(DATASET_COLUMNS) + "\n" + rows)
     _raises_both_ways(monkeypatch, path, "needs both train and test")
+
+
+def _quoted_field(text, line, field):
+    lines = text.splitlines()
+    fields = lines[line - 1].split(",")
+    fields[field] = f'"{fields[field]}"'
+    lines[line - 1] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+# The header, the parse and the rescan that names a bad row's line all read
+# a line alike: split on commas, with no quoting.
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda text: text.splitlines()[0] + "\n \t \n", r"ds\.csv:2: bad row"),
+        (lambda text: _quoted_field(text, 5, 2), r"ds\.csv:5: bad row"),
+        (lambda text: _quoted_field(text, 1, 0), "missing column 'split'"),
+    ],
+    ids=["whitespace_only_line", "quoted_value", "quoted_header"],
+)
+def test_load_reads_one_unquoted_row_per_line(
+    tmp_path, small_dataset, edit, match, monkeypatch
+):
+    path = tmp_path / "ds.csv"
+    _write_with_sidecar(path, edit(dataset_csv_bytes(small_dataset).decode()))
+    _raises_both_ways(monkeypatch, path, match)
 
 
 def test_load_checks_sidecar_sha256(tmp_path, small_dataset, monkeypatch):
