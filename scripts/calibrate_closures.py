@@ -17,13 +17,12 @@ keeps the two in sync.
 """
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pempinn import config as config_mod
-from pempinn.constants import default_conditions, default_parameters
+from pempinn.constants import OperatingConditions, PhysicsParameters
 from pempinn.simulator import integrate_trajectory
 
 TARGET_RATIO = 0.5
@@ -32,8 +31,8 @@ BISECT_ITERATIONS = 200
 
 
 def thinning_ratio(v1: float) -> float:
-    params = replace(default_parameters(), v1=v1)
-    cond = default_conditions()
+    params = PhysicsParameters(v1=v1)
+    cond = OperatingConditions()
     traj = integrate_trajectory(params, cond, n_steps=N_STEPS)
     return traj.thicknesses[-1] / cond.t_mem0
 
@@ -63,7 +62,7 @@ def main() -> int:
     print(f"calibrated v1 = {v1!r} mol/(m3 s)")
     print(f"thinning ratio at t_max: {ratio!r} (target {TARGET_RATIO})")
 
-    params = default_parameters()
+    params = PhysicsParameters()
     if abs(params.v1 - v1) / v1 > 1e-12:
         print(
             "NOTE: PhysicsParameters.v1 default "

@@ -11,14 +11,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from pempinn.constants import default_conditions, default_parameters
+from pempinn.constants import OperatingConditions, PhysicsParameters
 from pempinn.simulator import generate_dataset, integrate_trajectory, save_dataset
 
 
 def main() -> int:
     out_dir = Path(__file__).resolve().parents[1] / "tests" / "data"
     out_dir.mkdir(parents=True, exist_ok=True)
-    traj = integrate_trajectory(default_parameters(), default_conditions(), n_steps=64)
+    traj = integrate_trajectory(PhysicsParameters(), OperatingConditions(), n_steps=64)
     ds = generate_dataset(traj, n_train=12, n_test=30, train_fraction=1 / 3, seed=11)
     checksum = save_dataset(ds, out_dir / "golden_dataset.csv", config_hash="golden")
     print(f"wrote {out_dir / 'golden_dataset.csv'} sha256={checksum}")

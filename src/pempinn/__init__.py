@@ -12,12 +12,7 @@ closed-form derivatives to complex steps of a plain-numpy reference.
 
 __version__ = "0.1.0"
 
-from .constants import (
-    OperatingConditions,
-    PhysicsParameters,
-    default_conditions,
-    default_parameters,
-)
+from .constants import OperatingConditions, PhysicsParameters
 from .simulator import Dataset, Trajectory, generate_dataset, integrate_trajectory
 from .training import Metrics, TrainingConfig, evaluate, train
 
@@ -25,8 +20,6 @@ __all__ = [
     "__version__",
     "PhysicsParameters",
     "OperatingConditions",
-    "default_parameters",
-    "default_conditions",
     "Trajectory",
     "Dataset",
     "integrate_trajectory",

@@ -48,7 +48,7 @@ from .simulator import (
     trajectory_rows,
     write_trajectory,
 )
-from .training import evaluate, train
+from .training import EpochRecord, evaluate, train
 
 # k5_hat_final must lie within these factors of k5_true / K5_SCALE.
 K5_RECOVERY_WINDOW = (0.90, 1.10)
@@ -140,15 +140,10 @@ def _write_text(path: Path, text: str) -> None:
 
 def _write_history_csv(path: Path, history) -> None:
     with atomic_open(path) as fh:
-        fh.write(
-            "epoch,loss_data,loss_physics_v,loss_physics_mem,"
-            "loss_ic,loss_total,k5_hat\n"
-        )
+        names = EpochRecord._fields
+        fh.write(",".join(names) + "\n")
         for r in history:
-            fh.write(
-                f"{r.epoch},{r.loss_data!r},{r.loss_physics_v!r},"
-                f"{r.loss_physics_mem!r},{r.loss_ic!r},{r.loss_total!r},{r.k5_hat!r}\n"
-            )
+            fh.write(",".join([repr(getattr(r, name)) for name in names]) + "\n")
 
 
 def _trajectory_counters(traj) -> dict:

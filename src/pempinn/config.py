@@ -10,8 +10,10 @@ a float, and a boolean is never a number. Each group's ``__post_init__``
 checks its ranges, every array size has an upper bound
 (``simulator.MAX_COUNT``), and ``RunConfig`` checks that the RK4 step
 ``t_max / n_steps`` does not round to 0. Every error names the offending
-key, and one from ``load_config`` also the file. No function downstream
-checks a config value again.
+key, and one from ``load_config`` also the file; a file that holds no JSON
+object is named without a key. All four groups and ``RunConfig`` are
+frozen, so a value cannot change after it was checked and hashed, and no
+function downstream checks a config value again.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def save_config(cfg: RunConfig, path) -> None:
 
 def load_config(path) -> RunConfig:
     """The config in the JSON file ``path``; every error names the file."""
-    data = read_json_object(path, partial(ConfigError, "<file>"))
+    data = read_json_object(path, partial(ConfigError, None))
     try:
         return config_from_dict(data)
     except ConfigError as exc:

@@ -31,8 +31,6 @@ __all__ = [
     "K5_SCALE",
     "PhysicsParameters",
     "OperatingConditions",
-    "default_parameters",
-    "default_conditions",
     "membrane_molar_concentration",
     "saturation_pressure_bar",
 ]
@@ -53,9 +51,10 @@ _LAMBDA_MIN = 0.00326 / 0.005139
 
 
 def saturation_pressure_bar(T: float) -> float:
-    """Saturation vapor pressure of water at temperature T (kelvin), in bar."""
-    if T <= 273.15:
-        raise ConfigError("T", f"temperature {T} K below correlation range")
+    """Saturation vapor pressure of water at temperature T (kelvin), in bar.
+
+    ``OperatingConditions``, its one caller, has checked T > 273.15 K.
+    """
     t_c = T - 273.15
     p_mmhg = 10.0 ** (
         ANTOINE_WATER["A"] - ANTOINE_WATER["B"] / (ANTOINE_WATER["C"] + t_c)
@@ -143,15 +142,6 @@ class OperatingConditions:
             raise ConfigError("t_mem0", "initial thickness must lie in (0, 0.1) cm")
         if self.t_max <= 0.0:
             raise ConfigError("t_max", "simulation horizon must be positive")
-
-
-def default_parameters() -> PhysicsParameters:
-    """Registry populated with the audited literature values and defaults."""
-    return PhysicsParameters()
-
-
-def default_conditions() -> OperatingConditions:
-    return OperatingConditions()
 
 
 def membrane_molar_concentration(params: PhysicsParameters) -> float:

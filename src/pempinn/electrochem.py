@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import _kernel
 from .constants import OperatingConditions, PhysicsParameters
-from .errors import ConfigError, SolverError
+from .errors import SolverError
 
 __all__ = [
     "VoltageCoefficients",
@@ -59,10 +59,8 @@ def activation_overpotential(
     """Butler-Volmer kinetic losses of both electrodes (logarithmic form).
 
     Negative values are legitimate for i below the exchange current
-    densities; only i <= 0 is rejected.
+    densities; i must be positive.
     """
-    if i <= 0.0:
-        raise ConfigError("i", "current density must be positive")
     rt_f = params.R * cond.T / params.F
     return rt_f / params.alpha_an * math.log(i / params.i0_an) + (
         rt_f / params.alpha_cat * math.log(i / params.i0_cat)
@@ -83,8 +81,6 @@ def membrane_conductivity(lambda_hydration: float, T: float) -> float:
 
 def degraded_conductivity(sigma: float, t_mem: float, t_mem0: float) -> float:
     """Conductivity after thinning: sigma' = (t_mem/t_mem0)^2 * sigma."""
-    if t_mem <= 0.0:
-        raise ConfigError("t_mem", "membrane thickness must be positive")
     ratio = t_mem / t_mem0
     return ratio * ratio * sigma
 
@@ -120,15 +116,12 @@ def voltage_coefficients(
 
 
 def solve_cell_voltage(coeffs: VoltageCoefficients, t_mem: float) -> float:
-    """Solve the implicit reduced voltage equation for a given thickness.
+    """Solve the implicit reduced voltage equation for a given thickness
+    ``t_mem`` > 0.
 
     Deterministic; Newton starts at ``_kernel.V_GUESS``, and the returned V
     satisfies |V - RHS(V)| <= ``_kernel.V_TOL``, well below 1e-10 V.
     """
-    if t_mem <= 0.0:
-        raise ConfigError("t_mem", "membrane thickness must be positive")
-    if coeffs.k2V == 0.0 and coeffs.k3V == 0.0:
-        return coeffs.k1V
     solve, _ = _kernel.get_kernels()
     v, iters, status = solve(
         coeffs.k1V,

@@ -15,12 +15,13 @@ class PempinnError(Exception):
 
 
 class ConfigError(PempinnError):
-    """Invalid configuration or parameter value; names the offending key."""
+    """Invalid configuration or parameter value; names the offending key,
+    or, with key None, a config file that holds no JSON object."""
 
     def __init__(self, key, message):
         self.key = key
         self.message = message
-        super().__init__(f"config key '{key}': {message}")
+        super().__init__(message if key is None else f"config key '{key}': {message}")
 
     def __reduce__(self):
         return type(self), (self.key, self.message)

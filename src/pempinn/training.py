@@ -100,7 +100,7 @@ CLAMP_EPS = 0.1
 HEAP_BLOCK_PER_POINT = 128
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingConfig:
     learning_rate: float = 0.005
     max_epochs: int = 7500
@@ -118,8 +118,8 @@ class TrainingConfig:
 
     def __post_init__(self):
         if not self.physics_enabled:
-            self.lambda_v = 0.0
-            self.lambda_tmem = 0.0
+            object.__setattr__(self, "lambda_v", 0.0)
+            object.__setattr__(self, "lambda_tmem", 0.0)
         if self.learning_rate <= 0.0:
             raise ConfigError("learning_rate", "must be positive")
         if self.max_epochs < 0:

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from pempinn.constants import default_conditions, default_parameters
+from pempinn.constants import OperatingConditions, PhysicsParameters
 from pempinn.electrochem import voltage_coefficients
 from pempinn.simulator import generate_dataset, integrate_trajectory
 
@@ -25,12 +25,12 @@ def no_child_process_left():
 
 @pytest.fixture(scope="session")
 def params():
-    return default_parameters()
+    return PhysicsParameters()
 
 
 @pytest.fixture(scope="session")
 def cond():
-    return default_conditions()
+    return OperatingConditions()
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ import pytest
 
 import pempinn
 from pempinn.cli import main
-from pempinn.constants import default_conditions, default_parameters
+from pempinn.constants import OperatingConditions, PhysicsParameters
 from pempinn.degradation import (
     hydroxyl_chain_partials,
     peroxide_quadratic_coefficients,
@@ -122,8 +122,8 @@ def test_criterion_3_rmse_magnitude_bounds(reproduction):
 
 
 def test_criterion_4_gradient_oracle():
-    params = default_parameters()
-    cond = default_conditions()
+    params = PhysicsParameters()
+    cond = OperatingConditions()
     coeffs = voltage_coefficients(params, cond)
     v0 = solve_cell_voltage(coeffs, cond.t_mem0)
     traj = integrate_trajectory(params, cond, n_steps=256)
@@ -167,8 +167,8 @@ def test_criterion_4_gradient_oracle():
 
 
 def test_criterion_5_integrator_order_and_exponential():
-    params = default_parameters()
-    cond = default_conditions()
+    params = PhysicsParameters()
+    cond = OperatingConditions()
 
     # Self-convergence on an accelerated configuration (the default dynamics
     # are gentle enough that RK4 truncation error reaches the 1e-14
@@ -202,8 +202,8 @@ def test_criterion_5_integrator_order_and_exponential():
 
 
 def test_criterion_6_voltage_solve_contracts():
-    params = default_parameters()
-    cond = default_conditions()
+    params = PhysicsParameters()
+    cond = OperatingConditions()
     coeffs = voltage_coefficients(params, cond)
     traj = integrate_trajectory(params, cond, n_steps=4096)
 
@@ -236,8 +236,8 @@ def test_criterion_6_voltage_solve_contracts():
 
 
 def test_criterion_7_chemistry_contracts():
-    params = default_parameters()
-    cond = default_conditions()
+    params = PhysicsParameters()
+    cond = OperatingConditions()
     traj = integrate_trajectory(params, cond, n_steps=1024)
 
     a, b, c, w, _ = peroxide_quadratic_coefficients(

@@ -116,6 +116,14 @@ def test_config_file_with_nan_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "learning_rate" in err
     assert str(path) in err
+    # A fault of the whole file names the file, and no key.
+    for body in ("{bad", "[1]"):
+        path.write_text(body)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2, body
+        err = capsys.readouterr().err
+        assert str(path) in err, body
+        assert "'<file>'" not in err and "config key" not in err, body
 
 
 # Keys that no equation read, which older configs still hold, with the
@@ -650,6 +658,27 @@ def test_reproduce_fast_smoke(tmp_path, fast_config):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_reproduce_runs_under_the_benchmark_tracer(tmp_path, fast_config, monkeypatch):
+    # perfbench/spans.py patches and reads names in src/ (cli.train, the
+    # training config's physics_enabled, _kernel.get_kernels, ...): a change
+    # that breaks one fails here, not only in the traced benchmark run.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from spans import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = main([
+            "reproduce", "--config", str(fast_config), "--out", str(tmp_path / "r"),
+            "--epochs", "2",
+        ])
+    finally:
+        tracer.uninstall()
+    assert code in (0, 1)
+    recorded = {name for name, *_ in tracer.spans}
+    assert {"training.loop", "training.loss", "kernel.rk4"} <= recorded
+
+
 def test_reproduce_trains_on_the_dataset_it_wrote(tmp_path, fast_config):
     # reproduce trains both models from the dataset in memory; training
     # again from its dataset.csv must give the same bytes.
@@ -778,7 +807,12 @@ def test_failed_training_artifact_write_keeps_previous_file(tmp_path):
         ("train", "adam_beta1", 1.0),
         ("train", "adam_beta2", 1.0),
         ("train", "lambda_hydration", 0.5),
+        ("train", "max_epochs", -1),
+        ("train", "adam_eps", 0.0),
         ("reproduce", "v_ref", 0.0),
+        ("generate-data", "dataset_seed", -1),
+        ("simulate", "P", 0.0),
+        ("simulate", "A_cell", 0.0),
         # Oversized counts, each within the float range.
         ("generate-data", "n_steps", 2**63),
         ("generate-data", "n_steps", 2**40),

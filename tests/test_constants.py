@@ -5,7 +5,6 @@ import pytest
 from pempinn.constants import (
     OperatingConditions,
     PhysicsParameters,
-    default_parameters,
     membrane_molar_concentration,
     saturation_pressure_bar,
 )
@@ -61,7 +60,7 @@ def test_k5_normalization_window(params):
 
 def test_membrane_molar_concentration():
     # 1980 / 1.1 by hand.
-    p = default_parameters()
+    p = PhysicsParameters()
     assert membrane_molar_concentration(p) == pytest.approx(1800.0, rel=1e-12)
     # ratio identity
     q = PhysicsParameters(rho_naf_SI=1.1, EW=1.1)

@@ -174,8 +174,9 @@ def test_checkpoint_with_bad_arrays_is_rejected(tmp_path):
     save_checkpoint(make_net(13), path)
     good = json.loads(path.read_text())
     bad_shape = dict(good, biases=good["biases"][:1] + [[0.0]] + good["biases"][2:])
+    extra_bias = dict(good, biases=good["biases"] + good["biases"][-1:])
     bad_value = dict(good, weights=[[[float("nan")]] * 10] + good["weights"][1:])
-    for payload in (bad_shape, bad_value, dict(good, k5_hat="x")):
+    for payload in (bad_shape, extra_bias, bad_value, dict(good, k5_hat="x")):
         path.write_text(json.dumps(payload))
         with pytest.raises(ArtifactFormatError, match="ckpt.json"):
             load_checkpoint(path)

@@ -16,7 +16,7 @@ import pytest
 
 from pempinn import _kernel, simulator
 from pempinn._fork import ForkedStage
-from pempinn.constants import default_conditions, default_parameters
+from pempinn.constants import OperatingConditions, PhysicsParameters
 from pempinn.degradation import hydroxyl_chain_partials, thinning_rate
 from pempinn.electrochem import voltage_coefficients
 from pempinn.errors import ConfigError, DatasetFormatError, SimulationError
@@ -76,11 +76,7 @@ def test_step_halving_order_at_least_3_8(cond):
     # voltage-solve noise floor (~1e-14) across the whole step range; the
     # default dynamics are so gentle that RK4 error reaches round-off by
     # n=128 and the order measurement degenerates.
-    from dataclasses import replace
-
-    from pempinn.constants import default_parameters
-
-    params = replace(default_parameters(), v1=14.0)
+    params = PhysicsParameters(v1=14.0)
     k5 = 5.0e3
     ref = integrate_trajectory(params, cond, k5=k5, n_steps=2**16).thicknesses[-1]
     errors = []
@@ -389,8 +385,8 @@ def _linear_branch(args, dkc):
 
 
 def _parity_cases():
-    params = default_parameters()
-    cond = default_conditions()
+    params = PhysicsParameters()
+    cond = OperatingConditions()
     cases = {}
     for n in (10, 64, 1024, 16384):
         for k5 in (0.0, 700.0, 1300.0):
@@ -454,8 +450,8 @@ def test_fused_kernel_matches_per_stage_reference(case):
 
 
 def _progress_cases():
-    params = default_parameters()
-    cond = default_conditions()
+    params = PhysicsParameters()
+    cond = OperatingConditions()
     c_ho = _c_ho_at_v0(params, cond)
     chunk = _kernel.CHUNK
     return {
@@ -996,6 +992,13 @@ def test_load_rejects_sidecar_that_is_not_a_json_object(
     save_dataset(small_dataset, path)
     Path(f"{path}.meta.json").write_text(body)
     _raises_both_ways(monkeypatch, path, r"ds\.csv\.meta\.json: ")
+
+
+def test_load_rejects_dataset_without_sidecar(tmp_path, small_dataset, monkeypatch):
+    path = tmp_path / "ds.csv"
+    save_dataset(small_dataset, path)
+    Path(f"{path}.meta.json").unlink()
+    _raises_both_ways(monkeypatch, path, r"ds\.csv: missing sidecar .*ds\.csv\.meta\.json")
 
 
 def test_settings_validation():

@@ -280,6 +280,15 @@ def test_physics_disabled_forces_zero_weights():
     assert cfg.lambda_tmem == 0.0
 
 
+def test_training_config_is_frozen():
+    # A value checked (and hashed into provenance) cannot change afterwards;
+    # the zeroed weights of a physics-free config stay zeroed.
+    cfg = TrainingConfig(physics_enabled=False, lambda_v=3.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.lambda_v = 3.0
+    assert (cfg.lambda_v, cfg.lambda_tmem) == (0.0, 0.0)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError, match="learning_rate"):
         TrainingConfig(learning_rate=0.0)
