@@ -34,7 +34,7 @@ def thinning_ratio(v1: float) -> float:
     params = PhysicsParameters(v1=v1)
     cond = OperatingConditions()
     traj = integrate_trajectory(params, cond, n_steps=N_STEPS)
-    return traj.thicknesses[-1] / cond.t_mem0
+    return float(traj.thicknesses[-1] / cond.t_mem0)
 
 
 def calibrate() -> float:

@@ -40,7 +40,9 @@ child formats the CSV rows while the integration runs; the last-row count,
 
 Status codes returned by the kernels: 0 ok, 1 no sign-definite voltage
 bracket, 2 voltage solve did not converge, 3 membrane thickness reached
-zero. Callers translate these into exceptions.
+zero. ``electrochem.voltage_solve_error`` words 1 and 2 for both kernels;
+``simulator.integrate_trajectory`` words 3, which only ``rk4_thinning``
+returns.
 """
 
 from __future__ import annotations

@@ -266,9 +266,6 @@ def _train_into(cfg: RunConfig, ds, dataset_path: Path, out_dir: Path, label: st
 def cmd_train(args) -> int:
     cfg = _load(args)
     dataset_path = Path(args.data)
-    if not dataset_path.exists():
-        print(f"error: dataset not found: {dataset_path}", file=sys.stderr)
-        return 2
     label = "ann" if not cfg.training.physics_enabled else "pinn"
     ds = load_dataset(dataset_path)
     net, metrics = _train_into(cfg, ds, dataset_path, Path(args.out), label)
@@ -283,10 +280,6 @@ def cmd_evaluate(args) -> int:
     cfg = _load(args)
     ckpt_path = Path(args.checkpoint)
     dataset_path = Path(args.data)
-    for p in (ckpt_path, dataset_path):
-        if not p.exists():
-            print(f"error: missing input: {p}", file=sys.stderr)
-            return 2
     net = load_checkpoint(ckpt_path)
     ds = load_dataset(dataset_path)
     metrics = evaluate(net, ds)

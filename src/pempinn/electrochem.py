@@ -29,6 +29,7 @@ __all__ = [
     "degraded_conductivity",
     "voltage_coefficients",
     "solve_cell_voltage",
+    "voltage_solve_error",
 ]
 
 
@@ -123,7 +124,7 @@ def solve_cell_voltage(coeffs: VoltageCoefficients, t_mem: float) -> float:
     satisfies |V - RHS(V)| <= ``_kernel.V_TOL``, well below 1e-10 V.
     """
     solve, _ = _kernel.get_kernels()
-    v, iters, status = solve(
+    v, _, status = solve(
         coeffs.k1V,
         coeffs.k2V,
         coeffs.k3V,
@@ -131,18 +132,22 @@ def solve_cell_voltage(coeffs: VoltageCoefficients, t_mem: float) -> float:
         t_mem,
         _kernel.V_GUESS,
     )
-    if status == 1:
-        raise SolverError(
-            "voltage equation has no sign change on "
-            f"[{_kernel.V_BRACKET_LO}, {_kernel.V_BRACKET_HI}] V "
-            f"(k1V={coeffs.k1V}, k2V={coeffs.k2V}, k3V={coeffs.k3V}, "
-            f"P/A={coeffs.P_over_A}, t_mem={t_mem})"
-        )
-    if status == 2:
-        i = coeffs.P_over_A / v
-        residual = v - coeffs.k1V - coeffs.k2V * math.log(i) - coeffs.k3V * i / t_mem
-        raise SolverError(
-            f"voltage solve did not converge in {iters} iterations "
-            f"(last V={v}, residual={residual})"
-        )
+    if status:
+        raise voltage_solve_error(status, coeffs, f"t_mem = {t_mem} cm")
     return v
+
+
+def voltage_solve_error(
+    status: int, coeffs: VoltageCoefficients, where: str
+) -> SolverError:
+    """The error for a ``_kernel`` voltage solve that returned ``status`` 1
+    (no sign change on the bracket) or 2 (no convergence); ``where`` names
+    the thickness it ran at, and the message names the coefficients."""
+    if status == 1:
+        cause = f"has no sign change on [{_kernel.V_BRACKET_LO}, {_kernel.V_BRACKET_HI}] V"
+    else:
+        cause = f"did not converge in {_kernel.V_MAX_ITER} Newton iterations"
+    return SolverError(
+        f"voltage equation {cause} at {where} (k1V={coeffs.k1V}, "
+        f"k2V={coeffs.k2V}, k3V={coeffs.k3V}, P/A={coeffs.P_over_A})"
+    )

@@ -32,7 +32,7 @@ from .constants import (
     membrane_molar_concentration,
 )
 from .degradation import fluoride_release_rate, thinning_per_fluoride
-from .errors import ConfigError, DatasetFormatError, SimulationError, SolverError
+from .errors import ConfigError, DatasetFormatError, SimulationError
 
 __all__ = [
     "SimulationSettings",
@@ -110,13 +110,14 @@ class SimulationSettings:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Clean simulated time series with per-step diagnostics."""
+    """Clean simulated time series with per-step diagnostics: the arrays in
+    the order ``rk4_thinning`` fills them, then its two counters."""
 
     times: np.ndarray        # h
     voltages: np.ndarray     # V
     thicknesses: np.ndarray  # cm
-    c_ho: np.ndarray         # mol/m3
     c_h2o2: np.ndarray       # mol/m3
+    c_ho: np.ndarray         # mol/m3
     thinning: np.ndarray     # cm/h
     fluoride: np.ndarray     # ug/(h cm2)
     solver_iterations: np.ndarray
@@ -175,7 +176,9 @@ def integrate_trajectory(
 
     ``out`` (default: a new ``trajectory_arrays(n_steps)``) holds the eight
     arrays the kernel fills and the returned Trajectory views; ``progress``
-    is the kernel's callback (see ``_kernel``).
+    is the kernel's callback (see ``_kernel``). A failed voltage solve
+    raises ``electrochem.voltage_solve_error``, naming the step's time and
+    a bound on the thickness.
     """
     if k5 is None:
         k5 = params.k5_true
@@ -222,14 +225,21 @@ def integrate_trajectory(
         progress,
     )
 
-    if status in (1, 2):
-        raise SolverError(
-            f"voltage solve failed (status {status}) at t = {fail_step * dt} h"
-        )
+    traj = Trajectory(*out, int(clamped), int(infeasible))
+    tmems = traj.thicknesses
     if status == 3:
         raise SimulationError(
             f"membrane thickness reached zero near t = {fail_step * dt} h; "
             "shorten t_max or reduce the degradation rate"
+        )
+    if status:
+        # The thinning rate is never negative, so the failed stage's
+        # thickness is at most the last one recorded.
+        last = tmems[fail_step - 1] if fail_step else cond.t_mem0
+        raise electrochem.voltage_solve_error(
+            status,
+            coeffs,
+            f"the RK4 step from t = {fail_step * dt} h, t_mem <= {last} cm",
         )
     stages = 4 * n_steps + 1
     if c_ho_override < 0.0 and infeasible == stages:
@@ -239,8 +249,7 @@ def integrate_trajectory(
             "check k2, k3, k4 and v1"
         )
 
-    times, volts, tmems, c_h2o2s, c_hos, trs, frrs, iters = out
-    if k5 > 0.0 and c_hos[0] > 0.0 and tmems[1] == tmems[0]:
+    if k5 > 0.0 and traj.c_ho[0] > 0.0 and tmems[1] == tmems[0]:
         # The membrane is attacked, but dt * TR is below half an ulp of
         # t_mem, so the thickness can never move.
         raise ConfigError(
@@ -249,34 +258,15 @@ def integrate_trajectory(
             f"first RK4 step to change the membrane thickness ({tmems[0]} cm); "
             f"lengthen t_max ({cond.t_max} h) or use fewer steps",
         )
-    traj = Trajectory(
-        times=times,
-        voltages=volts,
-        thicknesses=tmems,
-        c_ho=c_hos,
-        c_h2o2=c_h2o2s,
-        thinning=trs,
-        fluoride=frrs,
-        solver_iterations=iters,
-        hydroxyl_clamped=int(clamped),
-        chemistry_infeasible=int(infeasible),
-    )
-    _check_trajectory(traj, k5)
+    # The kernel guarantees the rest: the times are step * dt with dt > 0,
+    # and it stops with status 3 at any stage where t_mem <= 0. The voltage
+    # is not checked: it is solved only to V_TOL and each step's Newton
+    # starts from the last step's V, so where V rises by less than V_TOL per
+    # step it repeats exactly, and it cannot fall while t_mem falls, since
+    # every iterate after a negative residual lies above the start.
+    if k5 > 0.0 and np.all(traj.c_ho > 0.0) and not np.all(np.diff(tmems) < 0.0):
+        raise SimulationError("thickness is not strictly decreasing")
     return traj
-
-
-def _check_trajectory(traj: Trajectory, k5: float) -> None:
-    if not np.all(np.diff(traj.times) > 0.0):
-        raise SimulationError("trajectory times are not strictly increasing")
-    if np.any(traj.thicknesses <= 0.0):
-        raise SimulationError("trajectory contains non-positive thickness")
-    # Constant-power operation with conductivity degradation makes the
-    # voltage rise and the membrane shrink whenever degradation is active.
-    if k5 > 0.0 and np.all(traj.c_ho > 0.0):
-        if not np.all(np.diff(traj.thicknesses) < 0.0):
-            raise SimulationError("thickness is not strictly decreasing")
-        if not np.all(np.diff(traj.voltages) > 0.0):
-            raise SimulationError("voltage is not strictly increasing")
 
 
 def _interp(traj: Trajectory, t: np.ndarray):

@@ -537,35 +537,30 @@ def test_train_no_physics_flag(tmp_path, fast_config):
     assert phys_cols == {"0.0"}  # physics components identically zero
 
 
-def test_missing_input_exits_2(tmp_path, fast_config, capsys):
-    code = main(
-        [
-            "train",
-            "--config", str(fast_config),
-            "--data", str(tmp_path / "nope.csv"),
-            "--out", str(tmp_path / "x"),
-        ]
-    )
-    assert code == 2
-    # evaluate with the dataset present and the checkpoint missing
+def test_missing_input_exits_4(tmp_path, fast_config, capsys):
+    # The loaders own a missing input: each raises FileNotFoundError naming
+    # the file, an I/O failure, before --out is created.
+    from pempinn.network import init_parameters, save_checkpoint
+
     data_dir = tmp_path / "data"
     assert main(
         ["generate-data", "--config", str(fast_config), "--out", str(data_dir)]
     ) == 0
-    missing = tmp_path / "nope" / "checkpoint.json"
-    out = tmp_path / "eval"
-    code = main(
-        [
-            "evaluate",
-            "--config", str(fast_config),
-            "--checkpoint", str(missing),
-            "--data", str(data_dir / "dataset.csv"),
-            "--out", str(out),
-        ]
-    )
-    assert code == 2
-    assert f"missing input: {missing}" in capsys.readouterr().err
-    assert not out.exists()
+    dataset = data_dir / "dataset.csv"
+    checkpoint = tmp_path / "checkpoint.json"
+    save_checkpoint(init_parameters(0, input_scale=8.0e5, t_mem_ref=0.0175), checkpoint)
+    missing = tmp_path / "nope" / "missing.file"
+    capsys.readouterr()
+    for command, inputs in (
+        ("train", ["--data", missing]),
+        ("evaluate", ["--checkpoint", missing, "--data", dataset]),
+        ("evaluate", ["--checkpoint", checkpoint, "--data", missing]),
+    ):
+        out = tmp_path / "out"
+        argv = [command, "--config", str(fast_config), "--out", str(out)]
+        assert main(argv + [str(p) for p in inputs]) == 4, inputs
+        assert str(missing) in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_bad_config_exits_2(tmp_path):
@@ -580,14 +575,33 @@ def test_bad_config_exits_2(tmp_path):
     assert code == 2
 
 
-def test_numerical_failure_exits_3(tmp_path):
-    # Horizon far beyond the bracket's reach: the voltage solve must fail.
+def test_numerical_failure_exits_3(tmp_path, capsys):
+    # Horizon far beyond the membrane's life: the thickness reaches zero.
     data = config_to_dict(default_config())
     data.update(n_steps=64, t_max=8.0e8)
     path = tmp_path / "harsh.json"
     path.write_text(json.dumps(data))
     code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 3
+    assert "membrane thickness reached zero" in capsys.readouterr().err
+    _assert_children_reaped()
+
+
+@pytest.mark.parametrize("command", ["simulate", "generate-data"])
+def test_failed_voltage_solve_exits_3(tmp_path, capsys, command):
+    # At P = 5e6 W the voltage equation has no root on the bracket even at
+    # the first stage.
+    data = config_to_dict(default_config())
+    data["P"] = 5.0e6
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "no sign change on [0.5, 5.0] V" in err
+    assert "t = 0.0 h" in err
+    assert "status" not in err
+    assert not out.exists()
     _assert_children_reaped()
 
 
@@ -717,12 +731,29 @@ def test_horizon_too_short_to_thin_exits_2(tmp_path, fast_config, capsys, t_max)
     assert main(argv) == 0
 
 
-def test_short_horizon_that_thins_runs(tmp_path, fast_config):
-    data = json.loads(fast_config.read_text())
-    data["t_max"] = 1.0e-3
+@pytest.mark.parametrize("command", ["simulate", "generate-data"])
+@pytest.mark.parametrize("t_max", [1.0e-3, 1.0e-2])
+@pytest.mark.parametrize("packaged", [False, True], ids=["fast", "packaged"])
+def test_short_horizon_that_thins_runs(tmp_path, fast_config, command, t_max, packaged):
+    # At the packaged 4096 steps V rises by less than V_TOL per step, so
+    # the solve returns the same V on some steps; the thickness still falls.
+    if packaged:
+        data = config_to_dict(default_config())
+    else:
+        data = json.loads(fast_config.read_text())
+    data["t_max"] = t_max
     path = tmp_path / "short.json"
     path.write_text(json.dumps(data))
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    if command == "simulate":
+        lines = (out / "trajectory.csv").read_text().splitlines()[1:]
+        thickness = [float(line.split(",")[2]) for line in lines]
+    else:
+        lines = (out / "dataset.csv").read_text().splitlines()[1:]
+        thickness = [float(line.split(",")[3]) for line in lines if line.startswith("test,")]
+    assert len(thickness) > 1
+    assert all(b < a for a, b in zip(thickness, thickness[1:]))
 
 
 @pytest.mark.parametrize("command", ["simulate", "generate-data"])

@@ -206,3 +206,12 @@ def test_solve_reports_missing_bracket():
     c = VoltageCoefficients(k1V=40.0, k2V=0.1, k3V=1e-3, P_over_A=0.7)
     with pytest.raises(SolverError, match="no sign change"):
         solve_cell_voltage(c, 0.0175)
+
+
+def test_solve_reports_no_convergence(coeffs):
+    # A NaN thickness passes the bracket test and leaves every residual NaN.
+    with pytest.raises(SolverError) as err:
+        solve_cell_voltage(coeffs, math.nan)
+    assert str(err.value).startswith(
+        "voltage equation did not converge in 100 Newton iterations at t_mem = nan cm"
+    )

@@ -19,7 +19,7 @@ from pempinn._fork import ForkedStage
 from pempinn.constants import OperatingConditions, PhysicsParameters
 from pempinn.degradation import hydroxyl_chain_partials, thinning_rate
 from pempinn.electrochem import voltage_coefficients
-from pempinn.errors import ConfigError, DatasetFormatError, SimulationError
+from pempinn.errors import ConfigError, DatasetFormatError, SimulationError, SolverError
 from pempinn.simulator import (
     DATASET_COLUMNS,
     Dataset,
@@ -447,6 +447,20 @@ def test_fused_kernel_matches_per_stage_reference(case):
         assert got[2] == stages
     if case == "linear_root_negative":
         assert got[3] == stages
+
+
+def test_failed_voltage_solve_names_its_step_and_thickness(params, cond):
+    # The no_bracket parity case loses the bracket after the first step.
+    kwargs = dict(params=params, cond=replace(cond, t_max=8.0e6), k5=1.0e7, n_steps=64)
+    got = _run_kernel(_kernel_args(**kwargs))
+    status, fail_step, tmems = got[0], got[1], got[6]
+    assert status == 1 and fail_step > 0
+    with pytest.raises(SolverError) as err:
+        integrate_trajectory(**kwargs)
+    assert str(err.value).startswith(
+        "voltage equation has no sign change on [0.5, 5.0] V at the RK4 step from "
+        f"t = {fail_step * 8.0e6 / 64} h, t_mem <= {tmems[fail_step - 1]} cm ("
+    )
 
 
 def _progress_cases():
