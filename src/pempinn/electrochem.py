@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import _kernel
 from .constants import OperatingConditions, PhysicsParameters
-from .errors import SolverError
+from .errors import NumericalError
 
 __all__ = [
     "VoltageCoefficients",
@@ -139,7 +139,7 @@ def solve_cell_voltage(coeffs: VoltageCoefficients, t_mem: float) -> float:
 
 def voltage_solve_error(
     status: int, coeffs: VoltageCoefficients, where: str
-) -> SolverError:
+) -> NumericalError:
     """The error for a ``_kernel`` voltage solve that returned ``status`` 1
     (no sign change on the bracket) or 2 (no convergence); ``where`` names
     the thickness it ran at, and the message names the coefficients."""
@@ -147,7 +147,7 @@ def voltage_solve_error(
         cause = f"has no sign change on [{_kernel.V_BRACKET_LO}, {_kernel.V_BRACKET_HI}] V"
     else:
         cause = f"did not converge in {_kernel.V_MAX_ITER} Newton iterations"
-    return SolverError(
+    return NumericalError(
         f"voltage equation {cause} at {where} (k1V={coeffs.k1V}, "
         f"k2V={coeffs.k2V}, k3V={coeffs.k3V}, P/A={coeffs.P_over_A})"
     )

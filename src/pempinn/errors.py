@@ -1,12 +1,13 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto stable exit codes (config 2, numerical 3, I/O 4),
-so new error types should subclass one of the groups below. Every error
-survives pickling, so a stage run in a forked process can hand it back.
+Each class below PempinnError is one exit code of the CLI: ConfigError 2,
+NumericalError 3 and ArtifactFormatError 4. A fault raises the class of its
+exit code, and its message says what failed. Every error survives pickling,
+so a stage run in a forked process can hand it back.
 
 Radical chemistry without a positive peroxide root is no error of its own:
 the chain masks it to zero attack and counts it, and a trajectory that has
-it at every stage raises SimulationError.
+it at every stage raises NumericalError.
 """
 
 
@@ -28,25 +29,9 @@ class ConfigError(PempinnError):
 
 
 class NumericalError(PempinnError):
-    """Base for failures of solvers, integrators, and training."""
-
-
-class SolverError(NumericalError):
-    """Scalar root solve failed (no bracket or no convergence)."""
-
-
-class SimulationError(NumericalError):
-    """Trajectory integration aborted (e.g. membrane thickness reached zero)."""
-
-
-class TrainingError(NumericalError):
-    """Training aborted, typically on a non-finite loss."""
+    """A voltage solve, trajectory integration or training run failed."""
 
 
 class ArtifactFormatError(PempinnError):
-    """A file written by an earlier run (checkpoint, manifest) is malformed;
-    the message names the file."""
-
-
-class DatasetFormatError(ArtifactFormatError):
-    """Persisted dataset file is malformed."""
+    """A file written by an earlier run (dataset, checkpoint, manifest) is
+    malformed; the message names the file."""

@@ -138,19 +138,14 @@ def mlp_forward(weights, biases, tau):
 
 
 def predict(params: NetworkParameters, t):
-    """Network outputs in physical units: (voltage V, thickness cm).
-
-    Arrays are evaluated in blocks of PREDICT_BLOCK points, so memory stays
-    flat however long the input is.
-    """
+    """Network outputs in physical units: (voltage V, thickness cm) at the
+    times of a 1-d array ``t``, evaluated in blocks of PREDICT_BLOCK points
+    so that memory stays flat however long ``t`` is."""
     tau = t / params.input_scale
-    if np.ndim(tau) == 0:
-        y_v, y_m = mlp_forward(params.weights, params.biases, tau)[:, 0]
-    else:
-        y_v, y_m = np.concatenate([
-            mlp_forward(params.weights, params.biases, tau[i : i + PREDICT_BLOCK])
-            for i in range(0, max(len(tau), 1), PREDICT_BLOCK)
-        ], axis=1)
+    y_v, y_m = np.concatenate([
+        mlp_forward(params.weights, params.biases, tau[i : i + PREDICT_BLOCK])
+        for i in range(0, max(len(tau), 1), PREDICT_BLOCK)
+    ], axis=1)
     return params.v_ref * y_v, params.t_mem_ref * y_m
 
 

@@ -32,7 +32,7 @@ from .constants import (
     membrane_molar_concentration,
 )
 from .degradation import fluoride_release_rate, thinning_per_fluoride
-from .errors import ConfigError, DatasetFormatError, SimulationError
+from .errors import ArtifactFormatError, ConfigError, NumericalError
 
 __all__ = [
     "SimulationSettings",
@@ -228,7 +228,7 @@ def integrate_trajectory(
     traj = Trajectory(*out, int(clamped), int(infeasible))
     tmems = traj.thicknesses
     if status == 3:
-        raise SimulationError(
+        raise NumericalError(
             f"membrane thickness reached zero near t = {fail_step * dt} h; "
             "shorten t_max or reduce the degradation rate"
         )
@@ -243,7 +243,7 @@ def integrate_trajectory(
         )
     stages = 4 * n_steps + 1
     if c_ho_override < 0.0 and infeasible == stages:
-        raise SimulationError(
+        raise NumericalError(
             "radical chemistry has no positive peroxide root at any of the "
             f"{infeasible} stage evaluations, so nothing attacks the membrane; "
             "check k2, k3, k4 and v1"
@@ -265,7 +265,7 @@ def integrate_trajectory(
     # step it repeats exactly, and it cannot fall while t_mem falls, since
     # every iterate after a negative residual lies above the start.
     if k5 > 0.0 and np.all(traj.c_ho > 0.0) and not np.all(np.diff(tmems) < 0.0):
-        raise SimulationError("thickness is not strictly decreasing")
+        raise NumericalError("thickness is not strictly decreasing")
     return traj
 
 
@@ -372,7 +372,7 @@ def load_dataset(path) -> Dataset:
     of the whole file, so the error and its line do not depend on the cut,
     and the child is reaped before load_dataset returns or raises.
 
-    Everything read is checked here; a fault raises DatasetFormatError
+    Everything read is checked here; a fault raises ArtifactFormatError
     naming the file, and the line for a fault in a row:
 
     - the CSV and the sidecar are UTF-8 text;
@@ -395,7 +395,7 @@ def load_dataset(path) -> Dataset:
         header = fh.readline().rstrip("\n").split(",")
     for col in DATASET_COLUMNS:
         if col not in header:
-            raise DatasetFormatError(f"{path}: missing column '{col}'")
+            raise ArtifactFormatError(f"{path}: missing column '{col}'")
 
     index = {name: i for i, name in enumerate(header)}
     try:
@@ -408,20 +408,20 @@ def load_dataset(path) -> Dataset:
     if not np.all(is_train | is_test) or not finite:
         raise _bad_row(path, index, None)
     if not is_train.any() or not is_test.any():
-        raise DatasetFormatError(f"{path}: needs both train and test rows")
+        raise ArtifactFormatError(f"{path}: needs both train and test rows")
 
     meta_path = f"{path}.meta.json"
     try:
-        meta = read_json_object(meta_path, DatasetFormatError)
+        meta = read_json_object(meta_path, ArtifactFormatError)
     except FileNotFoundError as exc:
-        raise DatasetFormatError(f"{path}: missing sidecar {meta_path}") from exc
+        raise ArtifactFormatError(f"{path}: missing sidecar {meta_path}") from exc
     meta = {
-        key: json_key(meta, key, kind, meta_path, DatasetFormatError)
+        key: json_key(meta, key, kind, meta_path, ArtifactFormatError)
         for key, kind in _SIDECAR_KINDS.items()
     }
     recorded = meta.pop("sha256")
     if digest != recorded:
-        raise DatasetFormatError(
+        raise ArtifactFormatError(
             f"{path}: sha256 {digest} does not match {meta_path} (sha256 {recorded})"
         )
 
@@ -503,7 +503,7 @@ def _parse(source, usecols, skiprows) -> np.ndarray:
         )
 
 
-def _bad_row(path, index, exc) -> DatasetFormatError:
+def _bad_row(path, index, exc) -> ArtifactFormatError:
     """Error naming the first row of ``path`` that load_dataset rejects.
 
     Runs on the error path only, because numpy's error text does not give
@@ -523,12 +523,12 @@ def _bad_row(path, index, exc) -> DatasetFormatError:
                 # decoding the line's bytes again strictly names it.
                 line.encode("utf-8", "surrogateescape").decode("utf-8")
             except UnicodeDecodeError as err:
-                return DatasetFormatError(f"{where}: bad row ({err})")
+                return ArtifactFormatError(f"{where}: bad row ({err})")
             if number == 1 or not line:  # the header, or a blank line
                 continue
             row = line.split(",")
             if len(row) < width:
-                return DatasetFormatError(
+                return ArtifactFormatError(
                     f"{where}: bad row (needs {width} fields, has {len(row)})"
                 )
             for col in _VALUE_COLUMNS:
@@ -541,17 +541,17 @@ def _bad_row(path, index, exc) -> DatasetFormatError:
                         raise ValueError
                     value = float(text)
                 except ValueError:
-                    return DatasetFormatError(
+                    return ArtifactFormatError(
                         f"{where}: bad row (could not convert string to float: {field!r})"
                     )
                 if not math.isfinite(value):
-                    return DatasetFormatError(
+                    return ArtifactFormatError(
                         f"{where}: non-finite {col} ({field!r})"
                     )
             split = row[index["split"]]
             if split not in ("train", "test"):
-                return DatasetFormatError(f"{where}: unknown split '{split}'")
-    return DatasetFormatError(f"{path}: bad row ({exc})")
+                return ArtifactFormatError(f"{where}: unknown split '{split}'")
+    return ArtifactFormatError(f"{path}: bad row ({exc})")
 
 
 # What a value read from a JSON file may be: each kind's name in error

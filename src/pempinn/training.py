@@ -50,7 +50,7 @@ from .degradation import (
     thinning_rate,
 )
 from .electrochem import VoltageCoefficients, solve_cell_voltage, voltage_coefficients
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, NumericalError
 from .network import (
     DEFAULT_V_REF,
     NetworkParameters,
@@ -373,7 +373,7 @@ def adam_step(
 ):
     """One bias-corrected Adam update; returns (new_params, new_state)."""
     if not np.isfinite(grad).all():
-        raise TrainingError("non-finite gradient passed to adam_step")
+        raise NumericalError("non-finite gradient passed to adam_step")
     b1, b2 = config.adam_beta1, config.adam_beta2
     step = state.step + 1
     m = b1 * state.m + (1.0 - b1) * grad
@@ -423,7 +423,7 @@ def train(
         )
         if not math.isfinite(comps["total"]):
             bad = max(comps, key=lambda k: 0 if math.isfinite(comps[k]) else 1)
-            raise TrainingError(
+            raise NumericalError(
                 f"non-finite loss at epoch {epoch} (component '{bad}')"
             )
         history.append(

@@ -41,8 +41,6 @@ from pempinn.network import flatten, init_parameters, unflatten
 from pempinn.simulator import generate_dataset, integrate_trajectory
 from pempinn.training import TrainingConfig, composite_loss
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 
 def report(number, name, ok):
     print(f"\nACCEPTANCE {number} {name}: {'PASS' if ok else 'FAIL'}")

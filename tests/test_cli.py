@@ -18,8 +18,6 @@ from pempinn.config import (
 )
 from pempinn.errors import ConfigError
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 
 @pytest.fixture()
 def fast_config(tmp_path):
@@ -1057,7 +1055,7 @@ def test_every_error_survives_pickling():
         cls for _, cls in inspect.getmembers(errors, inspect.isclass)
         if issubclass(cls, Exception) and cls.__module__ == errors.__name__
     ]
-    assert errors.ConfigError in classes and errors.DatasetFormatError in classes
+    assert errors.ConfigError in classes and errors.ArtifactFormatError in classes
     for cls in classes:
         exc = cls(*special.get(cls, ("something failed",)))
         back = pickle.loads(pickle.dumps(exc))
@@ -1087,6 +1085,24 @@ def test_result_cut_short_is_child_process_error(cut):
     _assert_children_reaped()
 
 
+def test_result_interrupted_while_reading_kills_the_child(monkeypatch):
+    # An interrupt while result() waits for the payload kills and reaps the
+    # child at once; it must not wait for the job to end.
+    import pickle
+    import time
+
+    def interrupted(pipe):
+        raise KeyboardInterrupt
+
+    stage = ForkedStage(lambda _: time.sleep(30.0))
+    monkeypatch.setattr(pickle, "load", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        stage.result()
+    assert time.monotonic() - start < 1.0
+    _assert_children_reaped()
+
+
 def _assert_children_reaped():
     import os
 
@@ -1105,9 +1121,9 @@ def _assert_failed_reproduce(out, stage, error):
 
 
 def _stub_training_error():
-    from pempinn.errors import TrainingError
+    from pempinn.errors import NumericalError
 
-    raise TrainingError("stub training failure")
+    raise NumericalError("stub training failure")
 
 
 def _stub_child_death():
@@ -1184,11 +1200,11 @@ def test_reproduce_pinn_failure_kills_the_ann_child(tmp_path, fast_config, monke
     import time
 
     from pempinn import cli
-    from pempinn.errors import TrainingError
+    from pempinn.errors import NumericalError
 
     def train(ds, params, cond, config, checkpoint_hook=None):
         if config.physics_enabled:
-            raise TrainingError("stub PINN failure")
+            raise NumericalError("stub PINN failure")
         time.sleep(30.0)  # the ANN would outlast the test unless killed
 
     monkeypatch.setattr(cli, "train", train)

@@ -14,7 +14,7 @@ from pempinn.electrochem import (
     solve_cell_voltage,
     voltage_coefficients,
 )
-from pempinn.errors import ConfigError, SolverError
+from pempinn.errors import ConfigError, NumericalError
 
 
 def test_open_circuit_unit_pressures(params):
@@ -181,7 +181,7 @@ def test_solve_monotone_decreasing_in_thickness():
         try:
             v_thin = solve_cell_voltage(c, t_a)
             v_thick = solve_cell_voltage(c, t_b)
-        except SolverError:
+        except NumericalError:
             continue  # parameter draw left the bracket; not a physical set
         assert v_thin > v_thick
 
@@ -204,13 +204,13 @@ def test_solve_decomposition_consistency(params, cond, coeffs):
 
 def test_solve_reports_missing_bracket():
     c = VoltageCoefficients(k1V=40.0, k2V=0.1, k3V=1e-3, P_over_A=0.7)
-    with pytest.raises(SolverError, match="no sign change"):
+    with pytest.raises(NumericalError, match="no sign change"):
         solve_cell_voltage(c, 0.0175)
 
 
 def test_solve_reports_no_convergence(coeffs):
     # A NaN thickness passes the bracket test and leaves every residual NaN.
-    with pytest.raises(SolverError) as err:
+    with pytest.raises(NumericalError) as err:
         solve_cell_voltage(coeffs, math.nan)
     assert str(err.value).startswith(
         "voltage equation did not converge in 100 Newton iterations at t_mem = nan cm"

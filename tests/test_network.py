@@ -69,8 +69,8 @@ def test_zero_output_weights_give_zero_outputs():
         v_ref=2.0,
         t_mem_ref=T_REF,
     )
-    v, m = predict(zeroed, 1234.5)
-    assert v == 0.0 and m == 0.0
+    v, m = predict(zeroed, np.array([1234.5]))
+    assert np.array_equal(v, [0.0]) and np.array_equal(m, [0.0])
 
 
 def test_toy_single_neuron_forward():

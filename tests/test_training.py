@@ -14,7 +14,7 @@ from pempinn import autodiff
 from pempinn.constants import K5_SCALE
 from pempinn.degradation import DiagnosticCounters, thinning_rate
 from pempinn.electrochem import solve_cell_voltage
-from pempinn.errors import ConfigError
+from pempinn.errors import ConfigError, NumericalError
 from pempinn.network import (
     NetworkParameters,
     flatten,
@@ -338,6 +338,11 @@ def test_adam_deterministic():
     assert np.array_equal(run(), run())
 
 
+def test_adam_rejects_nonfinite_gradient():
+    with pytest.raises(NumericalError, match="non-finite gradient"):
+        adam_step(AdamState.zeros(2), np.zeros(2), np.array([0.5, np.nan]), TrainingConfig())
+
+
 # -- train / evaluate ---------------------------------------------------------
 
 
@@ -354,10 +359,8 @@ def test_train_zero_epochs_returns_init(params, cond, small_dataset):
 def test_train_aborts_on_nonfinite_loss(params, cond, small_dataset):
     # An absurd learning rate overflows the affine outputs within an epoch;
     # the abort must name the epoch.
-    from pempinn.errors import TrainingError
-
     cfg = small_config(max_epochs=10, learning_rate=1e200)
-    with pytest.raises(TrainingError, match="epoch"):
+    with pytest.raises(NumericalError, match="epoch"):
         train(small_dataset, params, cond, cfg)
 
 
