@@ -85,7 +85,7 @@ def stages(epochs: int):
     k5 = net.k5_hat * K5_SCALE
     g_y, g_dy = np.ones_like(y), np.ones_like(dy)
     vec = flatten(net)
-    _, grad = composite_loss(net, ds, config, coeffs, params, cond, v0, None, points)
+    _, grad = composite_loss(net, points, config, coeffs, params, cond, v0)
     adam = AdamState.zeros(vec.size)
     return [
         ("mlp_with_tangent", lambda: mlp_with_tangent(w, b, points.tau)),
@@ -99,7 +99,7 @@ def stages(epochs: int):
         ("adam_step", lambda: adam_step(adam, vec, grad, config)),
         ("unflatten", lambda: unflatten(vec, net)),
         ("composite_loss", lambda: composite_loss(
-            net, ds, config, coeffs, params, cond, v0, None, points
+            net, points, config, coeffs, params, cond, v0
         )),
     ]
 

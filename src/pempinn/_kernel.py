@@ -13,8 +13,8 @@ inline, so no Python call is made per stage. Every floating-point
 operation keeps the operands and the order of the standalone
 ``solve_voltage`` and of a per-stage chemistry function, so the
 trajectories are bit-identical to a per-stage function-call form. The rewrites only hoist
-values that do not change within a call (the bracket end residual terms
-``lo - k1v - k2v*log(p/lo)`` and ``k3v*p/lo``, ``k3v*p``, ``0.5*dt``,
+values that do not change within a call (the high bracket end's terms
+``hi - k1v - k2v*log(p/hi)`` and ``k3v*p/hi``, ``k3v*p``, ``0.5*dt``,
 ``dt/6``, ``3*k2``) and replace ``abs``/``min`` by comparisons that pick
 the same float, NaN included. Stages 1-3 of a step and stage 0 of the
 next all start Newton from the voltage of the step's stage 0, so the
@@ -125,7 +125,9 @@ def rk4_thinning(
     ``c_ho_override`` means no override. ``progress``, if given, is called
     with the number of rows recorded after every ``CHUNK`` rows. Returns
     (status, fail_step, clamped, infeasible); the arrays are valid up to
-    ``fail_step`` when status != 0.
+    ``fail_step`` when status != 0. The bracket's low end is tested once, at
+    ``t_mem0``: no stage is thicker and its residual never falls as t_mem
+    rises, given ``dt``, ``k3v*p_over_a``, ``frr_coeff``, ``tr_conv`` >= 0.
     """
     times, volts, tmems, c_h2o2s, c_hos, trs, frrs, iters = out
 
@@ -135,8 +137,8 @@ def rk4_thinning(
     hi0 = V_BRACKET_HI
     mid0 = 0.5 * (lo0 + hi0)
     i_lo = p_over_a / lo0
-    g_lo_head = lo0 - k1v - k2v * log(i_lo)
-    g_lo_tail = k3v * i_lo
+    if lo0 - k1v - k2v * log(i_lo) - k3v * i_lo / t_mem0 > 0.0:
+        return (1, 0, 0, 0)
     i_hi = p_over_a / hi0
     g_hi_head = hi0 - k1v - k2v * log(i_hi)
     g_hi_tail = k3v * i_hi
@@ -171,8 +173,7 @@ def rk4_thinning(
 
     while True:
         # Voltage: safeguarded Newton on g(V) = V - RHS(V) at t_mem.
-        g_lo = g_lo_head - g_lo_tail / t_mem
-        if g_lo > 0.0 or g_hi_head - g_hi_tail / t_mem < 0.0:
+        if g_hi_head - g_hi_tail / t_mem < 0.0:
             status = 1
             fail_step = step
             break

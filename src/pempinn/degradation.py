@@ -99,12 +99,14 @@ def solve_peroxide_selected(a, b, c):
     lin_mask = a == 0.0
     disc = b * b - 4.0 * a * c
     disc_ok = disc >= 0.0
+    quad_ok = disc_ok & ~lin_mask
     sq = np.sqrt(np.where(disc_ok, disc, 0.0))
-    q = np.where(b >= 0.0, -(b + sq), -(b - sq)) * 0.5
+    q = (b + np.where(b >= 0.0, sq, -sq)) * -0.5
     r1 = q / np.where(lin_mask, 1.0, a)
-    r2 = np.where(q != 0.0, c / np.where(q != 0.0, q, 1.0), r1)
-    pos1 = disc_ok & (r1 > 0.0) & ~lin_mask
-    pos2 = disc_ok & (r2 > 0.0) & ~lin_mask
+    q_ok = q != 0.0
+    r2 = np.where(q_ok, c / np.where(q_ok, q, 1.0), r1)
+    pos1 = quad_ok & (r1 > 0.0)
+    pos2 = quad_ok & (r2 > 0.0)
     pick1 = pos1 & (~pos2 | (r1 <= r2))
     quad_root = np.where(pick1, r1, np.where(pos2, r2, 1.0))
     if not lin_mask.any():  # no linear entry to splice in

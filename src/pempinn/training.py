@@ -279,26 +279,21 @@ def loss_points(
 
 def composite_loss(
     net: NetworkParameters,
-    dataset,
+    points: LossPoints,
     config: TrainingConfig,
     coeffs: VoltageCoefficients,
     params: PhysicsParameters,
     cond: OperatingConditions,
-    v0: float | None = None,
+    v0: float,
     diag: DiagnosticCounters | None = None,
-    points: LossPoints | None = None,
 ):
     """Weighted loss components and the gradient of their total.
 
     Returns ``(components, grad)``: components is a dict with keys
     data/physics_v/physics_mem/ic/total holding plain floats, and grad the
-    gradient of the total in flatten() order. ``points`` defaults to
-    :func:`loss_points` of this net and dataset; train() builds it once.
+    gradient of the total in flatten() order. train() builds ``points``
+    (:func:`loss_points`) and ``v0`` (the voltage at ``cond.t_mem0``) once.
     """
-    if points is None:
-        points = loss_points(net, dataset, config, cond)
-    if v0 is None:
-        v0 = solve_cell_voltage(coeffs, cond.t_mem0)
     y, dy, cache = mlp_with_tangent(net.weights, net.biases, points.tau)
     g_y = np.zeros_like(y)
     g_dy = np.zeros_like(dy)
@@ -418,9 +413,7 @@ def train(
 
     for epoch in range(config.max_epochs):
         net = unflatten(vec, template)
-        comps, grad = composite_loss(
-            net, dataset, config, coeffs, params, cond, v0, diag, points
-        )
+        comps, grad = composite_loss(net, points, config, coeffs, params, cond, v0, diag)
         if not math.isfinite(comps["total"]):
             bad = max(comps, key=lambda k: 0 if math.isfinite(comps[k]) else 1)
             raise NumericalError(

@@ -39,7 +39,7 @@ from pempinn.electrochem import (
 )
 from pempinn.network import flatten, init_parameters, unflatten
 from pempinn.simulator import generate_dataset, integrate_trajectory
-from pempinn.training import TrainingConfig, composite_loss
+from pempinn.training import TrainingConfig, composite_loss, loss_points
 
 
 def report(number, name, ok):
@@ -134,12 +134,13 @@ def test_criterion_4_gradient_oracle():
     for seed in range(20):
         net = init_parameters(seed, input_scale=cond.t_max, t_mem_ref=cond.t_mem0)
         # The gradient train() steps along.
-        grad = composite_loss(net, ds, cfg, coeffs, params, cond, v0)[1]
+        points = loss_points(net, ds, cfg, cond)
+        grad = composite_loss(net, points, cfg, coeffs, params, cond, v0)[1]
         vec = flatten(net)
 
         def loss_at(v):
             nn = unflatten(v, net)
-            return composite_loss(nn, ds, cfg, coeffs, params, cond, v0)[0]["total"]
+            return composite_loss(nn, points, cfg, coeffs, params, cond, v0)[0]["total"]
 
         fd = np.zeros_like(vec)
         for i in range(vec.size):

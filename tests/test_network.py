@@ -264,12 +264,15 @@ def test_forward_identical_between_plain_and_lifted():
 def test_physics_off_gradient_has_zero_k5_entry(
     params, cond, coeffs, small_dataset
 ):
-    from pempinn.training import TrainingConfig, composite_loss
+    from pempinn.electrochem import solve_cell_voltage
+    from pempinn.training import TrainingConfig, composite_loss, loss_points
 
     net = make_net(3)
     cfg = TrainingConfig(physics_enabled=False, n_collocation=8)
+    points = loss_points(net, small_dataset, cfg, cond)
+    v0 = solve_cell_voltage(coeffs, cond.t_mem0)
     for g in (
-        composite_loss(net, small_dataset, cfg, coeffs, params, cond)[1],
+        composite_loss(net, points, cfg, coeffs, params, cond, v0)[1],
         reference_gradient(net, small_dataset, cfg, coeffs, params, cond),
     ):
         assert g.shape == (88,)

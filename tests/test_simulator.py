@@ -396,6 +396,11 @@ def _parity_cases():
     )
     far = replace(cond, t_max=8.0e6)
     cases["no_bracket"] = (1, dict(params=params, cond=far, k5=1.0e7, n_steps=64), {})
+    # Straight to the kernel: a very negative k1v puts the bracket's low end
+    # above the root already at t_mem0, so the kernel fails before any row.
+    cases["no_bracket_at_start"] = (
+        1, dict(params=params, cond=cond, n_steps=64), {"k1v": -100.0}
+    )
     # What k5 = nan would pass: a NaN stage derivative makes the next
     # thickness NaN, and the Newton residual NaN must end in status 2.
     cases["nan_k5"] = (
@@ -427,6 +432,9 @@ def test_fused_kernel_matches_per_stage_reference(case):
         assert got[2] == stages
     if case == "linear_root_negative":
         assert got[3] == stages
+    if case == "no_bracket_at_start":
+        assert got[:4] == (1, 0, 0, 0)
+        assert not any(a.any() for a in got[4:])  # the arrays start zeroed
 
 
 def test_failed_voltage_solve_names_its_step_and_thickness(params, cond):
@@ -510,6 +518,15 @@ def test_inlined_newton_matches_solve_voltage(params, cond):
             co.k1V, co.k2V, co.k3V, co.P_over_A, t_mem,
             volts[k - 1] if k else 1.8,
         ) == (volts[k], int(traj.solver_iterations[k]), 0)
+
+
+@pytest.mark.parametrize("guess", [0.2, 0.5, 5.0, 7.0])
+def test_off_bracket_guess_starts_at_the_midpoint(coeffs, cond, guess):
+    # A guess on or outside [0.5, 5.0] V starts Newton at 2.75 V instead.
+    args = (coeffs.k1V, coeffs.k2V, coeffs.k3V, coeffs.P_over_A, cond.t_mem0)
+    got = _kernel.solve_voltage(*args, guess)
+    assert got == _kernel.solve_voltage(*args, 2.75)
+    assert got[1] > 1 and got[2] == 0
 
 
 # -- datasets ------------------------------------------------------------

@@ -32,6 +32,7 @@ from pempinn.training import (
     adam_step,
     composite_loss,
     evaluate,
+    loss_points,
     residual_partials,
     train,
 )
@@ -198,7 +199,8 @@ def test_loss_zero_for_perfect_noise_free_fit(params, cond, coeffs, trajectory):
         train_fraction=1 / 3,
     )
     cfg = small_config(lambda_v=0.0, lambda_tmem=0.0, lambda_ic=0.0)
-    comps, _ = composite_loss(net, ds, cfg, coeffs, params, cond, v0=1.0)
+    points = loss_points(net, ds, cfg, cond)
+    comps, _ = composite_loss(net, points, cfg, coeffs, params, cond, v0=1.0)
     assert comps["total"] == pytest.approx(0.0, abs=1e-18)
 
 
@@ -206,7 +208,8 @@ def test_loss_quadratic_scaling(params, cond, coeffs, small_dataset):
     cfg = small_config(lambda_v=0.0, lambda_tmem=0.0, lambda_ic=0.0)
     net = constant_output_network(cond)
     v0 = solve_cell_voltage(coeffs, cond.t_mem0)
-    base, _ = composite_loss(net, small_dataset, cfg, coeffs, params, cond, v0)
+    points = loss_points(net, small_dataset, cfg, cond)
+    base, _ = composite_loss(net, points, cfg, coeffs, params, cond, v0)
 
     # Doubling every data residual quadruples the data component: build a
     # dataset whose targets are twice as far from the constant predictions.
@@ -218,7 +221,8 @@ def test_loss_quadratic_scaling(params, cond, coeffs, small_dataset):
         train_voltages=2 * small_dataset.train_voltages - np.asarray(v_pred),
         train_thicknesses=2 * small_dataset.train_thicknesses - np.asarray(m_pred),
     )
-    doubled, _ = composite_loss(net, ds2, cfg, coeffs, params, cond, v0)
+    points2 = loss_points(net, ds2, cfg, cond)
+    doubled, _ = composite_loss(net, points2, cfg, coeffs, params, cond, v0)
     assert doubled["data"] == pytest.approx(4.0 * base["data"], rel=1e-12)
 
 
@@ -245,7 +249,8 @@ def test_loss_hand_built_single_point(params, cond, coeffs):
         max_epochs=1, n_collocation=2, lambda_v=0.3, lambda_tmem=0.7, lambda_ic=2.0
     )
     v0 = 2.4
-    comps, _ = composite_loss(net, ds, cfg, coeffs, params, cond, v0)
+    points = loss_points(net, ds, cfg, cond)
+    comps, _ = composite_loss(net, points, cfg, coeffs, params, cond, v0)
 
     data = (1.2 - v_t / 2.0) ** 2 + (0.9 - m_t / cond.t_mem0) ** 2
     r_v, r_m = (
@@ -268,7 +273,8 @@ def test_loss_components_sum_to_total(params, cond, coeffs, small_dataset):
     net = init_parameters(3, input_scale=cond.t_max, t_mem_ref=cond.t_mem0)
     cfg = small_config()
     v0 = solve_cell_voltage(coeffs, cond.t_mem0)
-    comps, _ = composite_loss(net, small_dataset, cfg, coeffs, params, cond, v0)
+    points = loss_points(net, small_dataset, cfg, cond)
+    comps, _ = composite_loss(net, points, cfg, coeffs, params, cond, v0)
     assert all(v >= 0.0 for k, v in comps.items() if k != "total")
     s = comps["data"] + comps["physics_v"] + comps["physics_mem"] + comps["ic"]
     assert s == pytest.approx(comps["total"], rel=1e-12)
@@ -392,7 +398,8 @@ def test_k5_gradient_path_alive(params, cond, coeffs, small_dataset):
     cfg = small_config(max_epochs=2, seed=0)
     net, _ = train(small_dataset, params, cond, cfg)
     v0 = solve_cell_voltage(coeffs, cond.t_mem0)
-    g = composite_loss(net, small_dataset, cfg, coeffs, params, cond, v0)[1]
+    points = loss_points(net, small_dataset, cfg, cond)
+    g = composite_loss(net, points, cfg, coeffs, params, cond, v0)[1]
     assert g[-1] != 0.0
     ref = reference_gradient(net, small_dataset, cfg, coeffs, params, cond, v0)
     assert ref[-1] != 0.0
@@ -459,12 +466,13 @@ def test_gradient_matches_fd_through_full_loss(params, cond, coeffs, small_datas
         v_ref=base.v_ref,
         t_mem_ref=base.t_mem_ref,
     )
-    g = composite_loss(net, small_dataset, cfg, coeffs, params, cond, v0)[1]
+    points = loss_points(net, small_dataset, cfg, cond)
+    g = composite_loss(net, points, cfg, coeffs, params, cond, v0)[1]
     vec = flatten(net)
 
     def loss_at(v):
         nn = unflatten(v, net)
-        comps, _ = composite_loss(nn, small_dataset, cfg, coeffs, params, cond, v0)
+        comps, _ = composite_loss(nn, points, cfg, coeffs, params, cond, v0)
         return comps["total"]
 
     # With k5_hat != 0 the hydroxyl cancellation (terms ~1e-6 differenced to
@@ -520,9 +528,8 @@ def test_gradient_matches_reference_engine(params, cond, coeffs, small_dataset):
     for label, net in nets:
         for name, cfg in configs.items():
             diag = DiagnosticCounters()
-            _, g = composite_loss(
-                net, small_dataset, cfg, coeffs, params, cond, v0, diag
-            )
+            points = loss_points(net, small_dataset, cfg, cond)
+            _, g = composite_loss(net, points, cfg, coeffs, params, cond, v0, diag)
             ref = reference_gradient(net, small_dataset, cfg, coeffs, params, cond, v0)
             assert g.shape == ref.shape == (88,)
             assert np.allclose(g, ref, rtol=1e-6, atol=0.0), (label, name)
@@ -542,7 +549,8 @@ def test_train_steps_along_composite_loss_gradient(params, cond, coeffs, small_d
     net, metrics = train(small_dataset, params, cond, cfg)
     start = init_parameters(9, input_scale=cond.t_max, t_mem_ref=cond.t_mem0)
     v0 = solve_cell_voltage(coeffs, cond.t_mem0)
-    comps, grad = composite_loss(start, small_dataset, cfg, coeffs, params, cond, v0)
+    points = loss_points(start, small_dataset, cfg, cond)
+    comps, grad = composite_loss(start, points, cfg, coeffs, params, cond, v0)
     expected, _ = adam_step(AdamState.zeros(88), flatten(start), grad, cfg)
     assert np.array_equal(flatten(net), expected)
     assert metrics.loss_history[0].loss_total == comps["total"]
@@ -646,7 +654,7 @@ def test_composite_loss_builds_no_value(
     for cfg in (small_config(), small_config(physics_enabled=False)):
         for net in nets:
             comps, grad = composite_loss(
-                net, small_dataset, cfg, coeffs, params, cond, v0,
-                DiagnosticCounters(),
+                net, loss_points(net, small_dataset, cfg, cond), cfg, coeffs,
+                params, cond, v0, DiagnosticCounters(),
             )
             assert np.isfinite(comps["total"]) and np.all(np.isfinite(grad))
