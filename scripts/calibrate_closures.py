@@ -23,10 +23,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pempinn import config as config_mod
 from pempinn.constants import OperatingConditions, PhysicsParameters
-from pempinn.simulator import integrate_trajectory
+from pempinn.simulator import SimulationSettings, integrate_trajectory
 
 TARGET_RATIO = 0.5
-N_STEPS = 4096
+N_STEPS = SimulationSettings().n_steps
 BISECT_ITERATIONS = 200
 
 

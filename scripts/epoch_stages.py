@@ -91,7 +91,7 @@ def stages(epochs: int):
         ("mlp_with_tangent", lambda: mlp_with_tangent(w, b, points.tau)),
         ("residual_partials", lambda: residual_partials(
             y_v, y_m, dyv, dym, net.k5_hat, coeffs, params, cond,
-            net.v_ref, net.t_mem_ref, cond.t_max,
+            net.v_ref, net.t_mem_ref,
         )),
         ("hydroxyl_chain_partials",
          lambda: hydroxyl_chain_partials(params, cond, v, k5)),

@@ -55,6 +55,7 @@ K5_RECOVERY_WINDOW = (0.90, 1.10)
 RMSE_BOUND_V = 0.02       # V
 RMSE_BOUND_MEM = 5.0e-4   # cm
 PINN_OVER_ANN_FACTOR = 5.0
+ANN_WEIGHTS = {"lambda_v": 0.0, "lambda_tmem": 0.0}  # --no-physics, reproduce's ann/
 
 
 def _default_config_path() -> Path:
@@ -73,7 +74,7 @@ def _load(args) -> RunConfig:
     if getattr(args, "epochs", None) is not None:
         cfg = replace(cfg, training=replace(cfg.training, max_epochs=args.epochs))
     if getattr(args, "no_physics", False):
-        cfg = replace(cfg, training=replace(cfg.training, physics_enabled=False))
+        cfg = replace(cfg, training=replace(cfg.training, **ANN_WEIGHTS))
     return cfg
 
 
@@ -314,7 +315,7 @@ def cmd_reproduce(args) -> int:
     cfg = _load(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ann_cfg = replace(cfg, training=replace(cfg.training, physics_enabled=False))
+    ann_cfg = replace(cfg, training=replace(cfg.training, **ANN_WEIGHTS))
 
     # The trajectory CSVs are formatted in a forked child while the RK4
     # runs, and the baseline ANN is trained in another while this process
@@ -453,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-physics",
         action="store_true",
-        help="drop the physics residual terms (baseline ANN)",
+        help="zero both physics residual weights (baseline ANN)",
     )
     p.set_defaults(func=cmd_train)
 

@@ -4,9 +4,9 @@ One JSON file holds every parameter of a run: physics constants, operating
 conditions, simulation/dataset settings, and training settings. Keys are
 the dataclass field names (they are unique across the four groups). The
 loader checks each value against its field's annotation by the kind rule
-of every JSON file the package reads (``simulator.JSON_KINDS``): ``bool``
-takes a boolean, ``int`` an integer, ``float`` a finite number that fits
-a float, and a boolean is never a number. Each group's ``__post_init__``
+of every JSON file the package reads (``simulator.JSON_KINDS``): ``int``
+takes an integer, ``float`` a finite number that fits a float, and a
+boolean is never a number. Each group's ``__post_init__``
 checks its ranges, every array size has an upper bound
 (``simulator.MAX_COUNT``), and ``RunConfig`` checks that the RK4 step
 ``t_max / n_steps`` does not round to 0. Every error names the offending

@@ -559,7 +559,6 @@ def _bad_row(path, index, exc) -> ArtifactFormatError:
 # number. A finite number fits a float, so NaN, +-inf and an integer too
 # large for a float all fail the one comparison.
 JSON_KINDS = {
-    "bool": ("a boolean", lambda v: type(v) is bool),
     "int": ("an integer", lambda v: type(v) is int),
     "uint": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
     "float": (

@@ -112,14 +112,15 @@ class TrainingConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1.0e-8
     seed: int = 7
-    physics_enabled: bool = True
     v_ref: float = DEFAULT_V_REF
     checkpoint_every: int = 0
 
+    @property
+    def physics_enabled(self) -> bool:
+        """Whether the residuals enter the loss: either weight positive."""
+        return self.lambda_v > 0.0 or self.lambda_tmem > 0.0
+
     def __post_init__(self):
-        if not self.physics_enabled:
-            object.__setattr__(self, "lambda_v", 0.0)
-            object.__setattr__(self, "lambda_tmem", 0.0)
         if self.learning_rate <= 0.0:
             raise ConfigError("learning_rate", "must be positive")
         if self.max_epochs < 0:
@@ -175,13 +176,13 @@ class Metrics:
 def residual_partials(
     y_v, y_m, dyv_dtau, dym_dtau, k5_hat, coeffs: VoltageCoefficients,
     params: PhysicsParameters, cond: OperatingConditions,
-    v_ref, t_ref, t_max, diag=None,
+    v_ref, t_ref, diag=None,
 ):
     """Both nondimensional residuals on plain ``(N,)`` arrays, with their
     per-point partials.
 
-    With y' the derivatives with respect to tau = t/t_max, and V and t_mem
-    the outputs de-normalized after flooring at CLAMP_EPS:
+    With y' the derivatives with respect to tau = t/t_max (``cond.t_max``),
+    and V and t_mem the outputs de-normalized after flooring at CLAMP_EPS:
 
     * voltage evolution, the explicit rearrangement of the differentiated
       voltage equation, zero when the pair satisfies it:
@@ -227,7 +228,7 @@ def residual_partials(
     # linear in each of k5, c_HO and t_mem.
     k5 = k5_hat * K5_SCALE
     c_ho, dc_dv, dc_dk5 = hydroxyl_chain_partials(params, cond, v, k5, diag)
-    scale = t_max / t_ref
+    scale = cond.t_max / t_ref
     rate = scale * thinning_rate(params, 1.0, 1.0, k5=1.0)
     r_m = dym_dtau + scale * thinning_rate(params, c_ho, tm, k5=k5)
     dm_yv = (rate * k5) * tm * dc_dv * dv
@@ -263,8 +264,7 @@ def loss_points(
     net: NetworkParameters, dataset, config: TrainingConfig, cond: OperatingConditions
 ) -> LossPoints:
     """The LossPoints of a dataset, in the net's normalized units."""
-    physics = config.lambda_v > 0.0 or config.lambda_tmem > 0.0
-    n_c = config.n_collocation if physics else 0
+    n_c = config.n_collocation if config.physics_enabled else 0
     tau_c = np.linspace(0.0, cond.t_max, n_c) / net.input_scale
     tau_d = dataset.train_times / net.input_scale
     return LossPoints(
@@ -311,7 +311,7 @@ def composite_loss(
     if n_c:
         r_v, (v_yv, v_ym, v_dyv, v_dym), r_m, (m_yv, m_ym, m_k5) = residual_partials(
             y[0, :n_c], y[1, :n_c], dy[0, :n_c], dy[1, :n_c], net.k5_hat,
-            coeffs, params, cond, net.v_ref, net.t_mem_ref, cond.t_max, diag,
+            coeffs, params, cond, net.v_ref, net.t_mem_ref, diag,
         )
         physics_v = config.lambda_v * _mean(r_v * r_v)
         physics_mem = config.lambda_tmem * _mean(r_m * r_m)

@@ -66,7 +66,7 @@ def test_config_reports_offending_key():
         config_from_dict(data)
 
 
-_KIND_REJECTS = {"bool": [1], "int": [1.5, True], "float": ["1", True, 10**400]}
+_KIND_REJECTS = {"int": [1.5, True], "float": ["1", True, 10**400]}
 
 
 @pytest.mark.parametrize(
@@ -124,8 +124,9 @@ def test_config_file_with_nan_exits_2(tmp_path, capsys):
         assert "'<file>'" not in err and "config key" not in err, body
 
 
-# Keys that no equation read, which older configs still hold, with the
-# values they held there.
+# Keys that no equation read, or that restated the loss weights
+# (physics_enabled), which older configs still hold, with the values they
+# held there.
 _REMOVED_KEYS = {
     "i_lim": 6.0,
     "gamma_cat": 150.0,
@@ -135,6 +136,7 @@ _REMOVED_KEYS = {
     "eta_2e": 0.695,
     "p_cat": 30.0,
     "rho_naf_cgs": 1.98,
+    "physics_enabled": False,
 }
 
 
@@ -147,6 +149,7 @@ def test_config_with_removed_key_exits_2(tmp_path, capsys, key):
     code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_packaged_default_matches_dataclass_defaults(tmp_path):
@@ -533,6 +536,33 @@ def test_train_no_physics_flag(tmp_path, fast_config):
         row.split(",")[3] for row in history
     }
     assert phys_cols == {"0.0"}  # physics components identically zero
+
+
+def test_zero_weights_train_the_no_physics_ann(tmp_path, fast_config):
+    # "Physics on" follows the residual weights: a config with both at 0
+    # trains what --no-physics trains, and both runs are labelled ann.
+    data_dir = tmp_path / "data"
+    main(["generate-data", "--config", str(fast_config), "--out", str(data_dir)])
+    data = json.loads(fast_config.read_text())
+    data.update(lambda_v=0.0, lambda_tmem=0.0)
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(data))
+    runs = {"flag": (fast_config, ["--no-physics"]), "weights": (zero, [])}
+    for name, (config, flags) in runs.items():
+        assert main(
+            [
+                "train",
+                "--config", str(config),
+                "--data", str(data_dir / "dataset.csv"),
+                "--out", str(tmp_path / name),
+                *flags,
+            ]
+        ) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert [run["command"] for run in manifest["runs"]] == ["train[ann]"]
+    for file in ("checkpoint.json", "history.csv", "metrics.json"):
+        flag = (tmp_path / "flag" / file).read_bytes()
+        assert flag == (tmp_path / "weights" / file).read_bytes(), file
 
 
 def test_missing_input_exits_4(tmp_path, fast_config, capsys):

@@ -268,7 +268,7 @@ def test_physics_off_gradient_has_zero_k5_entry(
     from pempinn.training import TrainingConfig, composite_loss, loss_points
 
     net = make_net(3)
-    cfg = TrainingConfig(physics_enabled=False, n_collocation=8)
+    cfg = TrainingConfig(lambda_v=0.0, lambda_tmem=0.0, n_collocation=8)
     points = loss_points(net, small_dataset, cfg, cond)
     v0 = solve_cell_voltage(coeffs, cond.t_mem0)
     for g in (

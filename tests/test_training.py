@@ -280,19 +280,27 @@ def test_loss_components_sum_to_total(params, cond, coeffs, small_dataset):
     assert s == pytest.approx(comps["total"], rel=1e-12)
 
 
-def test_physics_disabled_forces_zero_weights():
-    cfg = TrainingConfig(physics_enabled=False, lambda_v=3.0, lambda_tmem=2.0)
-    assert cfg.lambda_v == 0.0
-    assert cfg.lambda_tmem == 0.0
+def test_physics_enabled_follows_the_residual_weights():
+    # Either residual weight alone turns the physics on; both at 0 is the
+    # ANN baseline. It is derived, so it cannot be set.
+    assert TrainingConfig().physics_enabled
+    assert TrainingConfig(lambda_v=3.0, lambda_tmem=0.0).physics_enabled
+    assert TrainingConfig(lambda_v=0.0, lambda_tmem=2.0).physics_enabled
+    assert not TrainingConfig(lambda_v=0.0, lambda_tmem=0.0).physics_enabled
+    with pytest.raises(TypeError, match="physics_enabled"):
+        dataclasses.replace(TrainingConfig(), physics_enabled=False)
 
 
 def test_training_config_is_frozen():
-    # A value checked (and hashed into provenance) cannot change afterwards;
-    # the zeroed weights of a physics-free config stay zeroed.
-    cfg = TrainingConfig(physics_enabled=False, lambda_v=3.0)
+    # A value checked (and hashed into provenance) cannot change afterwards,
+    # nor can the physics switch the weights imply.
+    cfg = TrainingConfig(lambda_v=0.0, lambda_tmem=0.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.lambda_v = 3.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.physics_enabled = True
     assert (cfg.lambda_v, cfg.lambda_tmem) == (0.0, 0.0)
+    assert not cfg.physics_enabled
 
 
 def test_config_validation():
@@ -520,7 +528,7 @@ def test_gradient_matches_reference_engine(params, cond, coeffs, small_dataset):
     v0 = solve_cell_voltage(coeffs, cond.t_mem0)
     configs = {
         "pinn": small_config(n_collocation=64),
-        "ann": small_config(n_collocation=64, physics_enabled=False),
+        "ann": small_config(n_collocation=64, lambda_v=0.0, lambda_tmem=0.0),
     }
     nets = _parity_networks(cond, v0)
     assert len(nets) >= 20
@@ -601,7 +609,7 @@ def test_residual_partials_match_complex_step_jacobian(params, cond, coeffs, cas
     diag = DiagnosticCounters()
     r_v, rows_v, r_m, rows_m = residual_partials(
         y_v, y_m, dyv, dym, k5_hat, coeffs, params, cond,
-        v_ref, t_ref, cond.t_max, diag,
+        v_ref, t_ref, diag,
     )
 
     for got, ref in ((r_v, ref_v), (r_m, ref_m)):
@@ -651,7 +659,7 @@ def test_composite_loss_builds_no_value(
     nets = [net for label, net in _parity_networks(cond, v0)
             if label in ("init_0", "k5_1", "clamp_0", "clamp_1")]
     monkeypatch.setattr(autodiff.Value, "__init__", refuse)
-    for cfg in (small_config(), small_config(physics_enabled=False)):
+    for cfg in (small_config(), small_config(lambda_v=0.0, lambda_tmem=0.0)):
         for net in nets:
             comps, grad = composite_loss(
                 net, loss_points(net, small_dataset, cfg, cond), cfg, coeffs,
