@@ -3,7 +3,8 @@
 Every command writes its artifacts into an output directory together with an
 append-only ``manifest.json`` recording the command, config hash, seeds,
 file checksums and the environment that fixes the output bits (the Python
-and numpy versions, numpy's SIMD targets and OpenBLAS's core). Exit codes
+and numpy versions, numpy's SIMD targets and OpenBLAS's core) and which
+RK4 loop the process runs (C or Python). Exit codes
 are a stable contract for CI: 0 success, 2 configuration error, 3 numerical
 failure, 4 I/O failure (1 is reserved for a completed reproduction run
 whose acceptance checks did not all pass).
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from ._fork import ForkedStage
+from ._kernel import rk4_kernel_name
 from .config import RunConfig, config_hash, load_config
 from .constants import K5_SCALE
 from .errors import (
@@ -125,6 +127,8 @@ def _append_manifest(
                 "python": ".".join(map(str, sys.version_info[:3])),
                 "numpy": np.__version__,
                 **_native_environment(Path(np.__file__).parents[1] / "numpy.libs"),
+                # The bits are the same either way, the speed is not.
+                "rk4_kernel": rk4_kernel_name(),
             },
         }
     )

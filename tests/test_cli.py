@@ -920,7 +920,7 @@ def test_negative_flag_exits_2_before_out(tmp_path, fast_config, capsys, command
     assert not out.exists()
 
 
-def test_manifest_records_environment(tmp_path, fast_config):
+def test_manifest_records_environment(tmp_path, fast_config, rk4_kernel):
     import platform
 
     import numpy as np
@@ -936,8 +936,10 @@ def test_manifest_records_environment(tmp_path, fast_config):
     for entry in runs:
         env = entry["environment"]
         assert sorted(env) == [
-            "numpy", "numpy_simd", "openblas_config", "openblas_core", "python"
+            "numpy", "numpy_simd", "openblas_config", "openblas_core", "python",
+            "rk4_kernel",
         ]
+        assert env["rk4_kernel"] == rk4_kernel
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
         # SIMD targets in dispatch order, the baseline first.
@@ -1488,7 +1490,9 @@ GOLDEN_TRAJECTORY_SHA256 = [
 
 
 @pytest.mark.parametrize("n_steps, k5, digests", GOLDEN_TRAJECTORY_SHA256)
-def test_simulate_trajectory_bytes_match_golden_digests(tmp_path, n_steps, k5, digests):
+def test_simulate_trajectory_bytes_match_golden_digests(
+    tmp_path, n_steps, k5, digests, rk4_kernel
+):
     import hashlib
 
     from pempinn import cli

@@ -337,10 +337,12 @@ def _kernel_args(params, cond, **kwargs):
 
 
 def _run_kernel(args, progress=None):
-    """rk4_thinning into new arrays: (status, fail_step, clamped,
-    infeasible, times, volts, tmems, c_h2o2s, c_hos, trs, frrs, iters)."""
+    """The RK4 loop get_kernels() gives, into new arrays: (status, fail_step,
+    clamped, infeasible, times, volts, tmems, c_h2o2s, c_hos, trs, frrs,
+    iters)."""
     out = trajectory_arrays(args["n_steps"])
-    return (*_kernel.rk4_thinning(**args, out=out, progress=progress), *out)
+    _, rk4 = _kernel.get_kernels()
+    return (*rk4(**args, out=out, progress=progress), *out)
 
 
 def _linear_branch(args, dkc):
@@ -414,7 +416,7 @@ PARITY_CASES = _parity_cases()
 
 
 @pytest.mark.parametrize("case", sorted(PARITY_CASES))
-def test_fused_kernel_matches_per_stage_reference(case):
+def test_fused_kernel_matches_per_stage_reference(case, rk4_kernel):
     expected_status, integrate_kwargs, overrides = PARITY_CASES[case]
     args = _kernel_args(**integrate_kwargs)
     args.update(overrides(args) if callable(overrides) else overrides)
@@ -476,7 +478,7 @@ PROGRESS_CASES = _progress_cases()
 
 
 @pytest.mark.parametrize("case", sorted(PROGRESS_CASES))
-def test_progress_callback_changes_nothing_and_reports_final_rows(case):
+def test_progress_callback_changes_nothing_and_reports_final_rows(case, rk4_kernel):
     args = _kernel_args(**PROGRESS_CASES[case])
     plain = _run_kernel(args)
     reports = []
@@ -486,7 +488,8 @@ def test_progress_callback_changes_nothing_and_reports_final_rows(case):
         # The rows reported must already hold their final values.
         reports.append((rows, [a[:rows].copy() for a in out]))
 
-    got = _kernel.rk4_thinning(**args, out=out, progress=progress)
+    _, rk4 = _kernel.get_kernels()
+    got = rk4(**args, out=out, progress=progress)
     assert got == plain[:4]
     status, fail_step = got[:2]
     end = fail_step if status != 0 else None
@@ -507,6 +510,143 @@ def test_progress_callback_changes_nothing_and_reports_final_rows(case):
             assert s.tobytes() == p[:rows].tobytes()
     if case in ("bracket_lost", "no_bracket"):
         assert status == 1 and counts
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_exception_from_progress_reaches_the_caller(params, cond, rk4_kernel):
+    args = _kernel_args(params, cond, n_steps=4 * _kernel.CHUNK)
+    reports = []
+
+    def progress(rows):
+        reports.append(rows)
+        raise _Stop
+
+    out = trajectory_arrays(args["n_steps"])
+    _, rk4 = _kernel.get_kernels()
+    with pytest.raises(_Stop):
+        rk4(**args, out=out, progress=progress)
+    rows = _kernel.CHUNK
+    assert reports == [rows]
+    plain = _run_kernel(args)
+    for a, p in zip(out, plain[4:]):
+        assert a[:rows].tobytes() == p[:rows].tobytes()
+        assert not a[rows:].any()  # nothing ran after the report
+
+
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        ({"t_mem0": 0.0}, ZeroDivisionError),  # the bracket test at t_mem0
+        ({"p_over_a": 0.0}, ValueError),       # math.log(0.0)
+        ({"e_cl": 0.0}, ZeroDivisionError),    # the first chemistry
+        ({"k3": 0.0}, ZeroDivisionError),
+    ],
+    ids=["t_mem0_zero", "p_over_a_zero", "e_cl_zero", "k3_zero"],
+)
+def test_float_fault_raises_as_in_the_python_loop(
+    params, cond, overrides, error, rk4_kernel
+):
+    args = {**_kernel_args(params, cond, n_steps=16), **overrides}
+    with pytest.raises(error):
+        _run_kernel(args)
+
+
+def test_c_loop_checks_its_output_arrays_before_writing(params, cond, c_rk4):
+    # The Python loop takes any arrays it can index.
+    n = 16
+    args = _kernel_args(params, cond, n_steps=n)
+    bad = [(k, lambda a: a[:n]) for k in range(8)]  # one row short
+    bad += [(7, lambda a: a.astype(np.int32)), (0, lambda a: np.repeat(a, 2)[::2])]
+    for k, spoil in bad:
+        out = list(trajectory_arrays(n))
+        out[k] = spoil(out[k])
+        with pytest.raises(ValueError, match=f"at least {n + 1} rows"):
+            c_rk4(**args, out=out)
+        assert not any(a.any() for a in out)
+
+
+def _select_afresh(monkeypatch, cache, compiler):
+    """The RK4 loop a new process would select with this cache directory
+    and compiler."""
+    monkeypatch.setattr(_kernel, "_CACHE", cache)
+    monkeypatch.setattr(_kernel, "_compiler", lambda: compiler)
+    monkeypatch.setattr(
+        _kernel, "_selected", functools.cache(_kernel._selected.__wrapped__)
+    )
+    _, rk4 = _kernel.get_kernels()
+    return rk4
+
+
+def _trajectory_bytes(traj):
+    return [
+        np.asarray(getattr(traj, f.name)).tobytes()
+        for f in dataclasses.fields(traj)
+    ]
+
+
+@pytest.mark.parametrize("fault", ["compiler_exits_1", "cache_not_writable"])
+def test_failed_build_selects_the_python_loop(
+    tmp_path, monkeypatch, params, cond, fault
+):
+    expected = _trajectory_bytes(integrate_trajectory(params, cond, n_steps=64))
+    if fault == "compiler_exits_1":
+        cache = tmp_path / "cache"
+        compiler = [sys.executable, "-c", "raise SystemExit(1)"]
+    else:
+        # A path under a regular file: unwritable even for root, which
+        # permission bits do not stop.
+        (tmp_path / "file").write_text("")
+        cache = tmp_path / "file" / "__pycache__"
+        compiler = _kernel._compiler()
+    assert _select_afresh(monkeypatch, cache, compiler) is _kernel.rk4_thinning
+    assert _kernel.rk4_kernel_name() == "python"
+    got = _trajectory_bytes(integrate_trajectory(params, cond, n_steps=64))
+    assert got == expected
+    # No temporary library is left behind.
+    left = sorted(p.name for p in tmp_path.rglob("*"))
+    assert left == (["cache"] if fault == "compiler_exits_1" else ["file"])
+
+
+def _alive(pid):
+    """Whether process ``pid`` runs (a zombie waiting to be reaped does not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_timed_out_build_kills_the_whole_compiler(tmp_path, monkeypatch):
+    # The "compiler" starts a child of its own, which would outlive it if
+    # only the compiler were killed.
+    pid_file = tmp_path / "pid"
+    compiler = ["sh", "-c", f"sleep 60 & echo $! > '{pid_file}'; wait", "sh"]
+    monkeypatch.setattr(_kernel, "BUILD_TIMEOUT", 0.5)
+    cache = tmp_path / "cache"
+    assert _select_afresh(monkeypatch, cache, compiler) is _kernel.rk4_thinning
+    pid = int(pid_file.read_text())
+    deadline = time.monotonic() + 10.0
+    while _alive(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _alive(pid)
+    assert list(cache.iterdir()) == []
+
+
+def test_c_loop_builds_into_an_empty_cache(
+    tmp_path, monkeypatch, params, cond, c_rk4
+):
+    expected = _trajectory_bytes(integrate_trajectory(params, cond, n_steps=64))
+    cache = tmp_path / "cache"
+    rk4 = _select_afresh(monkeypatch, cache, _kernel._compiler())
+    assert rk4 is not _kernel.rk4_thinning
+    [lib] = cache.iterdir()  # the library alone, no temporary file
+    assert lib.name.startswith("_rk4.") and lib.suffix == ".so"
+    got = _trajectory_bytes(integrate_trajectory(params, cond, n_steps=64))
+    assert got == expected
 
 
 def test_inlined_newton_matches_solve_voltage(params, cond):
@@ -608,7 +748,7 @@ def test_load_reports_bad_line_number(tmp_path, small_dataset, monkeypatch):
     _raises_both_ways(monkeypatch, path, ":4")
 
 
-def test_golden_dataset_checksum(params, cond):
+def test_golden_dataset_checksum(params, cond, rk4_kernel):
     # Committed artifact generated once by scripts/make_golden_dataset.py.
     path = GOLDEN_DIR / "golden_dataset.csv"
     meta = json.loads((GOLDEN_DIR / "golden_dataset.csv.meta.json").read_text())
