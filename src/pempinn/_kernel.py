@@ -1,4 +1,4 @@
-"""Sequential integration kernels (hot loops).
+"""Sequential integration kernels and CSV row formatters (hot loops).
 
 The coupled system is a single thinning ODE whose right-hand side requires,
 at every Runge-Kutta stage, an implicit voltage solve followed by the
@@ -32,17 +32,31 @@ pins its Newton iterates to ``solve_voltage``.
 order, libm's ``log`` and ``sqrt`` (which ``math.log`` and ``math.sqrt``
 call), no fused multiply-add, so its bits are the Python loop's; where the
 Python loop would raise, it stops at the same point and the Python loop is
-rerun for the exception. ``get_kernels`` builds it on its first call in a
-process, never at import: CPython's C compiler (``sysconfig``'s ``CC``)
-writes the shared library into this package's ``__pycache__``, under a
-name keyed by the sha256 of the source, the compile command and the
-platform, via a temporary file and ``os.replace``; later processes load the
-cached library, trusted as a ``.pyc`` is. Before using it, each process runs
-it and the Python loop on one fixed case and compares the bytes. Without a
-compiler, or when the build fails or times out, the directory cannot be
-written, the library does not load or the bytes differ, ``rk4_thinning``
-runs. No setting picks the loop; ``rk4_kernel_name`` says which one runs,
-and each manifest entry records it.
+rerun for the exception.
+
+The trajectory and dataset CSVs write each float as its ``repr``.
+``repr_trajectory_rows`` and ``repr_float_rows`` call ``repr``;
+``_repr.c`` writes the same bytes about 11x faster, with Ryu's shortest
+round-trip digits (Adams, PLDI 2018) laid out as ``repr`` lays them out.
+Its two tables of powers of 5 are not committed: ``_repr_table`` computes
+them from Python ints for each build. ``get_formatter`` gives the pair
+that runs, as a ``RowFormatter``; the C pair sends columns it cannot read
+directly (another dtype, byte order or layout, or bounds past the end) to
+the ``repr`` pair, so those raise, or not, as they did.
+
+Both C files are built the same way, on first use in a process and never
+at import: CPython's C compiler (``sysconfig``'s ``CC``) writes the shared
+library into this package's ``__pycache__``, under a name keyed by the
+sha256 of the source, the generated table text, the compile command and
+the platform, via a temporary file and ``os.replace``; later processes
+load the cached library, trusted as a ``.pyc`` is. Before using it, each
+process checks it once against the Python code: the RK4 loop on one fixed
+case, the formatter on a fixed corpus (``_repr_corpus``), comparing bytes.
+Without a compiler, or when the build fails or times out, the directory
+cannot be written, the library does not load or the bytes differ, the
+Python code runs. No setting picks either; ``rk4_kernel_name`` and
+``repr_formatter_name`` say which runs, and each manifest entry records
+both.
 
 ``rk4_thinning`` fills output arrays that the caller passes in, so they
 may live in memory shared with another process. With a ``progress``
@@ -73,6 +87,7 @@ import functools
 import math
 import os
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -366,25 +381,36 @@ class _Rk4State(ctypes.Structure):
     ]
 
 
+def _is_column(a, dtype, rows):
+    """Whether ``a`` is a 1-d, C-contiguous array of ``dtype`` in native
+    byte order, of at least ``rows`` rows."""
+    return (
+        isinstance(a, np.ndarray)
+        and a.dtype == dtype
+        and a.ndim == 1
+        and a.flags.c_contiguous
+        and len(a) >= rows
+    )
+
+
+def _columns_fit(arrays, rows):
+    """Whether ``arrays`` are eight ``_is_column`` arrays of at least
+    ``rows`` rows, seven float64 then an int64."""
+    return len(arrays) == len(_OUT_DTYPES) and all(
+        _is_column(a, dtype, rows) for a, dtype in zip(arrays, _OUT_DTYPES)
+    )
+
+
 def _check_out(out, n_steps):
     """Raise ValueError unless ``out`` is the eight arrays the C loop may
-    fill: 1-d, writable and C-contiguous, seven float64 and an int64
-    ``iters``, each of at least ``n_steps + 1 >= 1`` rows."""
+    fill: ``_columns_fit`` for ``n_steps + 1 >= 1`` rows, and writable."""
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, not {n_steps}")
-    for a, dtype in zip(out, _OUT_DTYPES, strict=True):
-        if not (
-            isinstance(a, np.ndarray)
-            and a.dtype == dtype
-            and a.ndim == 1
-            and a.flags.c_contiguous
-            and a.flags.writeable
-            and len(a) > n_steps
-        ):
-            raise ValueError(
-                "the C RK4 loop writes into 8 writable, C-contiguous 1-d arrays "
-                f"(7 float64, then int64 iters) of at least {n_steps + 1} rows"
-            )
+    if not (_columns_fit(out, n_steps + 1) and all(a.flags.writeable for a in out)):
+        raise ValueError(
+            "the C RK4 loop writes into 8 writable, C-contiguous 1-d arrays "
+            f"(7 float64, then int64 iters) of at least {n_steps + 1} rows"
+        )
 
 
 def _c_rk4(run):
@@ -470,28 +496,53 @@ def _compile(argv):
         raise subprocess.CalledProcessError(code, argv)
 
 
-def _library(cc):
-    """The shared library ``cc`` builds from ``_rk4.c``, compiled into
+def _library(cc, source, header=""):
+    """The shared library ``cc`` builds from the C file ``source``, with
+    the C text ``header`` read before it (``-include``), compiled into
     ``_CACHE`` unless a process has done so already."""
     import hashlib
     import sysconfig
     import tempfile
 
-    key = hashlib.sha256(_SOURCE.read_bytes())
+    key = hashlib.sha256(source.read_bytes())
+    key.update(header.encode())
     key.update(repr((cc, _CFLAGS, sysconfig.get_platform())).encode())
-    lib = _CACHE / f"_rk4.{key.hexdigest()}.so"
+    lib = _CACHE / f"{source.stem}.{key.hexdigest()}.so"
     if lib.exists():
         return lib
     _CACHE.mkdir(exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix="_rk4.", suffix=".tmp", dir=_CACHE)
+    fd, tmp = tempfile.mkstemp(prefix=f"{source.stem}.", suffix=".tmp", dir=_CACHE)
     os.close(fd)
+    include = []
     try:
-        _compile([*cc, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"])
+        if header:
+            fd, path = tempfile.mkstemp(
+                prefix=f"{source.stem}.", suffix=".h.tmp", dir=_CACHE
+            )
+            include = ["-include", path]
+            with os.fdopen(fd, "w") as fh:
+                fh.write(header)
+        _compile([*cc, *_CFLAGS, *include, "-o", tmp, str(source), "-lm"])
         os.replace(tmp, lib)
     finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
+        for path in (tmp, *include[1:]):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
     return lib
+
+
+def _load(source, header=""):
+    """``ctypes.CDLL`` of ``_library(source, header)``, or None where it
+    cannot be built or loaded."""
+    import subprocess
+
+    cc = _compiler()
+    if cc is None:
+        return None
+    try:
+        return ctypes.CDLL(str(_library(cc, source, header)))
+    except (OSError, subprocess.SubprocessError):
+        return None
 
 
 # The packaged defaults at k5_true, as integrate_trajectory passes them,
@@ -519,14 +570,8 @@ def _same_bits(rk4):
 def _c_loop():
     """``rk4_thinning``'s C copy, or None where it cannot be built or
     loaded."""
-    import subprocess
-
-    cc = _compiler()
-    if cc is None:
-        return None
-    try:
-        lib = ctypes.CDLL(str(_library(cc)))
-    except (OSError, subprocess.SubprocessError):
+    lib = _load(_SOURCE)
+    if lib is None:
         return None
     run = lib.pempinn_rk4_thinning
     run.argtypes = (ctypes.POINTER(_Rk4Args), ctypes.c_int64, ctypes.POINTER(_Rk4State))
@@ -553,3 +598,195 @@ def rk4_kernel_name():
     """Which RK4 loop ``get_kernels`` returns in this process: "c" or
     "python"."""
     return "python" if _selected() is rk4_thinning else "c"
+
+
+# -- the CSV row formatters: repr, and its C copy --------------------------
+
+
+def repr_trajectory_rows(arrays, start, stop) -> tuple:
+    """Rows ``start:stop`` of the trajectory CSV and of its diagnostics CSV,
+    as two ASCII byte strings, from the eight columns in
+    ``simulator.trajectory_arrays`` order: each value the ``repr`` of a
+    float, the iteration count an integer (any other value raises
+    ValueError)."""
+    t, v, m, h2o2, ho, tr, fr = (
+        np.asarray(a[start:stop], dtype=np.float64).tolist() for a in arrays[:7]
+    )
+    it = arrays[7][start:stop].tolist()
+    t = list(map(repr, t))  # formatted once: it opens the rows of both files
+    trajectory = "".join([f"{a},{b!r},{c!r}\n" for a, b, c in zip(t, v, m)])
+    diagnostics = "".join(
+        [
+            f"{a},{b!r},{c!r},{d!r},{e!r},{n:d}\n"
+            for a, b, c, d, e, n in zip(t, ho, h2o2, tr, fr, it)
+        ]
+    )
+    return trajectory.encode(), diagnostics.encode()
+
+
+def repr_float_rows(columns, prefix: str, suffix: str) -> bytes:
+    """One CSV row per index of ``columns``: ``prefix``, the ``repr`` of
+    each column's value joined by commas, ``suffix`` and a line feed."""
+    rows = zip(*(c.tolist() for c in columns))
+    text = "".join([f"{prefix}{','.join(map(repr, r))}{suffix}\n" for r in rows])
+    return text.encode()
+
+
+class RowFormatter(NamedTuple):
+    """``repr_trajectory_rows`` and ``repr_float_rows``, or their C copies."""
+
+    trajectory_rows: Callable
+    float_rows: Callable
+
+
+REPR_ROWS = RowFormatter(repr_trajectory_rows, repr_float_rows)
+_REPR_SOURCE = _SOURCE.with_name("_repr.c")
+# Row sizes, in bytes, that _repr.c never exceeds.
+_REPR_BYTES = 24  # the longest repr of a float: "-2.2250738585072014e-308"
+_INT_BYTES = 20  # the longest int64: "-9223372036854775808"
+_TRAJECTORY_ROW_BYTES = 3 * _REPR_BYTES + 3
+_DIAGNOSTICS_ROW_BYTES = 5 * _REPR_BYTES + _INT_BYTES + 6
+
+
+def _repr_table() -> str:
+    """The C text of ``_repr.c``'s two tables, computed from Python ints:
+    ``POW5_INV_SPLIT[q]``, 2^(b + 124) // 5^q + 1 for q < 342, and
+    ``POW5_SPLIT[i]``, 5^i scaled to 125 bits, for i < 326, b being the bit
+    length of the power of 5; each as {low, high} 64-bit halves."""
+
+    def table(name, values):
+        low = (1 << 64) - 1
+        rows = ",\n".join(f"    {{{v & low:#x}u, {v >> 64:#x}u}}" for v in values)
+        return f"static const uint64_t {name}[][2] = {{\n{rows}\n}};\n"
+
+    inv = [(1 << (5**q).bit_length() + 124) // 5**q + 1 for q in range(342)]
+    pos = [(5**i << 125) >> (5**i).bit_length() for i in range(326)]
+    return (
+        "#include <stdint.h>\n#define POW5_TABLES\n"
+        + table("POW5_INV_SPLIT", inv)
+        + table("POW5_SPLIT", pos)
+    )
+
+
+def _c_rows(lib):
+    """The ``RowFormatter`` over a loaded ``_repr.c``."""
+    trajectory = lib.pempinn_trajectory_rows
+    trajectory.argtypes = (
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_void_p,
+    )
+    trajectory.restype = None
+    floats = lib.pempinn_float_rows
+    floats.argtypes = (
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_char_p,
+        ctypes.c_int64, ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p,
+    )
+    floats.restype = ctypes.c_int64
+
+    def trajectory_rows_c(arrays, start, stop) -> tuple:
+        """``repr_trajectory_rows`` formatted by ``_repr.c``; arrays that
+        do not ``_columns_fit`` rows up to ``stop`` go to the repr path."""
+        if not (
+            isinstance(start, int)
+            and isinstance(stop, int)
+            and 0 <= start <= stop
+            and _columns_fit(arrays, stop)
+        ):
+            return repr_trajectory_rows(arrays, start, stop)
+        rows = stop - start
+        traj = ctypes.create_string_buffer(rows * _TRAJECTORY_ROW_BYTES)
+        diag = ctypes.create_string_buffer(rows * _DIAGNOSTICS_ROW_BYTES)
+        lens = (ctypes.c_int64 * 2)()
+        cols = (ctypes.c_void_p * 8)(*(a.ctypes.data for a in arrays))
+        trajectory(cols, start, stop, traj, diag, lens)
+        return ctypes.string_at(traj, lens[0]), ctypes.string_at(diag, lens[1])
+
+    def float_rows_c(columns, prefix: str, suffix: str) -> bytes:
+        """``repr_float_rows`` formatted by ``_repr.c``; columns that are
+        not ``_is_column`` float64 arrays go to the repr path."""
+        rows = min(map(len, columns), default=0)
+        if not (columns and all(_is_column(c, np.float64, rows) for c in columns)):
+            return repr_float_rows(columns, prefix, suffix)
+        head, tail = prefix.encode(), suffix.encode()
+        out = ctypes.create_string_buffer(
+            rows * (len(columns) * (_REPR_BYTES + 1) + len(head) + len(tail))
+        )
+        cols = (ctypes.c_void_p * len(columns))(*(c.ctypes.data for c in columns))
+        size = floats(cols, len(columns), rows, head, len(head), tail, len(tail), out)
+        return ctypes.string_at(out, size)
+
+    return RowFormatter(trajectory_rows_c, float_rows_c)
+
+
+def _c_formatter():
+    """``_repr.c``'s ``RowFormatter``, or None where it cannot be built or
+    loaded."""
+    lib = _load(_REPR_SOURCE, _repr_table())
+    return None if lib is None else _c_rows(lib)
+
+
+_CORPUS_ROWS = 340
+
+
+def _repr_corpus():
+    """Eight columns of ``_CORPUS_ROWS`` rows, as ``trajectory_arrays``
+    holds them, on which a formatter must write what ``repr`` writes: both
+    zeros, NaN and the infinities, the extreme subnormal and normal values,
+    the neighbours of both switches to exponent notation and integers
+    around 2^53; one double of each binary exponent, so that every table
+    entry is read; short decimals over 45 decades; and int64 extremes."""
+    edges = [
+        0.0, math.nan, math.inf, 5e-324, 2.225073858507201e-308,
+        2.2250738585072014e-308, 1.7976931348623157e308, 1e-4, 1e16, 1e15, 0.1,
+        1.0, 2.0**53, 2.0**53 + 2, 1e22, 1e23, 1 / 3, 123456789.0, 2.0**-1022,
+    ]
+    edges += [math.nextafter(x, d) for x in (1e-4, 1e16) for d in (0.0, math.inf)]
+    edges += [-x for x in edges]
+    # Exponent field e, sign e & 1 and a mantissa of hashed bits.
+    e = np.arange(2047, dtype=np.uint64)
+    mantissa = (e * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(12)
+    per_exponent = ((e & np.uint64(1)) << np.uint64(63) | e << np.uint64(52) | mantissa)
+    mantissas = ("1", "2.5", "3.14159", "9.999")
+    short = [float(f"{m}e{k}") for m in mantissas for k in range(-22, 23)]
+    floats = np.concatenate([edges, per_exponent.view(np.float64), short])
+    floats = np.resize(floats, 7 * _CORPUS_ROWS).reshape(7, _CORPUS_ROWS)
+    ints = np.resize(np.array([0, 1, -1, 2**63 - 1, -(2**63), 4096]), _CORPUS_ROWS)
+    return (*floats, ints.astype(np.int64))
+
+
+def _same_text(formatter):
+    """Whether ``formatter`` writes the bytes of ``REPR_ROWS`` on
+    ``_repr_corpus``: whole and part ranges of both trajectory CSVs, and
+    float rows with a prefix and a suffix."""
+    arrays = _repr_corpus()
+    return all(
+        getattr(formatter, name)(*args) == getattr(REPR_ROWS, name)(*args)
+        for name, args in (
+            ("trajectory_rows", (arrays, 0, _CORPUS_ROWS)),
+            ("trajectory_rows", (arrays, 100, 101)),
+            ("float_rows", ([a[:20] for a in arrays[:3]], "test,", ",0")),
+        )
+    )
+
+
+@functools.cache
+def _selected_formatter():
+    """The ``RowFormatter`` of this process: the C copy where
+    ``_c_formatter`` gives one and it writes ``repr``'s bytes on
+    ``_repr_corpus``, else ``REPR_ROWS``."""
+    formatter = _c_formatter()
+    if formatter is not None and _same_text(formatter):
+        return formatter
+    return REPR_ROWS
+
+
+def get_formatter():
+    """The ``RowFormatter`` that writes the CSV rows: ``_repr.c``'s where it
+    builds, loads and passes its check, else ``REPR_ROWS``."""
+    return _selected_formatter()
+
+
+def repr_formatter_name():
+    """Which ``RowFormatter`` ``get_formatter`` returns in this process: "c"
+    or "python"."""
+    return "python" if _selected_formatter() is REPR_ROWS else "c"

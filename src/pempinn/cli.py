@@ -3,11 +3,11 @@
 Every command writes its artifacts into an output directory together with an
 append-only ``manifest.json`` recording the command, config hash, seeds,
 file checksums and the environment that fixes the output bits (the Python
-and numpy versions, numpy's SIMD targets and OpenBLAS's core) and which
-RK4 loop the process runs (C or Python). Exit codes
-are a stable contract for CI: 0 success, 2 configuration error, 3 numerical
-failure, 4 I/O failure (1 is reserved for a completed reproduction run
-whose acceptance checks did not all pass).
+and numpy versions, numpy's SIMD targets and OpenBLAS's core), which RK4
+loop the process runs and which formatter writes its CSV floats (C or
+Python each). Exit codes are a stable contract for CI: 0 success, 2
+configuration error, 3 numerical failure, 4 I/O failure (1 is reserved for
+a completed reproduction run whose acceptance checks did not all pass).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from ._fork import ForkedStage
-from ._kernel import rk4_kernel_name
+from ._kernel import get_formatter, repr_formatter_name, rk4_kernel_name
 from .config import RunConfig, config_hash, load_config
 from .constants import K5_SCALE
 from .errors import (
@@ -129,6 +129,7 @@ def _append_manifest(
                 **_native_environment(Path(np.__file__).parents[1] / "numpy.libs"),
                 # The bits are the same either way, the speed is not.
                 "rk4_kernel": rk4_kernel_name(),
+                "repr_formatter": repr_formatter_name(),
             },
         }
     )
@@ -178,6 +179,8 @@ def _simulate_into(cfg: RunConfig, out_dir: Path, k5):
     ``(traj, paths, writer)``; ``writer.result()`` waits for the files."""
     paths = [out_dir / "trajectory.csv", out_dir / "trajectory_diagnostics.csv"]
     arrays = trajectory_arrays(cfg.simulation.n_steps)
+    # Built, loaded and checked here, once, for the writer to inherit.
+    get_formatter()
     writer = ForkedStage(lambda stops: _write_rows(arrays, paths, stops))
     try:
         traj = integrate_trajectory(

@@ -322,14 +322,13 @@ def generate_dataset(
 
 
 def dataset_csv_bytes(ds: Dataset) -> bytes:
-    lines = [",".join(DATASET_COLUMNS) + "\n"]
-    for split, flag, columns in (
-        ("train", 1, (ds.train_times, ds.train_voltages, ds.train_thicknesses)),
-        ("test", 0, (ds.test_times, ds.test_voltages, ds.test_thicknesses)),
-    ):
-        t, v, m = (c.tolist() for c in columns)
-        lines += [f"{split},{a!r},{b!r},{c!r},{flag}\n" for a, b, c in zip(t, v, m)]
-    return "".join(lines).encode()
+    """The dataset CSV: the header, then one row per train and per test
+    point, each value written by ``_kernel.get_formatter`` as its ``repr``."""
+    rows = _kernel.get_formatter().float_rows
+    train = (ds.train_times, ds.train_voltages, ds.train_thicknesses)
+    test = (ds.test_times, ds.test_voltages, ds.test_thicknesses)
+    header = ",".join(DATASET_COLUMNS) + "\n"
+    return header.encode() + rows(train, "train,", ",1") + rows(test, "test,", ",0")
 
 
 def save_dataset(ds: Dataset, path, config_hash: str = "") -> str:
@@ -634,33 +633,24 @@ def trajectory_rows(arrays, start: int, stop: int) -> tuple:
     """Rows ``start:stop`` of the trajectory CSV and of its diagnostics CSV.
 
     ``arrays`` are the eight columns in ``trajectory_arrays`` order. Each
-    value is the ``repr`` of a float and the iteration count an integer, so
-    the files read back bit for bit; any other value raises ValueError.
-    Returns the two texts.
+    value is written as the ``repr`` of a float and the iteration count as
+    an integer, so the files read back bit for bit; any other value raises
+    ValueError. The rows are formatted by ``_kernel.get_formatter``: C for
+    the columns ``trajectory_arrays`` makes, where ``_repr.c`` builds and
+    passes its check, else ``repr``. Returns the two ASCII byte strings.
     """
-    t, v, m, h2o2, ho, tr, fr = (
-        np.asarray(a[start:stop], dtype=np.float64).tolist() for a in arrays[:7]
-    )
-    it = arrays[7][start:stop].tolist()
-    t = list(map(repr, t))  # formatted once: it opens the rows of both files
-    trajectory = "".join([f"{a},{b!r},{c!r}\n" for a, b, c in zip(t, v, m)])
-    diagnostics = "".join(
-        [
-            f"{a},{b!r},{c!r},{d!r},{e!r},{n:d}\n"
-            for a, b, c, d, e, n in zip(t, ho, h2o2, tr, fr, it)
-        ]
-    )
-    return trajectory, diagnostics
+    return _kernel.get_formatter().trajectory_rows(arrays, start, stop)
 
 
 def write_trajectory(rows, path, diagnostics_path) -> None:
-    """Write the trajectory CSV and its diagnostics CSV, each atomically.
+    """Write the trajectory CSV and its diagnostics CSV, each atomically and
+    in binary mode.
 
     ``rows`` is a list of ``trajectory_rows`` results in row order.
     """
     for i, (file, header) in enumerate(
         ((path, TRAJECTORY_HEADER), (diagnostics_path, DIAGNOSTICS_HEADER))
     ):
-        with atomic_open(file) as fh:
-            fh.write(header)
+        with atomic_open(file, "wb") as fh:
+            fh.write(header.encode())
             fh.writelines(part[i] for part in rows)

@@ -28,7 +28,7 @@ def no_child_process_left():
 def c_rk4():
     """The C RK4 loop, built and loaded but not self-checked, so that the
     tests show where it differs; skipped where it does not build (no
-    compiler), which CI's "C RK4 kernel selected" step rules out there."""
+    compiler), which CI's "C kernels selected" step rules out there."""
     rk4 = _kernel._c_loop()
     if rk4 is None:
         pytest.skip("the C RK4 loop does not build here")
@@ -45,6 +45,31 @@ def rk4_kernel(request, monkeypatch):
     else:
         rk4 = _kernel.rk4_thinning
     monkeypatch.setattr(_kernel, "_selected", lambda: rk4)
+    return request.param
+
+
+@pytest.fixture(scope="session")
+def c_formatter():
+    """``_repr.c``'s row formatter, built and loaded but not self-checked,
+    so that the tests show where it differs from ``repr``; skipped where it
+    does not build (no compiler), which CI's "C kernels selected" step
+    rules out there."""
+    formatter = _kernel._c_formatter()
+    if formatter is None:
+        pytest.skip("the C row formatter does not build here")
+    return formatter
+
+
+# The repr run keeps the test's id; the C run's id gains "c_repr".
+@pytest.fixture(params=["python", "c"], ids=[pytest.HIDDEN_PARAM, "c_repr"])
+def repr_formatter(request, monkeypatch):
+    """Pin ``_kernel.get_formatter()`` to the ``repr`` rows, then to
+    ``_repr.c``'s, and give the formatter's name."""
+    if request.param == "c":
+        formatter = request.getfixturevalue("c_formatter")
+    else:
+        formatter = _kernel.REPR_ROWS
+    monkeypatch.setattr(_kernel, "_selected_formatter", lambda: formatter)
     return request.param
 
 

@@ -920,7 +920,9 @@ def test_negative_flag_exits_2_before_out(tmp_path, fast_config, capsys, command
     assert not out.exists()
 
 
-def test_manifest_records_environment(tmp_path, fast_config, rk4_kernel):
+def test_manifest_records_environment(
+    tmp_path, fast_config, rk4_kernel, repr_formatter
+):
     import platform
 
     import numpy as np
@@ -937,9 +939,10 @@ def test_manifest_records_environment(tmp_path, fast_config, rk4_kernel):
         env = entry["environment"]
         assert sorted(env) == [
             "numpy", "numpy_simd", "openblas_config", "openblas_core", "python",
-            "rk4_kernel",
+            "repr_formatter", "rk4_kernel",
         ]
         assert env["rk4_kernel"] == rk4_kernel
+        assert env["repr_formatter"] == repr_formatter
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
         # SIMD targets in dispatch order, the baseline first.
@@ -1302,7 +1305,7 @@ TRAJECTORY_FILES = ("trajectory.csv", "trajectory_diagnostics.csv")
     [10, 2 * CHUNK - 1, 2 * CHUNK, 700],
 )
 def test_streamed_trajectory_matches_inline_writer(
-    tmp_path, fast_config, monkeypatch, n_steps, k5
+    tmp_path, fast_config, monkeypatch, n_steps, k5, repr_formatter
 ):
     import os
 
@@ -1506,6 +1509,36 @@ def test_simulate_trajectory_bytes_match_golden_digests(
     assert main(argv + (["--k5", k5] if k5 else [])) == 0
     for name, digest in zip(TRAJECTORY_FILES, digests):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("fault", ["no_compiler", "self_check_fails"])
+def test_simulate_without_the_c_formatter_writes_the_same_bytes(
+    tmp_path, monkeypatch, fault
+):
+    import functools
+    import hashlib
+
+    from pempinn import _kernel, cli
+
+    if fault == "no_compiler":
+        monkeypatch.setattr(_kernel, "_compiler", lambda: None)
+    else:
+        monkeypatch.setattr(_kernel, "_same_text", lambda formatter: False)
+    # Both selections start afresh, and the session's come back afterwards.
+    for name in ("_selected", "_selected_formatter"):
+        fresh = functools.cache(getattr(_kernel, name).__wrapped__)
+        monkeypatch.setattr(_kernel, name, fresh)
+    n_steps, _, digests = GOLDEN_TRAJECTORY_SHA256[0]
+    data = json.loads(cli._default_config_path().read_text())
+    data["n_steps"] = n_steps
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    for name, digest in zip(TRAJECTORY_FILES, digests):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    [run] = json.loads((out / "manifest.json").read_text())["runs"]
+    assert run["environment"]["repr_formatter"] == "python"
 
 
 def _fork_fails():

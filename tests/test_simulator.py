@@ -59,6 +59,26 @@ def test_trajectory_structure(trajectory, cond):
     assert np.all(np.diff(trajectory.voltages) > 0)
 
 
+@pytest.mark.parametrize(
+    "scale",
+    [
+        # k4 enters only as k4 * c_O2.
+        lambda p: replace(p, k4=2.0 * p.k4, c_O2=p.c_O2 / 2.0),
+        # k5 enters only as k5 * rho / EW.
+        lambda p: replace(p, k5_true=2.0 * p.k5_true, EW=2.0 * p.EW),
+    ],
+    ids=["k4_c_O2", "k5_EW"],
+)
+def test_product_pairs_leave_the_trajectory_unchanged(params, cond, scale):
+    # Structural non-identifiability: no data of this model can separate
+    # the two parameters of either pair. Scaling by 2 is exact in binary,
+    # so the clean voltage and thickness keep every bit.
+    base = integrate_trajectory(params, cond, n_steps=512)
+    scaled = integrate_trajectory(scale(params), cond, n_steps=512)
+    assert scaled.voltages.tobytes() == base.voltages.tobytes()
+    assert scaled.thicknesses.tobytes() == base.thicknesses.tobytes()
+
+
 def test_diagnostics_consistent_with_degradation_module(params, cond, trajectory):
     # Re-evaluate TR from the logged (V, t_mem) at a sample of steps.
     idx = np.linspace(0, len(trajectory.times) - 1, 25, dtype=int)
@@ -649,6 +669,201 @@ def test_c_loop_builds_into_an_empty_cache(
     assert got == expected
 
 
+# -- the CSV row formatter: repr and _repr.c ----------------------------------
+
+
+def _trajectory_columns(trajectory):
+    fields = dataclasses.fields(trajectory)[:8]
+    return tuple(getattr(trajectory, f.name) for f in fields)
+
+
+def _c_reprs(formatter, values):
+    """What ``formatter`` writes for each of ``values``, one per row."""
+    column = np.array(values, dtype=np.float64)
+    return formatter.float_rows((column,), "", "").decode().splitlines()
+
+
+def _from_bits(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0].item()
+
+
+def _boundary_doubles():
+    """Each neighbourhood where repr's text changes form or Ryu's arithmetic
+    takes another branch."""
+    tiny = 5e-324
+    values = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, tiny, -tiny]
+    for x in (1e16, 1e-4, 1e15, 1e-5, 2.0**53, sys.float_info.max, sys.float_info.min):
+        up = down = x
+        for _ in range(4):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+            values += [up, down]
+        values.append(x)
+    values += [k * tiny for k in (2, 3, 7, 1000, 2**51, 2**52 - 1)]  # subnormals
+    values += [2.0**k for k in range(-1074, 1024)]
+    values += [float(2**53 + k) for k in (2, 4, 6, 10, 2**20)]
+    values += [1e17, 1e22, 1e23, 123456789012345678.0, 9007199254740993.0 * 1024]
+    values += [0.1, 0.2, 0.3, 1 / 3, 2 / 3, 1e-7, 5e-5, 9.5e-5, 123.456, 1e100]
+    return values + [-x for x in values]
+
+
+def test_c_formatter_matches_repr_on_boundaries(c_formatter):
+    values = _boundary_doubles()
+    assert _c_reprs(c_formatter, values) == [repr(x) for x in values]
+
+
+def test_c_formatter_matches_repr_on_random_doubles(c_formatter):
+    # 300 000 doubles, log-uniform in magnitude from 1e-320 to 1e300, both
+    # signs, in three columns of rows with a prefix and a suffix.
+    rng = np.random.default_rng(2018)
+    values = 10.0 ** rng.uniform(-320.0, 300.0, (3, 100_000))
+    values *= rng.choice([-1.0, 1.0], values.shape)
+    columns = tuple(values)
+    got = c_formatter.float_rows(columns, "test,", ",0")
+    assert got == _kernel.REPR_ROWS.float_rows(columns, "test,", ",0")
+
+
+def _every_exponent(x):
+    """``x``, then its sign and mantissa under each of the 2047 exponent
+    fields below NaN's: one double for every table entry ``_repr.c`` reads."""
+    bits = np.array([x]).view(np.uint64) & np.uint64(0x800F_FFFF_FFFF_FFFF)
+    exponents = np.arange(2047, dtype=np.uint64) << np.uint64(52)
+    return np.concatenate([[x], (bits | exponents).view(np.float64)])
+
+
+def test_c_formatter_matches_repr_on_hypothesis_doubles(c_formatter):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    doubles = st.floats() | st.integers(0, 2**64 - 1).map(_from_bits)
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(doubles)
+    def check(x):
+        values = _every_exponent(x).tolist()
+        assert _c_reprs(c_formatter, values) == [repr(v) for v in values]
+
+    check()
+
+
+def test_c_trajectory_rows_match_repr_rows(c_formatter, trajectory):
+    arrays = _trajectory_columns(trajectory)
+    n = len(trajectory.times)
+    chunk = _kernel.CHUNK
+    for start, stop in [(0, n), (0, 0), (7, 8), (chunk, 3 * chunk), (n - 1, n)]:
+        assert c_formatter.trajectory_rows(arrays, start, stop) == (
+            _kernel.repr_trajectory_rows(arrays, start, stop)
+        )
+    # Integers at both ends of int64.
+    iters = np.array([0, -1, 2**63 - 1, -(2**63)], dtype=np.int64)
+    arrays = (*(a[:4] for a in arrays[:7]), iters)
+    assert c_formatter.trajectory_rows(arrays, 0, 4) == (
+        _kernel.repr_trajectory_rows(arrays, 0, 4)
+    )
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda a: a.astype(">f8"),
+        lambda a: np.repeat(a, 2)[::2],
+        lambda a: a.astype(np.float32),
+        lambda a: a.astype(object),
+    ],
+    ids=["byte_swapped", "strided", "float32", "object"],
+)
+def test_c_formatter_sends_other_columns_to_repr(c_formatter, trajectory, spoil):
+    arrays = list(_trajectory_columns(trajectory))
+    arrays[2] = spoil(arrays[2])
+    assert c_formatter.trajectory_rows(arrays, 0, 9) == (
+        _kernel.repr_trajectory_rows(arrays, 0, 9)
+    )
+    columns = (arrays[1][:9], arrays[2][:9])
+    assert c_formatter.float_rows(columns, "", "") == (
+        _kernel.REPR_ROWS.float_rows(columns, "", "")
+    )
+
+
+def test_c_formatter_slices_other_ranges_as_repr_does(c_formatter, trajectory):
+    # Ranges past the end or reversed, negative or numpy bounds.
+    arrays = _trajectory_columns(trajectory)
+    n = len(trajectory.times)
+    for start, stop in [(n - 2, n + 5), (5, 2), (-3, n), (np.int64(1), 4)]:
+        assert c_formatter.trajectory_rows(arrays, start, stop) == (
+            _kernel.repr_trajectory_rows(arrays, start, stop)
+        )
+    # Float columns of unequal lengths are zipped to the shortest.
+    columns = (arrays[0][:5], arrays[1][:3])
+    assert c_formatter.float_rows(columns, "", "") == (
+        _kernel.REPR_ROWS.float_rows(columns, "", "")
+    )
+
+
+def _formatter_afresh(monkeypatch, cache, compiler):
+    """The row formatter a new process would select with this cache
+    directory and compiler."""
+    monkeypatch.setattr(_kernel, "_CACHE", cache)
+    monkeypatch.setattr(_kernel, "_compiler", lambda: compiler)
+    monkeypatch.setattr(
+        _kernel,
+        "_selected_formatter",
+        functools.cache(_kernel._selected_formatter.__wrapped__),
+    )
+    return _kernel.get_formatter()
+
+
+_REPR_TABLE = _kernel._repr_table
+
+
+def _corrupted_table():
+    """``_repr_table`` with bit 40 of the high word of ``POW5_SPLIT[17]``
+    flipped: the entry that every double in [2, 4) reads, as the voltages."""
+    lines = _REPR_TABLE().splitlines()
+    row = lines.index("static const uint64_t POW5_SPLIT[][2] = {") + 1 + 17
+    low, high = lines[row].strip(" {},").split(", ")
+    lines[row] = f"    {{{low}, {int(high[:-1], 16) ^ 1 << 40:#x}u}},"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fault", ["compiler_exits_1", "corrupted_table"])
+def test_failed_formatter_selects_repr_with_the_same_bytes(
+    tmp_path, monkeypatch, trajectory, c_formatter, fault
+):
+    arrays = _trajectory_columns(trajectory)
+    n = len(trajectory.times)
+    expected = c_formatter.trajectory_rows(arrays, 0, n)
+    cache = tmp_path / "cache"
+    compiler = _kernel._compiler()
+    if fault == "compiler_exits_1":
+        compiler = [sys.executable, "-c", "raise SystemExit(1)"]
+    else:
+        monkeypatch.setattr(_kernel, "_repr_table", _corrupted_table)
+    assert _formatter_afresh(monkeypatch, cache, compiler) is _kernel.REPR_ROWS
+    assert _kernel.repr_formatter_name() == "python"
+    assert simulator.trajectory_rows(arrays, 0, n) == expected
+    # No temporary file is left behind; the corrupted library is kept, as
+    # a process that built it would keep it.
+    left = [p.suffix for p in cache.iterdir()]
+    assert left == ([] if fault == "compiler_exits_1" else [".so"])
+    if fault == "corrupted_table":
+        # What the check guards against: the corrupted library writes other
+        # digits for this trajectory, whose values the corpus does not hold.
+        lib = _kernel._load(_kernel._REPR_SOURCE, _corrupted_table())
+        assert _kernel._c_rows(lib).trajectory_rows(arrays, 0, n) != expected
+
+
+def test_c_formatter_builds_into_an_empty_cache(tmp_path, monkeypatch, c_formatter):
+    cache = tmp_path / "cache"
+    formatter = _formatter_afresh(monkeypatch, cache, _kernel._compiler())
+    assert formatter is not _kernel.REPR_ROWS
+    assert _kernel.repr_formatter_name() == "c"
+    [lib] = cache.iterdir()  # the library alone: no temporary file or header
+    assert lib.name.startswith("_repr.") and lib.suffix == ".so"
+    # The table is part of the library's key.
+    monkeypatch.setattr(_kernel, "_repr_table", _corrupted_table)
+    formatter = _formatter_afresh(monkeypatch, cache, _kernel._compiler())
+    assert formatter is _kernel.REPR_ROWS
+    assert len(list(cache.iterdir())) == 2
+
+
 def test_inlined_newton_matches_solve_voltage(params, cond):
     traj = integrate_trajectory(params, cond)
     co = voltage_coefficients(params, cond)
@@ -748,7 +963,7 @@ def test_load_reports_bad_line_number(tmp_path, small_dataset, monkeypatch):
     _raises_both_ways(monkeypatch, path, ":4")
 
 
-def test_golden_dataset_checksum(params, cond, rk4_kernel):
+def test_golden_dataset_checksum(params, cond, rk4_kernel, repr_formatter):
     # Committed artifact generated once by scripts/make_golden_dataset.py.
     path = GOLDEN_DIR / "golden_dataset.csv"
     meta = json.loads((GOLDEN_DIR / "golden_dataset.csv.meta.json").read_text())
@@ -1181,7 +1396,9 @@ def test_atomic_open_replaces_only_on_success(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
-def test_failed_trajectory_write_keeps_previous_files(tmp_path, trajectory):
+def test_failed_trajectory_write_keeps_previous_files(
+    tmp_path, trajectory, repr_formatter
+):
     path = tmp_path / "trajectory.csv"
     diag = tmp_path / "trajectory_diagnostics.csv"
     arrays = [
