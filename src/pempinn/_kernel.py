@@ -55,22 +55,9 @@ case, the formatter on a fixed corpus (``_repr_corpus``), comparing bytes.
 Without a compiler, or when the build fails or times out, the directory
 cannot be written, the library does not load or the bytes differ, the
 Python code runs. No setting picks either; ``rk4_kernel_name`` and
-``repr_formatter_name`` say which runs, and each manifest entry records
-both.
-
-``rk4_thinning`` fills output arrays that the caller passes in, so they
-may live in memory shared with another process. With a ``progress``
-callback it calls ``progress(rows)`` each time another ``CHUNK`` rows are
-final, ``rows`` being the number of leading rows recorded so far: the
-calls see strictly increasing counts, all below ``n_steps + 1``, and a
-failed integration never reports a row past ``fail_step``. The rows after
-the last report are final when the kernel returns status 0. Without a
-callback the loop pays one integer comparison per step. The C loop returns
-to its wrapper after each chunk, and the wrapper calls ``progress``, so an
-exception it raises propagates as from the Python loop. ``simulate`` and
-``reproduce`` pass the ``send`` of a forked CLI stage as the callback, so a
-child formats the CSV rows while the integration runs; the last-row count,
-``n_steps + 1``, is theirs to send once the integration has succeeded.
+``repr_formatter_name`` say which runs, and the manifest entries of the
+commands that run them (``simulate``, ``generate-data``, ``reproduce``)
+record both.
 
 Status codes returned by the kernels: 0 ok, 1 no sign-definite voltage
 bracket, 2 voltage solve did not converge, 3 membrane thickness reached
@@ -96,7 +83,6 @@ V_BRACKET_HI = 5.0
 V_GUESS = 1.8  # first Newton start; rk4_thinning then starts from the step's V
 V_TOL = 1.0e-13
 V_MAX_ITER = 100
-CHUNK = 256  # rows between two progress reports of rk4_thinning
 
 
 def solve_voltage(k1v, k2v, k3v, p_over_a, t_mem, v_guess):
@@ -155,7 +141,6 @@ def rk4_thinning(
     tr_conv,
     c_ho_override,
     out,
-    progress=None,
 ):
     """Fixed-step classical RK4 on the membrane thickness.
 
@@ -164,12 +149,11 @@ def rk4_thinning(
     diagnostics are recorded at the n_steps+1 step boundaries into ``out``,
     the arrays (times, volts, tmems, c_h2o2s, c_hos, trs, frrs, iters) of
     at least n_steps+1 entries each, iters of an integer dtype; a negative
-    ``c_ho_override`` means no override. ``progress``, if given, is called
-    with the number of rows recorded after every ``CHUNK`` rows. Returns
-    (status, fail_step, clamped, infeasible); the arrays are valid up to
-    ``fail_step`` when status != 0. The bracket's low end is tested once, at
-    ``t_mem0``: no stage is thicker and its residual never falls as t_mem
-    rises, given ``dt``, ``k3v*p_over_a``, ``frr_coeff``, ``tr_conv`` >= 0.
+    ``c_ho_override`` means no override. Returns (status, fail_step,
+    clamped, infeasible); the arrays are valid up to ``fail_step`` when
+    status != 0. The bracket's low end is tested once, at ``t_mem0``: no
+    stage is thicker and its residual never falls as t_mem rises, given
+    ``dt``, ``k3v*p_over_a``, ``frr_coeff``, ``tr_conv`` >= 0.
     """
     times, volts, tmems, c_h2o2s, c_hos, trs, frrs, iters = out
 
@@ -191,8 +175,6 @@ def rk4_thinning(
     sixth_dt = dt / 6.0
     v_tol = V_TOL
     newton_iters = range(2, V_MAX_ITER + 1)  # the first iteration is unrolled
-    # Index of the step whose row completes the next CHUNK; -1 never comes.
-    report_step = CHUNK - 1 if progress is not None else -1
 
     status = 0
     fail_step = -1
@@ -313,9 +295,6 @@ def rk4_thinning(
             g0_tail = k3v * i_x
             dg0_head = 1.0 + k2v / x0
             xx0 = x0 * x0
-            if step == report_step:
-                progress(step + 1)
-                report_step += CHUNK
             k_1 = d
             t_mem = tm + half_dt * k_1
             stage = 1
@@ -346,8 +325,7 @@ _SOURCE = Path(__file__).with_name("_rk4.c")
 _CACHE = _SOURCE.with_name("__pycache__")
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 BUILD_TIMEOUT = 120.0  # seconds; the compile takes well under one
-_PAUSED = -1  # RK4_PAUSED in _rk4.c: the row of report_step is recorded
-_FAULT = -2   # RK4_FAULT: the Python loop raises at this point
+_FAULT = -2  # RK4_FAULT in _rk4.c: the Python loop raises at this point
 _OUT_DTYPES = (np.float64,) * 7 + (np.int64,)
 
 
@@ -368,16 +346,12 @@ class _Rk4Args(ctypes.Structure):
     ]
 
 
-class _Rk4State(ctypes.Structure):
-    """``struct rk4_state`` of ``_rk4.c``; ctypes zeroes it."""
+class _Rk4Result(ctypes.Structure):
+    """``struct rk4_result`` of ``_rk4.c``."""
 
     _fields_ = [
-        *[(name, ctypes.c_int64) for name in (
-            "started", "step", "fail_step", "clamp_count", "infeasible_count",
-        )],
-        *[(name, ctypes.c_double) for name in (
-            "tm", "d", "x0", "g0_head", "g0_tail", "dg0_head", "xx0",
-        )],
+        (name, ctypes.c_int64)
+        for name in ("fail_step", "clamp_count", "infeasible_count")
     ]
 
 
@@ -434,10 +408,9 @@ def _c_rk4(run):
         tr_conv,
         c_ho_override,
         out,
-        progress=None,
     ):
-        """``rk4_thinning`` run by ``_rk4.c``: the same arguments, results
-        and ``progress`` reports. ``out`` must be arrays such as
+        """``rk4_thinning`` run by ``_rk4.c``: the same arguments and
+        results. ``out`` must be arrays such as
         ``simulator.trajectory_arrays`` makes; others raise ValueError
         before a row is written."""
         _check_out(out, n_steps)
@@ -447,18 +420,15 @@ def _c_rk4(run):
             V_BRACKET_LO, V_BRACKET_HI, V_GUESS, V_TOL, V_MAX_ITER,
             *(a.ctypes.data for a in out),
         )
-        state = _Rk4State()
-        report_step = CHUNK - 1 if progress is not None else -1
-        while (status := run(args, report_step, state)) == _PAUSED:
-            progress(report_step + 1)
-            report_step += CHUNK
+        result = _Rk4Result()
+        status = run(args, result)
         if status == _FAULT:
             # Rewrites the same rows, then raises where the C loop stopped.
             return rk4_thinning(
                 n_steps, dt, t_mem0, k1v, k2v, k3v, p_over_a, kappa_w, e_cl,
                 k2, k3, kc, v1, frr_coeff, tr_conv, c_ho_override, out,
             )
-        return (status, state.fail_step, state.clamp_count, state.infeasible_count)
+        return (status, result.fail_step, result.clamp_count, result.infeasible_count)
 
     return rk4_thinning_c
 
@@ -546,9 +516,9 @@ def _load(source, header=""):
 
 
 # The packaged defaults at k5_true, as integrate_trajectory passes them,
-# over CHUNK steps: chemistry, warm-started Newton and one progress report.
+# over 256 steps: chemistry and warm-started Newton.
 _CHECK_ARGS = (
-    CHUNK, 3125.0, 0.0175, 2.508791747415591, 0.10793508213711975,
+    256, 3125.0, 0.0175, 2.508791747415591, 0.10793508213711975,
     0.0026869382850182406, 0.7352941176470589, 3e-06, 1e-05, 1.2e-07, 27000.0,
     3000000.0, 5.566676316117318, 443185343999.99994, 6.159152500615915e-07,
     -1.0,
@@ -556,14 +526,14 @@ _CHECK_ARGS = (
 
 
 def _same_bits(rk4):
-    """Whether ``rk4`` gives the Python loop's result, reports and array
-    bytes on ``_CHECK_ARGS``."""
+    """Whether ``rk4`` gives the Python loop's result and array bytes on
+    ``_CHECK_ARGS``."""
+    rows = _CHECK_ARGS[0] + 1
     runs = []
     for kernel in (rk4, rk4_thinning):
-        out = (*np.zeros((7, CHUNK + 1)), np.zeros(CHUNK + 1, np.int64))
-        reports = []
-        result = kernel(*_CHECK_ARGS, out, reports.append)
-        runs.append((result, reports, [a.tobytes() for a in out]))
+        out = (*np.zeros((7, rows)), np.zeros(rows, np.int64))
+        result = kernel(*_CHECK_ARGS, out)
+        runs.append((result, [a.tobytes() for a in out]))
     return runs[0] == runs[1]
 
 
@@ -574,7 +544,7 @@ def _c_loop():
     if lib is None:
         return None
     run = lib.pempinn_rk4_thinning
-    run.argtypes = (ctypes.POINTER(_Rk4Args), ctypes.c_int64, ctypes.POINTER(_Rk4State))
+    run.argtypes = (ctypes.POINTER(_Rk4Args), ctypes.POINTER(_Rk4Result))
     run.restype = ctypes.c_int64
     return _c_rk4(run)
 

@@ -6,21 +6,19 @@
  * fused multiply-add) and without -ffast-math, so the arrays, status and
  * counters are bit-identical to the Python loop's.
  *
- * The loop never calls back into Python. It returns RK4_PAUSED after
- * recording the row of report_step, with its state saved in *s; called
- * again with the same args and state it resumes there. Where the Python
- * loop would raise (a float division by zero, math.log of a value <= 0) it
- * returns RK4_FAULT at the same point, with the same rows written.
+ * The loop never calls back into Python. It returns the status and writes
+ * fail_step and the two counters into *r. Where the Python loop would raise
+ * (a float division by zero, math.log of a value <= 0) it returns
+ * RK4_FAULT at the same point, with the same rows written.
  *
  * _kernel.py builds this file into a shared library and loads it with
  * ctypes; its wrapper checks the output arrays' dtypes, layout and length
- * before the first call, so the loop writes only rows 0..n_steps.
+ * before the call, so the loop writes only rows 0..n_steps.
  */
 
 #include <math.h>
 #include <stdint.h>
 
-#define RK4_PAUSED (-1)
 #define RK4_FAULT (-2)
 
 /* Field order and types must match _kernel._Rk4Args. */
@@ -34,19 +32,17 @@ struct rk4_args {
     int64_t *iters;
 };
 
-/* The loop state kept across a pause; zeroed by the caller before the
- * first call. Field order and types must match _kernel._Rk4State. */
-struct rk4_state {
-    int64_t started, step, fail_step, clamp_count, infeasible_count;
-    double tm, d, x0, g0_head, g0_tail, dg0_head, xx0;
+/* What the loop returns besides its status. Field order and types must
+ * match _kernel._Rk4Result. */
+struct rk4_result {
+    int64_t fail_step, clamp_count, infeasible_count;
 };
 
 /* Whether math.log(v) raises: it returns NaN and +inf unchanged. */
 #define LOG_FAULTS(v) ((v) <= 0.0)
 #define PY_LOG(v) (isnan(v) ? (v) : log(v))
 
-int64_t pempinn_rk4_thinning(const struct rk4_args *a, int64_t report_step,
-                             struct rk4_state *s)
+int64_t pempinn_rk4_thinning(const struct rk4_args *a, struct rk4_result *r)
 {
     const int64_t n_steps = a->n_steps;
     const double dt = a->dt, t_mem0 = a->t_mem0, k1v = a->k1v, k2v = a->k2v,
@@ -65,17 +61,17 @@ int64_t pempinn_rk4_thinning(const struct rk4_args *a, int64_t report_step,
     const double hi0 = a->v_bracket_hi;
     const double mid0 = 0.5 * (lo0 + hi0);
     double i_lo, i_hi, l, den;
-    if (!s->started) {
-        i_lo = p_over_a / lo0;
-        if (LOG_FAULTS(i_lo))
-            return RK4_FAULT;
-        l = PY_LOG(i_lo);
-        if (t_mem0 == 0.0)
-            return RK4_FAULT;
-        if (lo0 - k1v - k2v * l - k3v * i_lo / t_mem0 > 0.0) {
-            s->fail_step = 0;
-            return 1;
-        }
+    i_lo = p_over_a / lo0;
+    if (LOG_FAULTS(i_lo))
+        return RK4_FAULT;
+    l = PY_LOG(i_lo);
+    if (t_mem0 == 0.0)
+        return RK4_FAULT;
+    if (lo0 - k1v - k2v * l - k3v * i_lo / t_mem0 > 0.0) {
+        r->fail_step = 0;
+        r->clamp_count = 0;
+        r->infeasible_count = 0;
+        return 1;
     }
     i_hi = p_over_a / hi0;
     if (LOG_FAULTS(i_hi))
@@ -91,28 +87,18 @@ int64_t pempinn_rk4_thinning(const struct rk4_args *a, int64_t report_step,
 
     int64_t status = 0;
     int64_t fail_step = -1;
-    int64_t clamp_count = s->clamp_count;
-    int64_t infeasible_count = s->infeasible_count;
-    int64_t step = s->step;
+    int64_t clamp_count = 0;
+    int64_t infeasible_count = 0;
+    int64_t step = 0;
     int64_t stage = 0;
     int64_t it;
-    double tm = s->tm;
+    double tm = t_mem0;
     double t_mem = tm;
     double x, x0, i_x, g0_head, g0_tail, dg0_head, xx0;
     double lo, hi, g_x, x_new;
     double w, wk2, aq, sk, b, c, root, disc, sq, q, r1, r2, c_ho, frr, tr;
-    double d = s->d, k_1 = 0.0, k_2 = 0.0, k_3 = 0.0;
+    double d, k_1 = 0.0, k_2 = 0.0, k_3 = 0.0;
 
-    x0 = s->x0;
-    g0_head = s->g0_head;
-    g0_tail = s->g0_tail;
-    dg0_head = s->dg0_head;
-    xx0 = s->xx0;
-    if (s->started)
-        goto resume;
-    s->started = 1;
-    tm = t_mem0;
-    t_mem = tm;
     x = a->v_guess;
     x0 = x <= lo0 || x >= hi0 ? mid0 : x;
     i_x = p_over_a / x0;
@@ -122,7 +108,6 @@ int64_t pempinn_rk4_thinning(const struct rk4_args *a, int64_t report_step,
     g0_tail = k3v * i_x;
     dg0_head = 1.0 + k2v / x0;
     xx0 = x0 * x0;
-    step = 0;
 
     for (;;) {
         /* Voltage: safeguarded Newton on g(V) = V - RHS(V) at t_mem. */
@@ -255,20 +240,6 @@ int64_t pempinn_rk4_thinning(const struct rk4_args *a, int64_t report_step,
             g0_tail = k3v * i_x;
             dg0_head = 1.0 + k2v / x0;
             xx0 = x0 * x0;
-            if (step == report_step) {
-                s->step = step;
-                s->clamp_count = clamp_count;
-                s->infeasible_count = infeasible_count;
-                s->tm = tm;
-                s->d = d;
-                s->x0 = x0;
-                s->g0_head = g0_head;
-                s->g0_tail = g0_tail;
-                s->dg0_head = dg0_head;
-                s->xx0 = xx0;
-                return RK4_PAUSED;
-            }
-        resume:
             k_1 = d;
             t_mem = tm + half_dt * k_1;
             stage = 1;
@@ -293,8 +264,8 @@ int64_t pempinn_rk4_thinning(const struct rk4_args *a, int64_t report_step,
         }
     }
 
-    s->fail_step = fail_step;
-    s->clamp_count = clamp_count;
-    s->infeasible_count = infeasible_count;
+    r->fail_step = fail_step;
+    r->clamp_count = clamp_count;
+    r->infeasible_count = infeasible_count;
     return status;
 }

@@ -3,11 +3,13 @@
 Every command writes its artifacts into an output directory together with an
 append-only ``manifest.json`` recording the command, config hash, seeds,
 file checksums and the environment that fixes the output bits (the Python
-and numpy versions, numpy's SIMD targets and OpenBLAS's core), which RK4
-loop the process runs and which formatter writes its CSV floats (C or
-Python each). Exit codes are a stable contract for CI: 0 success, 2
-configuration error, 3 numerical failure, 4 I/O failure (1 is reserved for
-a completed reproduction run whose acceptance checks did not all pass).
+and numpy versions, numpy's SIMD targets and OpenBLAS's core). The entries
+of ``simulate``, ``generate-data`` and ``reproduce``, which integrate and
+write CSV floats, also record which RK4 loop ran and which formatter wrote
+the floats (C or Python each). Exit codes are a stable contract for CI: 0
+success, 2 configuration error, 3 numerical failure, 4 I/O failure (1 is
+reserved for a completed reproduction run whose acceptance checks did not
+all pass).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from ._fork import ForkedStage
-from ._kernel import get_formatter, repr_formatter_name, rk4_kernel_name
+from ._kernel import repr_formatter_name, rk4_kernel_name
 from .config import RunConfig, config_hash, load_config
 from .constants import K5_SCALE
 from .errors import (
@@ -46,8 +48,6 @@ from .simulator import (
     load_dataset,
     read_json_object,
     save_dataset,
-    trajectory_arrays,
-    trajectory_rows,
     write_trajectory,
 )
 from .training import EpochRecord, evaluate, train
@@ -58,6 +58,9 @@ RMSE_BOUND_V = 0.02       # V
 RMSE_BOUND_MEM = 5.0e-4   # cm
 PINN_OVER_ANN_FACTOR = 5.0
 ANN_WEIGHTS = {"lambda_v": 0.0, "lambda_tmem": 0.0}  # --no-physics, reproduce's ann/
+# The commands that run the RK4 loop and the CSV row formatter; their
+# manifest entries say which of each ran.
+KERNEL_COMMANDS = ("simulate", "generate-data", "reproduce")
 
 
 def _default_config_path() -> Path:
@@ -111,6 +114,15 @@ def _append_manifest(
     except FileNotFoundError:
         manifest = {"runs": []}
     runs = json_key(manifest, "runs", "list", manifest_path, ArtifactFormatError)
+    environment = {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        **_native_environment(Path(np.__file__).parents[1] / "numpy.libs"),
+    }
+    if command in KERNEL_COMMANDS:
+        # The bits are the same either way, the speed is not.
+        environment["rk4_kernel"] = rk4_kernel_name()
+        environment["repr_formatter"] = repr_formatter_name()
     runs.append(
         {
             "command": command,
@@ -123,14 +135,7 @@ def _append_manifest(
             },
             "inputs": [str(p) for p in inputs],
             "outputs": {str(p.name): file_sha256(p) for p in outputs},
-            "environment": {
-                "python": ".".join(map(str, sys.version_info[:3])),
-                "numpy": np.__version__,
-                **_native_environment(Path(np.__file__).parents[1] / "numpy.libs"),
-                # The bits are the same either way, the speed is not.
-                "rk4_kernel": rk4_kernel_name(),
-                "repr_formatter": repr_formatter_name(),
-            },
+            "environment": environment,
         }
     )
     if diagnostics is not None:
@@ -149,7 +154,7 @@ def _write_history_csv(path: Path, history) -> None:
         names = EpochRecord._fields
         fh.write(",".join(names) + "\n")
         for r in history:
-            fh.write(",".join([repr(getattr(r, name)) for name in names]) + "\n")
+            fh.write(",".join(map(repr, r)) + "\n")
 
 
 def _trajectory_counters(traj) -> dict:
@@ -173,30 +178,15 @@ def _metrics_dict(metrics) -> dict:
 
 
 def _simulate_into(cfg: RunConfig, out_dir: Path, k5):
-    """Integrate the trajectory while a forked ``_write_rows`` stage formats
-    its rows; create ``out_dir`` once it has succeeded and send the
-    last-row count, on which the stage writes the trajectory CSVs. Returns
-    ``(traj, paths, writer)``; ``writer.result()`` waits for the files."""
+    """Integrate the trajectory, then create ``out_dir`` and write the
+    trajectory CSVs into it; returns ``(traj, paths)``."""
+    traj = integrate_trajectory(
+        cfg.physics, cfg.conditions, k5=k5, n_steps=cfg.simulation.n_steps
+    )
+    out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / "trajectory.csv", out_dir / "trajectory_diagnostics.csv"]
-    arrays = trajectory_arrays(cfg.simulation.n_steps)
-    # Built, loaded and checked here, once, for the writer to inherit.
-    get_formatter()
-    writer = ForkedStage(lambda stops: _write_rows(arrays, paths, stops))
-    try:
-        traj = integrate_trajectory(
-            cfg.physics,
-            cfg.conditions,
-            k5=k5,
-            n_steps=cfg.simulation.n_steps,
-            out=arrays,
-            progress=writer.send,
-        )
-        out_dir.mkdir(parents=True, exist_ok=True)
-        writer.send(len(arrays[0]))
-    except BaseException:
-        writer.cancel()
-        raise
-    return traj, paths, writer
+    write_trajectory(traj, *paths)
+    return traj, paths
 
 
 def _dataset_into(cfg: RunConfig, traj, out_dir: Path):
@@ -217,8 +207,7 @@ def _dataset_into(cfg: RunConfig, traj, out_dir: Path):
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     out_dir = Path(args.out)
-    traj, paths, writer = _simulate_into(cfg, out_dir, getattr(args, "k5", None))
-    writer.result()
+    traj, paths = _simulate_into(cfg, out_dir, getattr(args, "k5", None))
     _append_manifest(
         out_dir, "simulate", cfg, paths, diagnostics=_trajectory_counters(traj)
     )
@@ -302,57 +291,31 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _write_rows(arrays, paths, stops) -> None:
-    """Format the trajectory rows as the counts in ``stops`` arrive, each
-    the number of leading rows that are final; at the last-row count
-    ``len(arrays[0])``, write both CSVs and return without reading
-    ``stops`` further. If ``stops`` ends short of it, nothing is written.
-    """
-    rows = []
-    start = 0
-    for stop in stops:
-        rows.append(trajectory_rows(arrays, start, stop))
-        start = stop
-        if stop == len(arrays[0]):
-            write_trajectory(rows, *paths)
-            return
-
-
 def cmd_reproduce(args) -> int:
     cfg = _load(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ann_cfg = replace(cfg, training=replace(cfg.training, **ANN_WEIGHTS))
 
-    # The trajectory CSVs are formatted in a forked child while the RK4
-    # runs, and the baseline ANN is trained in another while this process
+    # The baseline ANN is trained in a forked child while this process
     # trains the PINN. A failure is reported for the first failing stage in
     # the order simulate, generate-data, train-pinn, train-ann.
     stage = "simulate"
-    writer = ann_stage = None
+    ann_stage = None
     try:
-        try:
-            traj, traj_paths, writer = _simulate_into(cfg, out_dir, k5=None)
+        traj, traj_paths = _simulate_into(cfg, out_dir, k5=None)
 
-            stage = "generate-data"
-            ds, ds_path = _dataset_into(cfg, traj, out_dir)
+        stage = "generate-data"
+        ds, ds_path = _dataset_into(cfg, traj, out_dir)
 
-            # Both models train from the dataset in memory; dataset.csv
-            # holds its values exactly (each float written as its repr).
-            stage = "train-ann"
-            ann_stage = ForkedStage(
-                lambda _: _train_into(ann_cfg, ds, ds_path, out_dir / "ann", "ann")[1]
-            )
-            stage = "train-pinn"
-            _, pinn = _train_into(cfg, ds, ds_path, out_dir / "pinn", "pinn")
-        finally:
-            # A failed trajectory write outranks any later stage's failure.
-            if writer is not None:
-                try:
-                    writer.result()
-                except BaseException:
-                    stage = "simulate"
-                    raise
+        # Both models train from the dataset in memory; dataset.csv holds
+        # its values exactly (each float written as its repr).
+        stage = "train-ann"
+        ann_stage = ForkedStage(
+            lambda: _train_into(ann_cfg, ds, ds_path, out_dir / "ann", "ann")[1]
+        )
+        stage = "train-pinn"
+        _, pinn = _train_into(cfg, ds, ds_path, out_dir / "pinn", "pinn")
 
         stage = "train-ann"
         ann = ann_stage.result()

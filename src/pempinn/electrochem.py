@@ -123,8 +123,7 @@ def solve_cell_voltage(coeffs: VoltageCoefficients, t_mem: float) -> float:
     Deterministic; Newton starts at ``_kernel.V_GUESS``, and the returned V
     satisfies |V - RHS(V)| <= ``_kernel.V_TOL``, well below 1e-10 V.
     """
-    solve, _ = _kernel.get_kernels()
-    v, _, status = solve(
+    v, _, status = _kernel.solve_voltage(
         coeffs.k1V,
         coeffs.k2V,
         coeffs.k3V,

@@ -7,7 +7,9 @@ would). Datasets follow the synthetic-measurement protocol: equally spaced
 noisy samples restricted to an early fraction of the horizon for training,
 dense noise-free samples over the full horizon for testing, with per-channel
 Gaussian noise whose standard deviation equals the population standard
-deviation of the clean full-horizon signal.
+deviation of the clean full-horizon signal. The trajectory CSVs are
+written once the integration has returned, ``TRAJECTORY_BLOCK_ROWS`` rows
+at a time (``write_trajectory``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,6 +79,9 @@ DIAGNOSTICS_HEADER = (
     "t_hours,c_ho_mol_m3,c_h2o2_mol_m3,thinning_cm_h,"
     "fluoride_ug_h_cm2,solver_iterations\n"
 )
+# write_trajectory formats this many rows at a time, so it holds one
+# block's text, not the whole file's.
+TRAJECTORY_BLOCK_ROWS = 1024
 
 
 # Upper bound of every array size a config sets (integration steps, dataset
@@ -142,19 +147,13 @@ class Dataset:
 
 
 def trajectory_arrays(n_steps: int) -> tuple:
-    """The eight arrays ``rk4_thinning`` fills for ``n_steps`` steps.
+    """The eight zeroed arrays ``rk4_thinning`` fills for ``n_steps`` steps.
 
     They are (times, volts, tmems, c_h2o2s, c_hos, trs, frrs, iters), each
-    of ``n_steps + 1`` rows: seven float64 arrays and int64 iterations, as
-    rows of one block in an anonymous shared ``mmap``, so a child forked
-    after this call reads what the kernel writes into them.
+    of ``n_steps + 1`` rows: seven float64 arrays and int64 iterations.
     """
-    import mmap  # here, so that importing the CLI does not load it
-
     n_out = n_steps + 1
-    # Eight rows of n_out 8-byte values.
-    block = np.frombuffer(mmap.mmap(-1, 64 * n_out)).reshape(8, n_out)
-    return (*block[:7], block[7].view(np.int64))
+    return (*np.zeros((7, n_out)), np.zeros(n_out, np.int64))
 
 
 def integrate_trajectory(
@@ -163,8 +162,6 @@ def integrate_trajectory(
     k5: float | None = None,
     n_steps: int = 4096,
     c_ho_override: float | None = None,
-    out=None,
-    progress=None,
 ) -> Trajectory:
     """Integrate the coupled system over [0, t_max] with n_steps RK4 steps.
 
@@ -174,11 +171,8 @@ def integrate_trajectory(
     non-negative value (diagnostic mode; the thinning ODE then has an exact
     exponential solution, which the validation suite exploits).
 
-    ``out`` (default: a new ``trajectory_arrays(n_steps)``) holds the eight
-    arrays the kernel fills and the returned Trajectory views; ``progress``
-    is the kernel's callback (see ``_kernel``). A failed voltage solve
-    raises ``electrochem.voltage_solve_error``, naming the step's time and
-    a bound on the thickness.
+    A failed voltage solve raises ``electrochem.voltage_solve_error``,
+    naming the step's time and a bound on the thickness.
     """
     if k5 is None:
         k5 = params.k5_true
@@ -200,8 +194,7 @@ def integrate_trajectory(
     kc = params.k4 * params.c_O2 + k5 * c_mem
     dt = cond.t_max / n_steps
 
-    if out is None:
-        out = trajectory_arrays(n_steps)
+    out = trajectory_arrays(n_steps)
     _, rk4 = _kernel.get_kernels()
     status, fail_step, clamped, infeasible = rk4(
         n_steps,
@@ -222,7 +215,6 @@ def integrate_trajectory(
         thinning_per_fluoride(params),
         float(c_ho_override),
         out,
-        progress,
     )
 
     traj = Trajectory(*out, int(clamped), int(infeasible))
@@ -452,7 +444,7 @@ def _read_columns(path, usecols) -> tuple:
             if fh.readline().endswith(b"\n"):
                 split = fh.tell()
                 head = ForkedStage(
-                    lambda _: _columns(_parse_head(path, split, usecols))
+                    lambda: _columns(_parse_head(path, split, usecols))
                 )
                 try:
                     with io.TextIOWrapper(fh, encoding="utf-8") as text:
@@ -642,15 +634,22 @@ def trajectory_rows(arrays, start: int, stop: int) -> tuple:
     return _kernel.get_formatter().trajectory_rows(arrays, start, stop)
 
 
-def write_trajectory(rows, path, diagnostics_path) -> None:
-    """Write the trajectory CSV and its diagnostics CSV, each atomically and
-    in binary mode.
+def write_trajectory(traj: Trajectory, path, diagnostics_path) -> None:
+    """Write the trajectory CSV and its diagnostics CSV of ``traj``, each
+    atomically and in binary mode.
 
-    ``rows`` is a list of ``trajectory_rows`` results in row order.
+    The rows are formatted by ``trajectory_rows`` in blocks of
+    ``TRAJECTORY_BLOCK_ROWS``. Both temporary files are open together, and
+    neither replaces its final name unless every block was written.
     """
-    for i, (file, header) in enumerate(
-        ((path, TRAJECTORY_HEADER), (diagnostics_path, DIAGNOSTICS_HEADER))
-    ):
-        with atomic_open(file, "wb") as fh:
-            fh.write(header.encode())
-            fh.writelines(part[i] for part in rows)
+    arrays = [getattr(traj, f.name) for f in fields(traj)[:8]]
+    n = len(traj.times)
+    with atomic_open(path, "wb") as fh, atomic_open(diagnostics_path, "wb") as diag:
+        fh.write(TRAJECTORY_HEADER.encode())
+        diag.write(DIAGNOSTICS_HEADER.encode())
+        for start in range(0, n, TRAJECTORY_BLOCK_ROWS):
+            rows, diagnostics = trajectory_rows(
+                arrays, start, min(start + TRAJECTORY_BLOCK_ROWS, n)
+            )
+            fh.write(rows)
+            diag.write(diagnostics)

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from pempinn._fork import ForkedStage
-from pempinn._kernel import CHUNK
 from pempinn.cli import main
 from pempinn.config import (
     RunConfig,
@@ -850,8 +849,8 @@ def test_failed_training_artifact_write_keeps_previous_file(tmp_path):
     # json.dump streams: the weights are written before k5_hat fails.
     with pytest.raises(TypeError):
         save_checkpoint(dc_replace(net, k5_hat=object()), ckpt)
-    # The second row has no fields: the header and first row are written.
-    with pytest.raises(AttributeError):
+    # The second row is no record: the header and first row are written.
+    with pytest.raises(TypeError):
         _write_history_csv(history, [record, object()])
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
@@ -929,20 +928,28 @@ def test_manifest_records_environment(
     from numpy._core import _multiarray_umath as umath
 
     out = tmp_path / "o"
-    assert main(["simulate", "--config", str(fast_config), "--out", str(out)]) == 0
-    assert main(
-        ["generate-data", "--config", str(fast_config), "--out", str(out)]
-    ) == 0
+    config = ["--config", str(fast_config), "--out", str(out)]
+    data = ["--data", str(out / "dataset.csv")]
+    assert main(["simulate", *config]) == 0
+    assert main(["generate-data", *config]) == 0
+    assert main(["train", *config, *data, "--epochs", "1"]) == 0
+    checkpoint = ["--checkpoint", str(out / "checkpoint.json")]
+    assert main(["evaluate", *config, *data, *checkpoint]) == 0
     runs = json.loads((out / "manifest.json").read_text())["runs"]
-    assert len(runs) == 2
+    assert [entry["command"] for entry in runs] == [
+        "simulate", "generate-data", "train[pinn]", "evaluate"
+    ]
     for entry in runs:
         env = entry["environment"]
+        # Only the commands that run the C libraries say which ran.
+        kernels = entry["command"] in ("simulate", "generate-data")
         assert sorted(env) == [
             "numpy", "numpy_simd", "openblas_config", "openblas_core", "python",
-            "repr_formatter", "rk4_kernel",
+            *(["repr_formatter", "rk4_kernel"] if kernels else []),
         ]
-        assert env["rk4_kernel"] == rk4_kernel
-        assert env["repr_formatter"] == repr_formatter
+        if kernels:
+            assert env["rk4_kernel"] == rk4_kernel
+            assert env["repr_formatter"] == repr_formatter
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
         # SIMD targets in dispatch order, the baseline first.
@@ -950,6 +957,24 @@ def test_manifest_records_environment(
         assert env["numpy_simd"][: len(baseline)] == baseline
         # A DYNAMIC_ARCH OpenBLAS names the core it picked in its config.
         assert env["openblas_core"] in env["openblas_config"]
+
+
+def test_train_and_evaluate_resolve_no_c_library(tmp_path, fast_config, monkeypatch):
+    from pempinn import _kernel
+
+    out = tmp_path / "o"
+    config = ["--config", str(fast_config), "--out", str(out)]
+    data = ["--data", str(out / "dataset.csv")]
+    assert main(["generate-data", *config]) == 0
+
+    def unused():
+        raise AssertionError("train and evaluate run neither C library")
+
+    monkeypatch.setattr(_kernel, "_selected", unused)
+    monkeypatch.setattr(_kernel, "_selected_formatter", unused)
+    assert main(["train", *config, *data, "--epochs", "1"]) == 0
+    checkpoint = ["--checkpoint", str(out / "checkpoint.json")]
+    assert main(["evaluate", *config, *data, *checkpoint]) == 0
 
 
 def test_native_environment_falls_back_to_unknown(tmp_path, monkeypatch):
@@ -1111,7 +1136,7 @@ def test_every_error_survives_pickling():
 def test_result_cut_short_is_child_process_error(cut):
     # A child killed while it writes leaves a payload cut short; result()
     # reaps it and reports it, instead of an unpickling error.
-    def job(_):
+    def job():
         _truncate_results(cut)
         return list(range(10_000))
 
@@ -1129,7 +1154,7 @@ def test_result_interrupted_while_reading_kills_the_child(monkeypatch):
     def interrupted(pipe):
         raise KeyboardInterrupt
 
-    stage = ForkedStage(lambda _: time.sleep(30.0))
+    stage = ForkedStage(lambda: time.sleep(30.0))
     monkeypatch.setattr(pickle, "load", interrupted)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
@@ -1197,8 +1222,8 @@ def _train_failing_for(physics_enabled, monkeypatch, fail=_stub_training_error):
 def test_reproduce_trajectory_write_failure_is_stage_simulate(
     tmp_path, fast_config, monkeypatch, capsys, pinn_fails
 ):
-    # The trajectory is written in a forked child; its failure outranks a
-    # later stage's, as in the sequential order.
+    # The trajectory is written before any later stage runs, so a PINN
+    # that would fail is never reached.
     from pempinn import cli
 
     def write_trajectory(*args):
@@ -1283,7 +1308,7 @@ def test_failed_reproduce_replaces_previous_report_txt(tmp_path, fast_config):
     assert "Testing RMSE" not in (out / "report.txt").read_text()
 
 
-# -- simulate and reproduce: trajectory rows formatted while the RK4 runs ------
+# -- simulate and reproduce: the trajectory CSVs, written in blocks ------------
 
 
 def _config_with(tmp_path, fast_config, **overrides):
@@ -1297,53 +1322,33 @@ def _config_with(tmp_path, fast_config, **overrides):
 TRAJECTORY_FILES = ("trajectory.csv", "trajectory_diagnostics.csv")
 
 
-@pytest.mark.parametrize("k5", [None, "777.25"])
-@pytest.mark.parametrize(
-    "n_steps",
-    # Less than one chunk; a row count that is a multiple of the chunk; a
-    # step count that is one; neither.
-    [10, 2 * CHUNK - 1, 2 * CHUNK, 700],
-)
-def test_streamed_trajectory_matches_inline_writer(
-    tmp_path, fast_config, monkeypatch, n_steps, k5, repr_formatter
+@pytest.mark.parametrize("extra_rows", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+def test_simulate_writes_the_bytes_of_one_whole_range_call(
+    tmp_path, fast_config, extra_rows, repr_formatter
 ):
-    import os
-
     from pempinn.simulator import (
+        DIAGNOSTICS_HEADER,
+        TRAJECTORY_BLOCK_ROWS,
+        TRAJECTORY_HEADER,
         integrate_trajectory,
-        trajectory_arrays,
         trajectory_rows,
-        write_trajectory,
     )
 
+    rows = TRAJECTORY_BLOCK_ROWS + extra_rows
+    n_steps = rows - 1
     config = _config_with(tmp_path, fast_config, n_steps=n_steps)
-    argv = ["simulate", "--config", str(config)] + (["--k5", k5] if k5 else [])
-    streamed = tmp_path / "streamed"
-    assert main(argv + ["--out", str(streamed)]) == 0
-    _assert_children_reaped()
-    # The whole-range writer, in this process.
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
     cfg = load_config(config)
-    arrays = trajectory_arrays(n_steps)
-    integrate_trajectory(
-        cfg.physics, cfg.conditions, k5=float(k5) if k5 else None, n_steps=n_steps,
-        out=arrays,
-    )
-    whole = tmp_path / "whole"
-    whole.mkdir()
-    write_trajectory(
-        [trajectory_rows(arrays, 0, n_steps + 1)],
-        *(whole / name for name in TRAJECTORY_FILES),
-    )
-    # The CLI's own fallback where the platform has no os.fork.
-    monkeypatch.delattr(os, "fork")
-    inline = tmp_path / "inline"
-    assert main(argv + ["--out", str(inline)]) == 0
-    for name in TRAJECTORY_FILES:
-        expected = (whole / name).read_bytes()
-        assert (streamed / name).read_bytes() == expected, name
-        assert (inline / name).read_bytes() == expected, name
-    assert len((streamed / "trajectory.csv").read_text().splitlines()) == n_steps + 2
-    assert sorted(p.name for p in streamed.iterdir()) == [
+    traj = integrate_trajectory(cfg.physics, cfg.conditions, n_steps=n_steps)
+    arrays = [getattr(traj, f.name) for f in dataclasses.fields(traj)[:8]]
+    whole = trajectory_rows(arrays, 0, rows)
+    for name, header, body in zip(
+        TRAJECTORY_FILES, (TRAJECTORY_HEADER, DIAGNOSTICS_HEADER), whole
+    ):
+        assert (tmp_path / "o" / name).read_bytes() == header.encode() + body, name
+    assert len(whole[0].splitlines()) == rows
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
         "manifest.json", *TRAJECTORY_FILES
     ]
 
@@ -1356,130 +1361,68 @@ def test_simulate_lets_the_writer_write_only_once_out_exists(
     out = tmp_path / "o"
     real_write = cli.write_trajectory
 
-    def write_trajectory(rows, *paths):
+    def write_trajectory(traj, *paths):
         if not out.is_dir():
             raise OSError(2, "trajectory written before --out exists")
-        real_write(rows, *paths)
+        real_write(traj, *paths)
 
     monkeypatch.setattr(cli, "write_trajectory", write_trajectory)
     assert main(["simulate", "--config", str(fast_config), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json", *TRAJECTORY_FILES]
 
 
-def _failing_formatter(*args):
-    raise OSError(28, "No space left on device")
+def _fail_at_second_block(monkeypatch) -> list:
+    """Make write_trajectory's second block fail after its first block has
+    reached both temporary files; returns the first rows of the blocks
+    asked for, in a list."""
+    from pempinn import simulator
+
+    real_rows = simulator.trajectory_rows
+    starts = []
+
+    def trajectory_rows(arrays, start, stop):
+        starts.append(start)
+        if len(starts) == 2:
+            raise OSError(28, "No space left on device")
+        return real_rows(arrays, start, stop)
+
+    monkeypatch.setattr(simulator, "trajectory_rows", trajectory_rows)
+    return starts
 
 
 def test_simulate_writer_failure_exits_4_and_writes_no_trajectory(
     tmp_path, fast_config, monkeypatch, capsys
 ):
-    from pempinn import cli
+    from pempinn.simulator import TRAJECTORY_BLOCK_ROWS
 
-    monkeypatch.setattr(cli, "trajectory_rows", _failing_formatter)
-    # Enough chunks that the parent keeps reporting rows after the child
-    # has failed on the first one.
-    config = _config_with(tmp_path, fast_config, n_steps=16 * CHUNK)
+    starts = _fail_at_second_block(monkeypatch)
+    config = _config_with(tmp_path, fast_config, n_steps=2 * TRAJECTORY_BLOCK_ROWS)
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 4
+    assert starts == [0, TRAJECTORY_BLOCK_ROWS]
     assert "No space left on device" in capsys.readouterr().err
     assert list(out.glob("trajectory*.csv")) == []
     assert list(out.glob("*.tmp")) == []
     assert not (out / "manifest.json").exists()
-    _assert_children_reaped()
 
 
 def test_reproduce_writer_failure_is_stage_simulate(tmp_path, fast_config, monkeypatch):
-    from pempinn import cli
+    from pempinn.simulator import TRAJECTORY_BLOCK_ROWS
 
-    monkeypatch.setattr(cli, "trajectory_rows", _failing_formatter)
+    starts = _fail_at_second_block(monkeypatch)
+    config = _config_with(tmp_path, fast_config, n_steps=TRAJECTORY_BLOCK_ROWS)
     out = tmp_path / "repro"
-    assert main(["reproduce", "--config", str(fast_config), "--out", str(out)]) == 4
+    assert main(["reproduce", "--config", str(config), "--out", str(out)]) == 4
+    assert starts == [0, TRAJECTORY_BLOCK_ROWS]
     _assert_failed_reproduce(out, "simulate", "No space left on device")
     assert list(out.glob("trajectory*.csv")) == []
     assert list(out.glob("*.tmp")) == []
 
 
-def _trajectory_columns(trajectory):
-    return (
-        trajectory.times, trajectory.voltages, trajectory.thicknesses,
-        trajectory.c_h2o2, trajectory.c_ho, trajectory.thinning,
-        trajectory.fluoride, trajectory.solver_iterations,
-    )
-
-
-def test_writer_formats_reported_ranges_and_writes_only_at_done(tmp_path, trajectory):
-    from pempinn import cli
-    from pempinn.simulator import trajectory_rows, write_trajectory
-
-    arrays = _trajectory_columns(trajectory)
-    n = len(trajectory.times)
-    assert n > 1000
-
-    def files(name):
-        return [tmp_path / f"{name}-{file}" for file in TRAJECTORY_FILES]
-
-    whole = files("whole")
-    write_trajectory([trajectory_rows(arrays, 0, n)], *whole)
-    uneven = [1, CHUNK, 300, 1000]
-    for name, counts in (("none", []), ("uneven", uneven)):
-        cli._write_rows(arrays, files(name), [*counts, n])
-        for got, expected in zip(files(name), whole):
-            assert got.read_bytes() == expected.read_bytes(), name
-    # Counts that end short of the last row (the integration failed) write
-    # nothing.
-    before = sorted(tmp_path.iterdir())
-    for name, counts in (("empty", []), ("short", uneven)):
-        cli._write_rows(arrays, files(name), counts)
-    assert sorted(tmp_path.iterdir()) == before
-    # The same counts through a forked stage's feed: send -> _received.
-    stage = ForkedStage(lambda stops: list(stops))
-    for rows in [*uneven, n, 2**63 - 1]:
-        stage.send(rows)
-    assert stage.result() == [*uneven, n, 2**63 - 1]
-    stage = ForkedStage(lambda stops: cli._write_rows(arrays, files("fed"), stops))
-    for rows in [*uneven, n]:
-        stage.send(rows)
-    stage.result()
-    for got, expected in zip(files("fed"), whole):
-        assert got.read_bytes() == expected.read_bytes()
-    _assert_children_reaped()
-
-
-def test_writer_returns_at_the_last_row_without_reading_further(tmp_path, trajectory):
-    import time
-
-    from pempinn import cli
-
-    arrays = _trajectory_columns(trajectory)
-    n = len(trajectory.times)
-    paths = [tmp_path / file for file in TRAJECTORY_FILES]
-
-    def stops():
-        yield CHUNK
-        yield n
-        raise AssertionError("the writer read past the last row")
-
-    cli._write_rows(arrays, paths, stops())
-    assert all(path.exists() for path in paths)
-    # A child forked after the writer holds a copy of its feed, so the feed
-    # does not end when result() closes it; the writer must not wait for
-    # that.
-    writer = ForkedStage(lambda stops: cli._write_rows(arrays, paths, stops))
-    writer.send(n)
-    later = ForkedStage(lambda _: time.sleep(30.0))
-    try:
-        start = time.monotonic()
-        writer.result()
-        assert time.monotonic() - start < 15.0
-    finally:
-        later.cancel()
-    _assert_children_reaped()
-
-
 # sha256 of the two files simulate writes on the packaged config with
 # n_steps overridden, by (n_steps, --k5), from CPython 3.11 on glibc. The
-# streamed, inline and whole-range writers share one formatter, so only
-# fixed digests catch a change in the bytes it writes.
+# block writer and the whole-range call share one formatter, so only fixed
+# digests catch a change in the bytes it writes.
 GOLDEN_TRAJECTORY_SHA256 = [
     (256, None, (
         "1483e9f869c888081c7fca051fff9a7ae33648d1be296fc8a12a2b68166fe6b7",
@@ -1547,30 +1490,13 @@ def _fork_fails():
     raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
 
-def test_simulate_fork_failure_exits_4_and_leaks_no_descriptor(
-    tmp_path, fast_config, monkeypatch, capsys
-):
+def test_simulate_and_generate_data_fork_no_process(tmp_path, fast_config, monkeypatch):
     import os
 
     monkeypatch.setattr(os, "fork", _fork_fails)
-    out = tmp_path / "o"
-    before = len(os.listdir("/proc/self/fd"))
-    for _ in range(3):
-        assert main(["simulate", "--config", str(fast_config), "--out", str(out)]) == 4
-    assert len(os.listdir("/proc/self/fd")) == before
-    assert "Resource temporarily unavailable" in capsys.readouterr().err
-    assert list(out.glob("trajectory*.csv")) == []
-    assert not out.exists()
-
-
-def test_reproduce_fork_failure_is_stage_simulate(tmp_path, fast_config, monkeypatch):
-    import os
-
-    monkeypatch.setattr(os, "fork", _fork_fails)
-    out = tmp_path / "repro"
-    assert main(["reproduce", "--config", str(fast_config), "--out", str(out)]) == 4
-    _assert_failed_reproduce(out, "simulate", "Resource temporarily unavailable")
-    assert list(out.glob("trajectory*.csv")) == []
+    for command in ("simulate", "generate-data"):
+        out = tmp_path / command
+        assert main([command, "--config", str(fast_config), "--out", str(out)]) == 0
 
 
 def test_reproduce_ann_fork_failure_is_stage_train_ann(
@@ -1578,21 +1504,17 @@ def test_reproduce_ann_fork_failure_is_stage_train_ann(
 ):
     import os
 
-    real_fork = os.fork
     calls = []
 
     def fork():
-        # The first fork starts the trajectory writer, the second the ANN.
         calls.append(None)
-        if len(calls) == 2:
-            _fork_fails()
-        return real_fork()
+        _fork_fails()
 
     monkeypatch.setattr(os, "fork", fork)
     out = tmp_path / "repro"
     before = len(os.listdir("/proc/self/fd"))
     assert main(["reproduce", "--config", str(fast_config), "--out", str(out)]) == 4
     assert len(os.listdir("/proc/self/fd")) == before
-    assert len(calls) == 2
+    assert len(calls) == 1
     _assert_failed_reproduce(out, "train-ann", "Resource temporarily unavailable")
     assert not (out / "pinn").exists()

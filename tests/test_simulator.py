@@ -30,7 +30,6 @@ from pempinn.simulator import (
     load_dataset,
     save_dataset,
     trajectory_arrays,
-    trajectory_rows,
     write_trajectory,
 )
 
@@ -341,7 +340,7 @@ class _KernelCall(Exception):
 
 def _kernel_args(params, cond, **kwargs):
     """The arguments integrate_trajectory passes to rk4_thinning, by name,
-    without the output arrays and the progress callback."""
+    without the output arrays."""
 
     def capture(*args):
         raise _KernelCall(args)
@@ -352,17 +351,17 @@ def _kernel_args(params, cond, **kwargs):
             integrate_trajectory(params, cond, **kwargs)
     names = inspect.signature(_kernel.rk4_thinning).parameters
     args = dict(zip(names, call.value.args[0]))
-    del args["out"], args["progress"]
+    del args["out"]
     return args
 
 
-def _run_kernel(args, progress=None):
+def _run_kernel(args):
     """The RK4 loop get_kernels() gives, into new arrays: (status, fail_step,
     clamped, infeasible, times, volts, tmems, c_h2o2s, c_hos, trs, frrs,
     iters)."""
     out = trajectory_arrays(args["n_steps"])
     _, rk4 = _kernel.get_kernels()
-    return (*rk4(**args, out=out, progress=progress), *out)
+    return (*rk4(**args, out=out), *out)
 
 
 def _linear_branch(args, dkc):
@@ -471,89 +470,6 @@ def test_failed_voltage_solve_names_its_step_and_thickness(params, cond):
         "voltage equation has no sign change on [0.5, 5.0] V at the RK4 step from "
         f"t = {fail_step * 8.0e6 / 64} h, t_mem <= {tmems[fail_step - 1]} cm ("
     )
-
-
-def _progress_cases():
-    params = PhysicsParameters()
-    cond = OperatingConditions()
-    c_ho = _c_ho_at_v0(params, cond)
-    chunk = _kernel.CHUNK
-    return {
-        "below_one_chunk": dict(params=params, cond=cond, n_steps=10),
-        "rows_multiple_of_chunk": dict(params=params, cond=cond, n_steps=2 * chunk - 1),
-        "steps_multiple_of_chunk": dict(params=params, cond=cond, n_steps=4 * chunk),
-        "k5_1300": dict(params=params, cond=cond, k5=1300.0, n_steps=1000),
-        # Ten times the hydroxyl thins the membrane until the voltage
-        # bracket is lost at step 710 of 1024.
-        "bracket_lost": dict(
-            params=params, cond=cond, n_steps=1024, c_ho_override=10.0 * c_ho
-        ),
-        "no_bracket": dict(
-            params=params, cond=replace(cond, t_max=8.0e6), k5=1.0e7, n_steps=4096
-        ),
-    }
-
-
-PROGRESS_CASES = _progress_cases()
-
-
-@pytest.mark.parametrize("case", sorted(PROGRESS_CASES))
-def test_progress_callback_changes_nothing_and_reports_final_rows(case, rk4_kernel):
-    args = _kernel_args(**PROGRESS_CASES[case])
-    plain = _run_kernel(args)
-    reports = []
-    out = trajectory_arrays(args["n_steps"])
-
-    def progress(rows):
-        # The rows reported must already hold their final values.
-        reports.append((rows, [a[:rows].copy() for a in out]))
-
-    _, rk4 = _kernel.get_kernels()
-    got = rk4(**args, out=out, progress=progress)
-    assert got == plain[:4]
-    status, fail_step = got[:2]
-    end = fail_step if status != 0 else None
-    for g, p in zip(out, plain[4:]):
-        assert g[:end].tobytes() == p[:end].tobytes()
-    counts = [rows for rows, _ in reports]
-    chunk = _kernel.CHUNK
-    assert counts == list(range(chunk, len(counts) * chunk + 1, chunk))
-    if status == 0:
-        # Every full chunk but the end, which the caller learns on return.
-        assert len(counts) == args["n_steps"] // chunk
-    else:
-        # Every full chunk before the failing step, and no row past it.
-        assert len(counts) >= fail_step // chunk
-        assert all(rows - 1 <= fail_step for rows in counts)
-    for rows, snapshot in reports:
-        for s, p in zip(snapshot, plain[4:]):
-            assert s.tobytes() == p[:rows].tobytes()
-    if case in ("bracket_lost", "no_bracket"):
-        assert status == 1 and counts
-
-
-class _Stop(Exception):
-    pass
-
-
-def test_exception_from_progress_reaches_the_caller(params, cond, rk4_kernel):
-    args = _kernel_args(params, cond, n_steps=4 * _kernel.CHUNK)
-    reports = []
-
-    def progress(rows):
-        reports.append(rows)
-        raise _Stop
-
-    out = trajectory_arrays(args["n_steps"])
-    _, rk4 = _kernel.get_kernels()
-    with pytest.raises(_Stop):
-        rk4(**args, out=out, progress=progress)
-    rows = _kernel.CHUNK
-    assert reports == [rows]
-    plain = _run_kernel(args)
-    for a, p in zip(out, plain[4:]):
-        assert a[:rows].tobytes() == p[:rows].tobytes()
-        assert not a[rows:].any()  # nothing ran after the report
 
 
 @pytest.mark.parametrize(
@@ -747,8 +663,7 @@ def test_c_formatter_matches_repr_on_hypothesis_doubles(c_formatter):
 def test_c_trajectory_rows_match_repr_rows(c_formatter, trajectory):
     arrays = _trajectory_columns(trajectory)
     n = len(trajectory.times)
-    chunk = _kernel.CHUNK
-    for start, stop in [(0, n), (0, 0), (7, 8), (chunk, 3 * chunk), (n - 1, n)]:
+    for start, stop in [(0, n), (0, 0), (7, 8), (256, 768), (n - 1, n)]:
         assert c_formatter.trajectory_rows(arrays, start, stop) == (
             _kernel.repr_trajectory_rows(arrays, start, stop)
         )
@@ -1401,25 +1316,19 @@ def test_failed_trajectory_write_keeps_previous_files(
 ):
     path = tmp_path / "trajectory.csv"
     diag = tmp_path / "trajectory_diagnostics.csv"
-    arrays = [
-        trajectory.times, trajectory.voltages, trajectory.thicknesses,
-        trajectory.c_h2o2, trajectory.c_ho, trajectory.thinning,
-        trajectory.fluoride, trajectory.solver_iterations,
-    ]
     n = len(trajectory.times)
-
-    def write(arrays):
-        write_trajectory([trajectory_rows(arrays, 0, n)], path, diag)
-
-    write(arrays)
+    assert n > simulator.TRAJECTORY_BLOCK_ROWS
+    write_trajectory(trajectory, path, diag)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    # A value that cannot be formatted halfway through each file.
-    volts = trajectory.voltages.astype(object)
-    volts[n // 2] = "not a number"
-    with pytest.raises(ValueError):
-        write([*arrays[:1], volts, *arrays[2:]])
-    iters = trajectory.solver_iterations.astype(float)
-    iters[n // 2] = math.nan
-    with pytest.raises(ValueError):
-        write([*arrays[:7], iters])
+    # A value that cannot be formatted halfway through each file, and one in
+    # its last block, after the first block has been written to both.
+    for row in (n // 2, n - 1):
+        volts = trajectory.voltages.astype(object)
+        volts[row] = "not a number"
+        with pytest.raises(ValueError):
+            write_trajectory(replace(trajectory, voltages=volts), path, diag)
+        iters = trajectory.solver_iterations.astype(float)
+        iters[row] = math.nan
+        with pytest.raises(ValueError):
+            write_trajectory(replace(trajectory, solver_iterations=iters), path, diag)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
