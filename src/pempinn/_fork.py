@@ -5,9 +5,8 @@ back, pickled through a pipe, what it returned or raised, and the caller
 collects that with ``result()`` or kills and reaps the child with
 ``cancel()``. Every stage is reaped by one of the two, so a caller that
 holds one calls ``cancel()`` in a ``finally`` (a no-op once ``result()``
-has returned or raised). Two stages use it: the baseline ANN's training in
-``reproduce`` (``cli``), and the parse of the first half of a large
-dataset CSV in ``load_dataset`` (``simulator``).
+has returned or raised). One stage uses it: the baseline ANN's training
+in ``reproduce`` (``cli``).
 """
 
 from __future__ import annotations

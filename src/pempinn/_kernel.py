@@ -1,4 +1,4 @@
-"""Sequential integration kernels and CSV row formatters (hot loops).
+"""Sequential integration kernels, CSV row formatters and the dataset parser.
 
 The coupled system is a single thinning ODE whose right-hand side requires,
 at every Runge-Kutta stage, an implicit voltage solve followed by the
@@ -44,20 +44,31 @@ that runs, as a ``RowFormatter``; the C pair sends columns it cannot read
 directly (another dtype, byte order or layout, or bounds past the end) to
 the ``repr`` pair, so those raise, or not, as they did.
 
-Both C files are built the same way, on first use in a process and never
-at import: CPython's C compiler (``sysconfig``'s ``CC``) writes the shared
-library into this package's ``__pycache__``, under a name keyed by the
-sha256 of the source, the generated table text, the compile command and
-the platform, via a temporary file and ``os.replace``; later processes
-load the cached library, trusted as a ``.pyc`` is. Before using it, each
-process checks it once against the Python code: the RK4 loop on one fixed
-case, the formatter on a fixed corpus (``_repr_corpus``), comparing bytes.
-Without a compiler, or when the build fails or times out, the directory
-cannot be written, the library does not load or the bytes differ, the
-Python code runs. No setting picks either; ``rk4_kernel_name`` and
-``repr_formatter_name`` say which runs, and the manifest entries of the
-commands that run them (``simulate``, ``generate-data``, ``reproduce``)
-record both.
+``simulator.load_dataset`` reads dataset CSVs with ``_parse.c``, which
+turns each number into the nearest double as ``np.loadtxt`` and ``float``
+do, by Eisel-Lemire's algorithm (Lemire, SPE 2021). Its table of 128-bit
+powers of 5 is computed by ``_parse_table`` for each build. It reads only
+a narrow grammar (see ``_parse.c``) and declines any other file, which
+``np.loadtxt`` then reads. ``get_dataset_parser`` gives its ``SplitRows``
+factory, or None.
+
+The three C files are built the same way, on first use in a process and
+never at import: CPython's C compiler (``sysconfig``'s ``CC``) writes the
+shared library into this package's ``__pycache__``, under a name keyed by
+the sha256 of the source, the generated table text, the compile command
+and the platform, via a temporary file and ``os.replace``; later
+processes load the cached library, trusted as a ``.pyc`` is. Before using
+it, each process checks it once against the Python code: the RK4 loop on
+one fixed case, the formatter on a fixed corpus (``_repr_corpus``),
+comparing bytes, and the parser on that corpus's finite values written
+with ``repr``, comparing the bits ``np.loadtxt`` reads. Without a
+compiler, or when the build fails or times out, the directory cannot be
+written, the library does not load or the check fails, the Python code
+runs, and one stderr line per process says so. No setting picks either;
+``rk4_kernel_name``, ``repr_formatter_name`` and ``dataset_parser_name``
+say which runs, and the manifest entries of the commands that run them
+record it: the first two for ``simulate``, ``generate-data`` and
+``reproduce``, the parser for ``train`` and ``evaluate``.
 
 Status codes returned by the kernels: 0 ok, 1 no sign-definite voltage
 bracket, 2 voltage solve did not converge, 3 membrane thickness reached
@@ -73,6 +84,7 @@ import ctypes
 import functools
 import math
 import os
+import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -555,7 +567,10 @@ def _selected():
     and it has the Python loop's bits on ``_CHECK_ARGS``, else
     ``rk4_thinning``."""
     rk4 = _c_loop()
-    return rk4 if rk4 is not None and _same_bits(rk4) else rk4_thinning
+    if rk4 is not None and _same_bits(rk4):
+        return rk4
+    _fell_back("RK4 loop", "the Python loop")
+    return rk4_thinning
 
 
 def get_kernels():
@@ -747,6 +762,7 @@ def _selected_formatter():
     formatter = _c_formatter()
     if formatter is not None and _same_text(formatter):
         return formatter
+    _fell_back("row formatter", "repr")
     return REPR_ROWS
 
 
@@ -760,3 +776,167 @@ def repr_formatter_name():
     """Which ``RowFormatter`` ``get_formatter`` returns in this process: "c"
     or "python"."""
     return "python" if _selected_formatter() is REPR_ROWS else "c"
+
+
+# -- the dataset CSV parser: _parse.c, or np.loadtxt -----------------------
+
+_PARSE_SOURCE = _SOURCE.with_name("_parse.c")
+# The shortest row _parse.c reads: a split, three numbers, three commas and
+# a line feed. A file of n bytes holds fewer than n / _MIN_ROW_BYTES rows.
+_MIN_ROW_BYTES = len("test,0,0,0\n")
+
+
+def _parse_table() -> str:
+    """The C text of ``_parse.c``'s table ``POW5_128``, computed from
+    Python ints as fast_float's generator computes it: for q from -342 to
+    308, 5^q as a 128-bit integer with its top bit set (for q >= 0 the
+    power shifted and truncated; for q < 0 one more than the floor of a
+    power of 2 over 5^-q, truncated to 128 bits), as {high, low} 64-bit
+    halves."""
+    values = []
+    for q in range(-342, 0):
+        power = 5**-q
+        bits = power.bit_length()
+        c = (1 << (bits + 127 if q >= -27 else 2 * bits + 128)) // power + 1
+        values.append(c >> max(c.bit_length() - 128, 0))
+    for q in range(309):
+        shift = 128 - (5**q).bit_length()
+        values.append(5**q << shift if shift >= 0 else 5**q >> -shift)
+    low = (1 << 64) - 1
+    rows = ",\n".join(f"    {{{v >> 64:#x}u, {v & low:#x}u}}" for v in values)
+    return (
+        "#include <stdint.h>\n#define POW5_128_TABLE\n"
+        f"static const uint64_t POW5_128[][2] = {{\n{rows}\n}};\n"
+    )
+
+
+class _RowsOut(ctypes.Structure):
+    """``struct rows_out`` of ``_parse.c``."""
+
+    _fields_ = [
+        ("columns", ctypes.c_void_p * 6),
+        ("capacity", ctypes.c_int64),
+        ("rows", ctypes.c_int64 * 2),
+    ]
+
+
+class SplitRows:
+    """The rows of one dataset CSV, read by ``_parse.c`` block by block
+    into the train and test columns of a ``simulator.Dataset``."""
+
+    def __init__(self, parse, usecols, size):
+        """``usecols``: the header positions of the split, t_hours,
+        voltage_V and thickness_cm columns; ``size``: the file's size in
+        bytes, which bounds its rows."""
+        roles = [0] * (max(usecols) + 1)
+        for role, col in enumerate(usecols, 1):
+            roles[col] = role
+        self._parse = parse
+        self._roles = (ctypes.c_int8 * len(roles))(*roles)
+        capacity = size // _MIN_ROW_BYTES
+        # Untouched, and so not resident, past the rows written.
+        self._columns = [np.empty(capacity) for _ in range(6)]
+        self._out = _RowsOut(
+            (ctypes.c_void_p * 6)(*(c.ctypes.data for c in self._columns)), capacity
+        )
+        self._header = True
+
+    def add(self, block: bytearray, stop: int) -> bool:
+        """Read the rows of ``block[:stop]``, whole lines each ending in a
+        line feed (the first call's first line is the header); False where
+        ``_parse.c`` declines them, after which this object is not used."""
+        # _parse.c reads up to a line feed without a bound: the last byte
+        # must be one.
+        if not 0 < stop <= len(block) or block[stop - 1] != ord("\n"):
+            raise ValueError("the rows to parse must end in a line feed")
+        text = (ctypes.c_char * stop).from_buffer(block)
+        status = self._parse(
+            text, stop, self._header, self._roles, len(self._roles), self._out
+        )
+        self._header = False
+        return status == 0
+
+    def columns(self) -> tuple:
+        """``(train, test)``: each split's (t_hours, voltage_V, thickness_cm)
+        arrays, in file order. Called once, after the last ``add``: it cuts
+        the arrays to the rows read."""
+        for k, column in enumerate(self._columns):
+            column.resize(self._out.rows[k // 3], refcheck=False)
+        return tuple(self._columns[:3]), tuple(self._columns[3:])
+
+
+def _c_parser():
+    """A ``SplitRows`` factory, ``(usecols, size) -> SplitRows``, over a
+    loaded ``_parse.c``, or None where it cannot be built or loaded."""
+    lib = _load(_PARSE_SOURCE, _parse_table())
+    if lib is None:
+        return None
+    parse = lib.pempinn_dataset_rows
+    parse.argtypes = (
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+        ctypes.c_int64, ctypes.POINTER(_RowsOut),
+    )
+    parse.restype = ctypes.c_int64
+    return functools.partial(SplitRows, parse)
+
+
+def _reads_as_loadtxt(parser) -> bool:
+    """Whether ``parser`` reads the finite values of ``_repr_corpus``,
+    written with ``repr`` three to a row in alternating splits, to the bits
+    that ``np.loadtxt`` reads."""
+    import io
+
+    floats = np.concatenate(_repr_corpus()[:7])
+    floats = floats[np.isfinite(floats)]
+    floats = floats[: len(floats) // 3 * 3].reshape(-1, 3).tolist()
+    text = "split,t_hours,voltage_V,thickness_cm,is_noisy\n" + "".join(
+        [f"{('train', 'test')[i % 2]},{a!r},{b!r},{c!r},{i % 2}\n"
+         for i, (a, b, c) in enumerate(floats)]
+    )
+    block = bytearray(text.encode())
+    rows = parser((0, 1, 2, 3), len(block))
+    if not rows.add(block, len(block)):
+        return False
+    expected = np.loadtxt(
+        io.StringIO(text), delimiter=",", skiprows=1, usecols=(1, 2, 3)
+    )
+    train, test = rows.columns()
+    return (
+        np.column_stack(train).tobytes() == expected[0::2].tobytes()
+        and np.column_stack(test).tobytes() == expected[1::2].tobytes()
+    )
+
+
+@functools.cache
+def _selected_parser():
+    """The dataset parser of this process: ``_c_parser``'s factory where it
+    gives one and it passes ``_reads_as_loadtxt``, else None (np.loadtxt)."""
+    parser = _c_parser()
+    if parser is not None and _reads_as_loadtxt(parser):
+        return parser
+    _fell_back("dataset parser", "np.loadtxt")
+    return None
+
+
+def get_dataset_parser():
+    """The ``SplitRows`` factory that reads dataset CSVs, ``(usecols, size)
+    -> SplitRows``, where ``_parse.c`` builds, loads and passes its check;
+    else None, and ``simulator.load_dataset`` reads with np.loadtxt."""
+    return _selected_parser()
+
+
+def dataset_parser_name():
+    """Which parser ``get_dataset_parser`` selects in this process: "c" or
+    "python" (np.loadtxt)."""
+    return "python" if _selected_parser() is None else "c"
+
+
+def _fell_back(name: str, instead: str) -> None:
+    """Say on stderr that the C ``name`` did not build, load or pass its
+    check and that ``instead`` runs; each selector, cached, calls this at
+    most once per process."""
+    print(
+        f"pempinn: the C {name} did not build, load or pass its check; "
+        f"using {instead} (same output, slower)",
+        file=sys.stderr,
+    )

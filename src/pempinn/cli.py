@@ -6,10 +6,11 @@ file checksums and the environment that fixes the output bits (the Python
 and numpy versions, numpy's SIMD targets and OpenBLAS's core). The entries
 of ``simulate``, ``generate-data`` and ``reproduce``, which integrate and
 write CSV floats, also record which RK4 loop ran and which formatter wrote
-the floats (C or Python each). Exit codes are a stable contract for CI: 0
-success, 2 configuration error, 3 numerical failure, 4 I/O failure (1 is
-reserved for a completed reproduction run whose acceptance checks did not
-all pass).
+the floats (C or Python each); those of ``train`` and ``evaluate``, which
+read a dataset CSV, record which parser read it. Exit codes are a stable
+contract for CI: 0 success, 2 configuration error, 3 numerical failure, 4
+I/O failure (1 is reserved for a completed reproduction run whose
+acceptance checks did not all pass).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from ._fork import ForkedStage
-from ._kernel import repr_formatter_name, rk4_kernel_name
+from ._kernel import dataset_parser_name, repr_formatter_name, rk4_kernel_name
 from .config import RunConfig, config_hash, load_config
 from .constants import K5_SCALE
 from .errors import (
@@ -106,7 +107,8 @@ def _native_environment(libs: Path) -> dict:
 
 
 def _append_manifest(
-    out_dir: Path, command: str, cfg: RunConfig, outputs, inputs=(), diagnostics=None
+    out_dir: Path, command: str, cfg: RunConfig, outputs, inputs=(), diagnostics=None,
+    loaded_dataset=False,
 ):
     manifest_path = out_dir / "manifest.json"
     try:
@@ -123,6 +125,9 @@ def _append_manifest(
         # The bits are the same either way, the speed is not.
         environment["rk4_kernel"] = rk4_kernel_name()
         environment["repr_formatter"] = repr_formatter_name()
+    if loaded_dataset:
+        # The parser that load_dataset selected; the values are the same.
+        environment["dataset_parser"] = dataset_parser_name()
     runs.append(
         {
             "command": command,
@@ -233,9 +238,13 @@ def cmd_generate_data(args) -> int:
     return 0
 
 
-def _train_into(cfg: RunConfig, ds, dataset_path: Path, out_dir: Path, label: str):
+def _train_into(
+    cfg: RunConfig, ds, dataset_path: Path, out_dir: Path, label: str,
+    loaded_dataset=False,
+):
     """Train on ``ds``, the dataset that ``dataset_path`` holds, into
-    ``out_dir``; returns (net, metrics)."""
+    ``out_dir``; returns (net, metrics). ``loaded_dataset``: ``ds`` was
+    read from ``dataset_path`` by ``load_dataset``, not made in memory."""
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.json"
 
@@ -256,6 +265,7 @@ def _train_into(cfg: RunConfig, ds, dataset_path: Path, out_dir: Path, label: st
         cfg,
         [ckpt_path, history_path, metrics_path],
         inputs=[dataset_path],
+        loaded_dataset=loaded_dataset,
     )
     return net, metrics
 
@@ -265,7 +275,9 @@ def cmd_train(args) -> int:
     dataset_path = Path(args.data)
     label = "ann" if not cfg.training.physics_enabled else "pinn"
     ds = load_dataset(dataset_path)
-    net, metrics = _train_into(cfg, ds, dataset_path, Path(args.out), label)
+    net, metrics = _train_into(
+        cfg, ds, dataset_path, Path(args.out), label, loaded_dataset=True
+    )
     print(
         f"trained {label}: k5_hat={metrics.k5_hat_final:.4f} "
         f"test RMSE V={metrics.rmse_test_v:.5f} mem={metrics.rmse_test_mem:.6f}"
@@ -285,7 +297,8 @@ def cmd_evaluate(args) -> int:
     metrics_path = out_dir / "metrics.json"
     _write_text(metrics_path, json.dumps(_metrics_dict(metrics), indent=2) + "\n")
     _append_manifest(
-        out_dir, "evaluate", cfg, [metrics_path], inputs=[ckpt_path, dataset_path]
+        out_dir, "evaluate", cfg, [metrics_path], inputs=[ckpt_path, dataset_path],
+        loaded_dataset=True,
     )
     print(json.dumps(_metrics_dict(metrics), indent=2))
     return 0

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import json
 import math
 import os
@@ -27,7 +26,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _kernel, electrochem
-from ._fork import ForkedStage
 from .constants import (
     OperatingConditions,
     PhysicsParameters,
@@ -66,14 +64,9 @@ _SIDECAR_KINDS = {
     "seed": "uint",
     "sha256": "str",
 }
-_HASH_CHUNK_BYTES = 1 << 20
-# load_dataset parses a dataset CSV of at least this many bytes in two
-# halves, the first in a forked child. Break-even is near 0.5 MiB: on a
-# 2-core x86-64 machine (CPython 3.11, numpy 2.4) the split parse took
-# 3.9 ms against 3.9 ms whole at 0.50 MiB (8100 rows), 6.1 against 7.0 ms
-# at 0.99 MiB and 11.3 against 13.5 ms at 1.98 MiB, the fork, the wait and
-# the pickled head included. The packaged 75 KB dataset is read whole.
-SPLIT_BYTES = 1 << 20
+# load_dataset reads a dataset CSV, and file_sha256 hashes a file, this
+# many bytes at a time.
+READ_BLOCK_BYTES = 1 << 20
 TRAJECTORY_HEADER = "t_hours,voltage_V,thickness_cm\n"
 DIAGNOSTICS_HEADER = (
     "t_hours,c_ho_mol_m3,c_h2o2_mol_m3,thinning_cm_h,"
@@ -350,18 +343,17 @@ def save_dataset(ds: Dataset, path, config_hash: str = "") -> str:
 def load_dataset(path) -> Dataset:
     """Read a dataset CSV and its sidecar back into a Dataset.
 
-    Columns are found by name in the header, in any order. numpy's C reader
-    parses the rows straight from the file, so no per-row Python object is
-    made, and each split keeps the file's row order. A file of at least
-    ``SPLIT_BYTES`` is cut after the first line feed past its midpoint, and
-    a forked child (``_fork.ForkedStage``) parses the head while this
-    process parses the tail and hashes the file. A row never straddles the
-    cut and the text of both halves is decoded and split into lines as the
-    whole file is, so each row parses to the same values; the columns are
-    joined in file order, and the checks below read the same arrays as for
-    a file read whole. A bad row in either half is found again by a rescan
-    of the whole file, so the error and its line do not depend on the cut,
-    and the child is reaped before load_dataset returns or raises.
+    Columns are found by name in the header, in any order, and each split
+    keeps the file's row order. ``_read_exact`` reads the file once,
+    ``READ_BLOCK_BYTES`` at a time, hashing each block and parsing its
+    whole lines with ``_parse.c`` (``_kernel.get_dataset_parser``) into
+    the Dataset's arrays. A file outside that parser's grammar (see
+    ``_parse.c``; it is the grammar ``save_dataset`` writes), and every
+    file in a process where ``_parse.c`` is not selected, is parsed whole
+    by ``np.loadtxt`` instead (``_read_loadtxt``), which reads the same
+    values from every file both accept. Every fault in a row leaves the
+    grammar, so it is found and reported by ``_read_loadtxt``, with the
+    same message and line whichever parser is selected.
 
     Everything read is checked here; a fault raises ArtifactFormatError
     naming the file, and the line for a fault in a row:
@@ -389,16 +381,11 @@ def load_dataset(path) -> Dataset:
             raise ArtifactFormatError(f"{path}: missing column '{col}'")
 
     index = {name: i for i, name in enumerate(header)}
-    try:
-        parts, digest = _read_columns(path, [index[col] for col in _ROW_DTYPE.names])
-    except ValueError as exc:
-        raise _bad_row(path, index, exc) from exc
-    is_train, is_test, t, v, m = (np.concatenate(column) for column in zip(*parts))
-    del parts  # the parsed rows, freed before the Dataset's copies are made
-    finite = all(np.isfinite(column).all() for column in (t, v, m))
-    if not np.all(is_train | is_test) or not finite:
-        raise _bad_row(path, index, None)
-    if not is_train.any() or not is_test.any():
+    usecols = [index[col] for col in _ROW_DTYPE.names]
+    train, test, digest = _read_exact(path, usecols) or _read_loadtxt(
+        path, index, usecols
+    )
+    if not len(train[0]) or not len(test[0]):
         raise ArtifactFormatError(f"{path}: needs both train and test rows")
 
     meta_path = f"{path}.meta.json"
@@ -416,82 +403,72 @@ def load_dataset(path) -> Dataset:
             f"{path}: sha256 {digest} does not match {meta_path} (sha256 {recorded})"
         )
 
-    return Dataset(
-        train_times=t[is_train],
-        train_voltages=v[is_train],
-        train_thicknesses=m[is_train],
-        test_times=t[is_test],
-        test_voltages=v[is_test],
-        test_thicknesses=m[is_test],
-        **meta,
-    )
+    return Dataset(*train, *test, **meta)
 
 
-def _read_columns(path, usecols) -> tuple:
-    """The rows of the dataset CSV ``path`` after its header, as a list of
-    ``_columns`` tuples in file order, and the file's hex sha256.
+def _read_exact(path, usecols):
+    """``(train, test, digest)`` of the dataset CSV ``path`` as
+    ``_parse.c`` reads it: each split's (t_hours, voltage_V, thickness_cm)
+    arrays and the file's hex sha256; None where that parser is not
+    selected or declines the file.
 
-    A file of at least ``SPLIT_BYTES`` is cut after the first line feed
-    past its midpoint: a forked child parses the head while this process
-    parses the tail, then hashes the file. A smaller file, or one without
-    a line feed past its midpoint (such as one whose lines end in a lone
-    carriage return), is parsed whole.
+    The file is read once, ``READ_BLOCK_BYTES`` at a time into one buffer.
+    Each read updates the digest; the lines up to the buffer's last line
+    feed are parsed, and the bytes after it are moved to the buffer's
+    start, to be completed by the next read. A line longer than the buffer,
+    or a last line without a line feed, declines the file.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size >= SPLIT_BYTES:
-            fh.seek(size // 2)
-            if fh.readline().endswith(b"\n"):
-                split = fh.tell()
-                head = ForkedStage(
-                    lambda: _columns(_parse_head(path, split, usecols))
-                )
-                try:
-                    with io.TextIOWrapper(fh, encoding="utf-8") as text:
-                        tail = _columns(_parse(text, usecols, 0))
-                    digest = file_sha256(path)
-                    return [head.result(), tail], digest
-                finally:
-                    head.cancel()
-    return [_columns(_parse(path, usecols, 1))], file_sha256(path)
+    parser = _kernel.get_dataset_parser()
+    if parser is None:
+        return None
+    digest = hashlib.sha256()
+    block = bytearray(READ_BLOCK_BYTES)
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as fh:
+        rows = parser(usecols, os.fstat(fh.fileno()).st_size)
+        carry = 0  # bytes of an unfinished line at the buffer's start
+        while carry < len(block) and (n := fh.readinto(view[carry:])):
+            digest.update(view[carry : carry + n])
+            filled = carry + n
+            stop = block.rfind(b"\n", 0, filled) + 1
+            if stop and not rows.add(block, stop):
+                return None
+            carry = filled - stop
+            view[:carry] = view[stop:filled]
+    if carry:
+        return None
+    return (*rows.columns(), digest.hexdigest())
 
 
-def _columns(rows) -> tuple:
-    """The train and test masks of ``rows``' split, then its value columns.
-
-    Each part of a file is cut down to these before the parts are joined,
-    so the child sends back half its rows' bytes and no copy of the split
-    strings is joined.
-    """
+def _read_loadtxt(path, index, usecols):
+    """``_read_exact``'s ``(train, test, digest)``, parsed whole by
+    ``np.loadtxt``; a bad row raises ``_bad_row``'s error."""
+    try:
+        with warnings.catch_warnings():
+            # A file may hold no row; load_dataset reports it as lacking
+            # both splits.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(
+                path,
+                dtype=_ROW_DTYPE,
+                delimiter=",",
+                skiprows=1,
+                usecols=usecols,
+                comments=None,
+                encoding="utf-8",
+                ndmin=1,
+            )
+    except ValueError as exc:
+        raise _bad_row(path, index, exc) from exc
     split = rows["split"]
-    return (split == "train", split == "test", *(rows[col] for col in _VALUE_COLUMNS))
-
-
-def _parse_head(path, size, usecols) -> np.ndarray:
-    """``_parse`` of the first ``size`` bytes of ``path``, header skipped."""
-    with open(path, "rb") as fh:
-        head = io.BytesIO(fh.read(size))
-    with io.TextIOWrapper(head, encoding="utf-8") as text:
-        return _parse(text, usecols, 1)
-
-
-def _parse(source, usecols, skiprows) -> np.ndarray:
-    """``np.loadtxt`` of dataset rows from ``source``, a path or a text file
-    read with universal newlines, as a 1-D ``_ROW_DTYPE`` array."""
-    with warnings.catch_warnings():
-        # A file, or half of a split file, may hold no row; load_dataset
-        # reports a file without rows as lacking both splits.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(
-            source,
-            dtype=_ROW_DTYPE,
-            delimiter=",",
-            skiprows=skiprows,
-            usecols=usecols,
-            comments=None,
-            encoding="utf-8",
-            ndmin=1,
-        )
+    is_train, is_test = split == "train", split == "test"
+    values = [rows[col] for col in _VALUE_COLUMNS]
+    finite = all(np.isfinite(column).all() for column in values)
+    if not np.all(is_train | is_test) or not finite:
+        raise _bad_row(path, index, None)
+    train = tuple(column[is_train] for column in values)
+    test = tuple(column[is_test] for column in values)
+    return train, test, file_sha256(path)
 
 
 def _bad_row(path, index, exc) -> ArtifactFormatError:
@@ -616,7 +593,7 @@ def file_sha256(path) -> str:
     """Hex sha256 of a file, read in fixed-size chunks."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(_HASH_CHUNK_BYTES), b""):
+        for chunk in iter(lambda: fh.read(READ_BLOCK_BYTES), b""):
             digest.update(chunk)
     return digest.hexdigest()
 

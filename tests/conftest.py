@@ -74,6 +74,28 @@ def repr_formatter(request, monkeypatch):
 
 
 @pytest.fixture(scope="session")
+def c_parser():
+    """``_parse.c``'s ``SplitRows`` factory, built and loaded but not
+    self-checked, so that the tests show where it differs from
+    ``np.loadtxt``; skipped where it does not build (no compiler), which
+    CI's "C kernels selected" step rules out there."""
+    parser = _kernel._c_parser()
+    if parser is None:
+        pytest.skip("the C dataset parser does not build here")
+    return parser
+
+
+# The np.loadtxt run keeps the test's id; the C run's id gains "c_parse".
+@pytest.fixture(params=["python", "c"], ids=[pytest.HIDDEN_PARAM, "c_parse"])
+def dataset_parser(request, monkeypatch):
+    """Pin ``_kernel.get_dataset_parser()`` to None (np.loadtxt), then to
+    ``_parse.c``'s, and give the parser's name."""
+    parser = request.getfixturevalue("c_parser") if request.param == "c" else None
+    monkeypatch.setattr(_kernel, "_selected_parser", lambda: parser)
+    return request.param
+
+
+@pytest.fixture(scope="session")
 def params():
     return PhysicsParameters()
 

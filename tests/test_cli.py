@@ -920,7 +920,7 @@ def test_negative_flag_exits_2_before_out(tmp_path, fast_config, capsys, command
 
 
 def test_manifest_records_environment(
-    tmp_path, fast_config, rk4_kernel, repr_formatter
+    tmp_path, fast_config, rk4_kernel, repr_formatter, dataset_parser
 ):
     import platform
 
@@ -943,13 +943,17 @@ def test_manifest_records_environment(
         env = entry["environment"]
         # Only the commands that run the C libraries say which ran.
         kernels = entry["command"] in ("simulate", "generate-data")
-        assert sorted(env) == [
+        parsed = not kernels
+        assert sorted(env) == sorted([
             "numpy", "numpy_simd", "openblas_config", "openblas_core", "python",
             *(["repr_formatter", "rk4_kernel"] if kernels else []),
-        ]
+            *(["dataset_parser"] if parsed else []),
+        ])
         if kernels:
             assert env["rk4_kernel"] == rk4_kernel
             assert env["repr_formatter"] == repr_formatter
+        else:
+            assert env["dataset_parser"] == dataset_parser
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
         # SIMD targets in dispatch order, the baseline first.
@@ -975,6 +979,30 @@ def test_train_and_evaluate_resolve_no_c_library(tmp_path, fast_config, monkeypa
     assert main(["train", *config, *data, "--epochs", "1"]) == 0
     checkpoint = ["--checkpoint", str(out / "checkpoint.json")]
     assert main(["evaluate", *config, *data, *checkpoint]) == 0
+
+
+def test_commands_that_write_datasets_resolve_no_parser(
+    tmp_path, fast_config, monkeypatch
+):
+    # simulate and generate-data read no dataset, and reproduce trains from
+    # the dataset in memory: none builds the parser or records one.
+    from pempinn import _kernel
+
+    def unused():
+        raise AssertionError("no dataset CSV is parsed")
+
+    monkeypatch.setattr(_kernel, "_selected_parser", unused)
+    out = tmp_path / "o"
+    config = ["--config", str(fast_config), "--out", str(out)]
+    for command in ("simulate", "generate-data", "reproduce"):
+        assert main([command, *config]) in (0, 1)
+    manifests = [out / d / "manifest.json" for d in (".", "pinn", "ann")]
+    runs = [run for m in manifests for run in json.loads(m.read_text())["runs"]]
+    assert [run["command"] for run in runs] == [
+        "simulate", "generate-data", "reproduce", "train[pinn]", "train[ann]"
+    ]
+    for run in runs:
+        assert "dataset_parser" not in run["environment"]
 
 
 def test_native_environment_falls_back_to_unknown(tmp_path, monkeypatch):

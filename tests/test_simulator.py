@@ -3,9 +3,11 @@ import dataclasses
 import functools
 import hashlib
 import inspect
+import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import replace
@@ -15,7 +17,6 @@ import numpy as np
 import pytest
 
 from pempinn import _kernel, simulator
-from pempinn._fork import ForkedStage
 from pempinn.constants import OperatingConditions, PhysicsParameters
 from pempinn.degradation import hydroxyl_chain_partials, thinning_rate
 from pempinn.electrochem import voltage_coefficients
@@ -779,6 +780,81 @@ def test_c_formatter_builds_into_an_empty_cache(tmp_path, monkeypatch, c_formatt
     assert len(list(cache.iterdir())) == 2
 
 
+# Each C library's selector and getter, by the name its fallback notice
+# gives it, and what runs in its place.
+SELECTORS = {
+    "RK4 loop": ("_selected", _kernel.get_kernels, "the Python loop"),
+    "row formatter": ("_selected_formatter", _kernel.get_formatter, "repr"),
+    "dataset parser": ("_selected_parser", _kernel.get_dataset_parser, "np.loadtxt"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELECTORS))
+def test_fallback_says_so_once_per_process(tmp_path, monkeypatch, capsys, name):
+    selector, get, instead = SELECTORS[name]
+    monkeypatch.setattr(_kernel, "_CACHE", tmp_path / "cache")
+    monkeypatch.setattr(
+        _kernel, "_compiler", lambda: [sys.executable, "-c", "raise SystemExit(1)"]
+    )
+    fresh = functools.cache(getattr(_kernel, selector).__wrapped__)
+    monkeypatch.setattr(_kernel, selector, fresh)
+    capsys.readouterr()
+    get()
+    get()
+    assert capsys.readouterr().err == (
+        f"pempinn: the C {name} did not build, load or pass its check; using "
+        f"{instead} (same output, slower)\n"
+    )
+
+
+_PARSE_TABLE = _kernel._parse_table
+
+
+def _corrupted_parse_table():
+    """``_parse_table`` with bit 40 of the high word of 5^-16's entry
+    flipped: the entry that every 17-digit decimal in [1, 10) reads, as
+    the voltages."""
+    lines = _PARSE_TABLE().splitlines()
+    row = lines.index("static const uint64_t POW5_128[][2] = {") + 1 + 342 - 16
+    high, low = lines[row].strip(" {},").split(", ")
+    lines[row] = f"    {{{int(high[:-1], 16) ^ 1 << 40:#x}u, {low}}},"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fault", ["compiler_exits_1", "corrupted_table"])
+def test_failed_parser_selects_loadtxt_with_the_same_dataset(
+    tmp_path, monkeypatch, capsys, c_parser, fault
+):
+    path = GOLDEN_DIR / "golden_dataset.csv"
+    selected = _kernel._selected_parser
+    monkeypatch.setattr(_kernel, "_selected_parser", lambda: c_parser)
+    expected = load_dataset(path)
+    cache = tmp_path / "cache"
+    compiler = _kernel._compiler()
+    if fault == "compiler_exits_1":
+        compiler = [sys.executable, "-c", "raise SystemExit(1)"]
+    else:
+        monkeypatch.setattr(_kernel, "_parse_table", _corrupted_parse_table)
+    monkeypatch.setattr(_kernel, "_CACHE", cache)
+    monkeypatch.setattr(_kernel, "_compiler", lambda: compiler)
+    monkeypatch.setattr(
+        _kernel, "_selected_parser", functools.cache(selected.__wrapped__)
+    )
+    assert _kernel.get_dataset_parser() is None
+    assert _kernel.dataset_parser_name() == "python"
+    assert "C dataset parser" in capsys.readouterr().err
+    _assert_same_dataset(load_dataset(path), expected)
+    # No temporary file is left behind; the corrupted library is kept.
+    left = [p.suffix for p in cache.iterdir()]
+    assert left == ([] if fault == "compiler_exits_1" else [".so"])
+    if fault == "corrupted_table":
+        # What the check guards against: the corrupted library reads other
+        # values from the golden dataset.
+        monkeypatch.setattr(_kernel, "_selected_parser", _kernel._c_parser)
+        with pytest.raises(AssertionError):
+            _assert_same_dataset(load_dataset(path), expected)
+
+
 def test_inlined_newton_matches_solve_voltage(params, cond):
     traj = integrate_trajectory(params, cond)
     co = voltage_coefficients(params, cond)
@@ -950,8 +1026,7 @@ def _interleaved(text):
 
 def _blank_half(half):
     """A layout with more blank lines than text, before or after the rows,
-    so that one half of the split file holds no row (loadtxt warns about
-    input without rows)."""
+    so that the rows start or end past the middle of the file."""
 
     def layout(text):
         header, rows = text.split("\n", 1)
@@ -961,69 +1036,97 @@ def _blank_half(half):
     return layout
 
 
+def _extra_columns(text):
+    """Columns no one reads before and after the dataset's, one of them
+    holding every byte but NUL, a carriage return, a comma and a line feed
+    that ASCII has."""
+    odd = bytes(b for b in range(1, 128) if b not in b"\r,\n").decode()
+    lines = text.splitlines()
+    lines[0] = f"note,{lines[0]},extra"
+    lines[1:] = [f"{k},{line},{odd}" for k, line in enumerate(lines[1:])]
+    return "\n".join(lines) + "\n"
+
+
 LAYOUTS = {
     "reordered_columns": _reordered,
+    "extra_columns": _extra_columns,
     "crlf": lambda text: text.replace("\n", "\r\n"),
     "trailing_blank_line": lambda text: text + "\n",
     "interleaved_splits": _interleaved,
     "blank_first_half": _blank_half("first"),
     "blank_second_half": _blank_half("second"),
 }
+# The layouts _parse.c declines, so that np.loadtxt reads them either way.
+DECLINED_LAYOUTS = {"crlf"}
 
 
-# load_dataset's two ways of parsing a file, by the SPLIT_BYTES that picks
-# each: whole in this process, or split at the midpoint with the head
-# parsed in a forked child.
-SERIAL, SPLIT = sys.maxsize, 0
+# load_dataset's two parsers: np.loadtxt, with _parse.c patched out, and
+# _parse.c, which declines a file outside its grammar to np.loadtxt.
 
 
-def _counted_forks(monkeypatch) -> list:
-    """The jobs load_dataset forks from now on, in a list."""
-    forks = []
-
-    def counted(job):
-        forks.append(job)
-        return ForkedStage(job)
-
-    monkeypatch.setattr(simulator, "ForkedStage", counted)
-    return forks
+@functools.cache
+def _parsers() -> tuple:
+    """None (np.loadtxt), then ``_parse.c``'s parser where it builds."""
+    c = _kernel._c_parser()
+    return (None,) if c is None else (None, c)
 
 
-def _loaded_both_ways(monkeypatch, path, forks=1):
-    """load_dataset(path) parsed whole and parsed split, which must give
-    byte-identical arrays and equal metadata; returns the Dataset. The split
-    parse forks ``forks`` times: 0 where the file has no line feed past its
-    midpoint."""
-    forked = _counted_forks(monkeypatch)
-    monkeypatch.setattr(simulator, "SPLIT_BYTES", SERIAL)
-    whole = load_dataset(path)
-    assert forked == []
-    monkeypatch.setattr(simulator, "SPLIT_BYTES", SPLIT)
-    split = load_dataset(path)
-    assert len(forked) == forks
-    for field in dataclasses.fields(Dataset):
-        a, b = getattr(whole, field.name), getattr(split, field.name)
-        if isinstance(a, np.ndarray):
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-        else:
-            assert a == b, field.name
+def _outcomes_both_ways(monkeypatch, path, c_reads):
+    """load_dataset(path) with each of ``_parsers``, as ("ok", Dataset) or
+    ("error", message) each. ``c_reads``: whether ``_parse.c`` reads the
+    rows (True) or declines the file (False)."""
+    read = []
+    columns = _kernel.SplitRows.columns
+
+    def counted(self):
+        read.append(self)
+        return columns(self)
+
+    monkeypatch.setattr(_kernel.SplitRows, "columns", counted)
+    outcomes = []
+    for parser in _parsers():
+        monkeypatch.setattr(_kernel, "_selected_parser", lambda: parser)
+        try:
+            outcomes.append(("ok", load_dataset(path)))
+        except ArtifactFormatError as exc:
+            outcomes.append(("error", str(exc)))
+    if len(outcomes) == 2:
+        assert bool(read) == c_reads
+    return outcomes
+
+
+def _loaded_both_ways(monkeypatch, path, c_reads=True):
+    """load_dataset(path) with np.loadtxt and with _parse.c, which must give
+    byte-identical arrays and equal metadata; returns the Dataset."""
+    outcomes = _outcomes_both_ways(monkeypatch, path, c_reads)
+    assert [kind for kind, _ in outcomes] == ["ok"] * len(outcomes)
+    whole = outcomes[0][1]
+    for _, other in outcomes[1:]:
+        _assert_same_dataset(whole, other)
     return whole
 
 
-def _raises_both_ways(monkeypatch, path, match):
+def _assert_same_dataset(a, b):
+    for field in dataclasses.fields(Dataset):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        else:
+            assert x == y, field.name
+
+
+def _raises_both_ways(monkeypatch, path, match, c_reads=False):
     """load_dataset(path) raises the same ArtifactFormatError, matching
-    ``match``, whether it parses the file whole or split."""
-    messages = []
-    for split_bytes in (SERIAL, SPLIT):
-        monkeypatch.setattr(simulator, "SPLIT_BYTES", split_bytes)
-        with pytest.raises(ArtifactFormatError, match=match) as info:
-            load_dataset(path)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
+    ``match``, with np.loadtxt and with _parse.c."""
+    outcomes = _outcomes_both_ways(monkeypatch, path, c_reads)
+    assert [kind for kind, _ in outcomes] == ["error"] * len(outcomes)
+    messages = {message for _, message in outcomes}
+    assert len(messages) == 1
+    assert re.search(match, messages.pop())
 
 
-def _assert_matches_reference(monkeypatch, path, forks=1):
-    ds = _loaded_both_ways(monkeypatch, path, forks)
+def _assert_matches_reference(monkeypatch, path, c_reads=True):
+    ds = _loaded_both_ways(monkeypatch, path, c_reads)
     ref = _csv_reference(path)
     for split in ("train", "test"):
         got = np.column_stack(
@@ -1044,18 +1147,22 @@ def test_loader_matches_csv_reference(tmp_path, small_dataset, layout, monkeypat
     path = tmp_path / "ds.csv"
     text = dataset_csv_bytes(small_dataset).decode()
     _write_with_sidecar(path, LAYOUTS[layout](text))
-    _assert_matches_reference(monkeypatch, path)
+    _assert_matches_reference(monkeypatch, path, layout not in DECLINED_LAYOUTS)
 
 
 @pytest.mark.filterwarnings("error")
 def test_loader_matches_csv_reference_beyond_one_chunk(
     tmp_path, trajectory, monkeypatch
 ):
-    # numpy's loadtxt works through files in chunks of 50 000 rows.
-    ds = generate_dataset(trajectory, 24, 60_001, 1 / 3, seed=5)
+    # A dense test split: numpy's loadtxt works through files in chunks of
+    # 50 000 rows, and load_dataset reads this one in seven blocks.
+    ds = generate_dataset(trajectory, 24, 100_000, 1 / 3, seed=5)
     path = tmp_path / "long.csv"
     save_dataset(ds, path)
-    assert path.stat().st_size >= simulator.SPLIT_BYTES  # split by default
+    raw = path.read_bytes()
+    assert len(raw) > 6 * simulator.READ_BLOCK_BYTES
+    # A row crosses the end of the first block.
+    assert raw[simulator.READ_BLOCK_BYTES - 1 : simulator.READ_BLOCK_BYTES] != b"\n"
     _assert_matches_reference(monkeypatch, path)
 
 
@@ -1064,29 +1171,106 @@ def test_loader_matches_csv_reference_on_golden_dataset(monkeypatch):
     _assert_matches_reference(monkeypatch, GOLDEN_DIR / "golden_dataset.csv")
 
 
-@pytest.mark.filterwarnings("error")
-def test_split_inside_a_crlf_row(tmp_path, small_dataset, monkeypatch):
-    # Each blank line appended moves the midpoint one byte on, so the
-    # midpoints cover a whole row: its "\r" and its "\n" included.
-    text = dataset_csv_bytes(small_dataset).decode().replace("\n", "\r\n")
-    at_midpoint = set()
-    for blank in range(len(text.splitlines()[-1]) + 2):
-        path = tmp_path / f"ds{blank}.csv"
-        _write_with_sidecar(path, text + "\r\n" * blank)
-        raw = path.read_bytes()
-        at_midpoint.add(raw[len(raw) // 2 : len(raw) // 2 + 1])
-        _assert_matches_reference(monkeypatch, path)
-    assert {b"\r", b"\n"} <= at_midpoint
+def _line_bytes(text):
+    """The length of the longest line of ``text``, its line feed included."""
+    return max(map(len, text.split(b"\n"))) + 1
 
 
 @pytest.mark.filterwarnings("error")
-def test_file_without_line_feed_past_midpoint_stays_serial(
-    tmp_path, small_dataset, monkeypatch
+@pytest.mark.parametrize(
+    "block, c_reads",
+    [
+        (lambda line: line - 1, False),
+        (lambda line: line, True),
+        (lambda line: 2 * line + 3, True),
+    ],
+    ids=["shorter_than_a_line", "one_line", "two_lines"],
+)
+def test_rows_across_read_blocks_load_alike(
+    tmp_path, small_dataset, monkeypatch, block, c_reads
 ):
+    # Every row crosses a block boundary somewhere in the three sizes; a
+    # line longer than the block declines the file.
+    raw = dataset_csv_bytes(small_dataset)
     path = tmp_path / "ds.csv"
-    text = dataset_csv_bytes(small_dataset).decode().replace("\n", "\r")
-    _write_with_sidecar(path, text)
-    _assert_matches_reference(monkeypatch, path, forks=0)
+    path.write_bytes(raw)
+    _write_with_sidecar_of(path)
+    monkeypatch.setattr(simulator, "READ_BLOCK_BYTES", block(_line_bytes(raw)))
+    _assert_matches_reference(monkeypatch, path, c_reads)
+
+
+def _edit_line(k, edit):
+    """A text edit that applies ``edit`` to line ``k`` (0 is the header)."""
+
+    def apply(text):
+        lines = text.split("\n")
+        lines[k] = edit(lines[k])
+        return "\n".join(lines)
+
+    return apply
+
+
+def _set_field(k, field, value):
+    """A text edit that sets field ``field`` of line ``k`` to ``value``."""
+
+    def edit(line):
+        fields = line.split(",")
+        fields[field] = value
+        return ",".join(fields)
+
+    return _edit_line(k, edit)
+
+
+# Inputs at the edge of _parse.c's grammar: each text edit of the dataset
+# CSV, and whether _parse.c reads the result (else np.loadtxt does).
+EDGE_INPUTS = {
+    "crlf": (lambda text: text.replace("\n", "\r\n"), False),
+    "lone_cr": (lambda text: text.replace("\n", "\r"), False),
+    "cr_in_is_noisy": (_set_field(3, 4, "1\r"), False),
+    "nul_in_is_noisy": (_set_field(3, 4, "1\0"), False),
+    "non_ascii_is_noisy": (_set_field(3, 4, "é"), False),
+    "non_ascii_header": (_edit_line(0, lambda line: line + ",é"), False),
+    "blank_line": (_edit_line(3, lambda line: "\n" + line), True),
+    "whitespace_only_line": (_edit_line(3, lambda line: " \t \n" + line), False),
+    "leading_space": (_edit_line(3, lambda line: " " + line), False),
+    "space_in_number": (_set_field(3, 2, " 2.5"), False),
+    "plus_sign": (_set_field(3, 1, "+1"), False),
+    "leading_dot": (_set_field(3, 1, ".5"), False),
+    "trailing_dot": (_set_field(3, 1, "5."), True),
+    "exponent_forms": (_set_field(3, 1, "25E-1"), True),
+    "exponent_without_digits": (_set_field(3, 1, "2e"), False),
+    "nan": (_set_field(3, 3, "nan"), False),
+    "inf": (_set_field(3, 3, "inf"), False),
+    "overflow": (_set_field(3, 3, "1e400"), False),
+    "underflow": (_set_field(3, 3, "-1e-400"), True),
+    "underscore": (_set_field(3, 1, "1_0"), False),
+    "nineteen_digits": (_set_field(3, 1, "0.0001234567890123456789"), True),
+    "twenty_digits": (_set_field(3, 1, "12345678901234567890"), False),
+    "split_cut_by_loadtxt": (_set_field(3, 0, "trainee"), False),
+    "no_final_newline": (lambda text: text.rstrip("\n"), False),
+    "header_only": (lambda text: text.split("\n")[0] + "\n", True),
+    "header_only_without_newline": (lambda text: text.split("\n")[0], False),
+    "short_row": (_set_field(3, 3, "0.01\n"), False),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
+def test_edge_inputs_load_alike_with_either_parser(
+    tmp_path, small_dataset, monkeypatch, name
+):
+    # The same Dataset, or the same error and line, whichever parser reads.
+    edit, c_reads = EDGE_INPUTS[name]
+    path = tmp_path / "ds.csv"
+    _write_with_sidecar(path, edit(dataset_csv_bytes(small_dataset).decode()))
+    outcomes = _outcomes_both_ways(monkeypatch, path, c_reads)
+    kinds = {kind for kind, _ in outcomes}
+    assert len(kinds) == 1
+    if kinds == {"ok"}:
+        for _, other in outcomes[1:]:
+            _assert_same_dataset(outcomes[0][1], other)
+    else:
+        assert len({message for _, message in outcomes}) == 1
 
 
 def _damaged_row(small_dataset, half, damage):
@@ -1128,7 +1312,7 @@ def test_byte_not_utf8_in_unparsed_column_of_either_half(
     tmp_path, small_dataset, monkeypatch, half
 ):
     # The byte is in a column that is not parsed, so only the rescan's
-    # strict decoding finds it; both ways name its line.
+    # strict decoding finds it; both parsers name its line.
     path = tmp_path / "ds.csv"
     raw, line = _damaged_row(small_dataset, half, lambda row: row + b"\xff")
     path.write_bytes(raw)
@@ -1136,29 +1320,91 @@ def test_byte_not_utf8_in_unparsed_column_of_either_half(
     _raises_both_ways(monkeypatch, path, rf"ds\.csv:{line}: bad row \('utf-8'")
 
 
-def test_bad_row_in_tail_kills_the_running_head_parse(
-    tmp_path, small_dataset, monkeypatch
-):
-    # The head's child is still parsing when this process finds a bad row
-    # in the tail; load_dataset must not wait for it, and must reap it.
-    path = tmp_path / "ds.csv"
-    raw, line = _damaged_row(small_dataset, "tail", lambda row: row[: row.index(b",")])
-    path.write_bytes(raw)
-    _write_with_sidecar_of(path)
-    parse_head = simulator._parse_head
+def _c_column(parser, text: str):
+    """The train split's (t_hours, voltage_V, thickness_cm) arrays that
+    ``parser`` reads from dataset CSV ``text``, whose columns are in that
+    order after the split; None where it declines the text."""
+    block = bytearray(text.encode())
+    rows = parser((0, 1, 2, 3), len(block))
+    if not rows.add(block, len(block)):
+        return None
+    return rows.columns()[0]
 
-    def slow_parse_head(*args):
-        time.sleep(30.0)
-        return parse_head(*args)
 
-    monkeypatch.setattr(simulator, "_parse_head", slow_parse_head)
-    forked = _counted_forks(monkeypatch)
-    monkeypatch.setattr(simulator, "SPLIT_BYTES", SPLIT)
-    start = time.monotonic()
-    with pytest.raises(ArtifactFormatError, match=rf"ds\.csv:{line}: bad row"):
-        load_dataset(path)
-    assert time.monotonic() - start < 15.0
-    assert len(forked) == 1  # and conftest checks that it was reaped
+def test_c_parser_takes_only_whole_lines(c_parser):
+    # _parse.c reads to the next line feed unbounded, so the last byte
+    # handed to it must be one.
+    block = bytearray(b"split,t,v,m\ntrain,1,2,3\ntest,1")
+    rows = c_parser((0, 1, 2, 3), len(block))
+    for stop in (0, len(block), len(block) + 1):
+        with pytest.raises(ValueError, match="line feed"):
+            rows.add(block, stop)
+    assert rows.add(block, block.rindex(b"\n") + 1)
+    assert [len(c) for split in rows.columns() for c in split] == [1, 1, 1, 0, 0, 0]
+
+
+def _midpoints(count, seed):
+    """Decimal strings of ``count`` exact midpoints between neighbouring
+    doubles, those written in at most 19 significant digits: the ties that
+    round to the even neighbour."""
+    from fractions import Fraction
+
+    rng = np.random.default_rng(seed)
+    out = []
+    doubles = rng.uniform(0.5, 1.0, count) * 2.0 ** rng.integers(51, 64, count)
+    for x in doubles.tolist():
+        mid = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+        k = mid.denominator.bit_length() - 1  # mid = n / 2^k = n * 5^k e-k
+        digits = str(mid.numerator * 5**k)
+        if len(digits) <= 19:
+            out.append(f"{digits}e-{k}")
+    return out
+
+
+def test_c_parser_rounds_ties_and_range_ends_as_loadtxt(c_parser):
+    strings = [
+        # Ties to even, and a hair either side of one.
+        "9007199254740993", "9007199254740995", "4503599627370496.5",
+        "4503599627370497.5", "9007199254740993.001", "9007199254740992.999",
+        # Subnormals, underflow to zero and the largest finite doubles.
+        "2.2250738585072011e-308", "2.2250738585072014e-308",
+        "2.4703282292062328e-324", "2.4703282292062327e-324", "1e-400",
+        "4.9406564584124654e-324", "1.7976931348623157e308",
+        "1.7976931348623158e308", "-0", "0e999", "1e-99999999999999999999",
+        *_midpoints(300, 2021),
+    ]
+    assert len(strings) > 300
+    text = "split,t,v,m\n" + "".join(f"train,{x},0,0\n" for x in strings)
+    got = _c_column(c_parser, text)
+    assert got is not None
+    expected = np.array([float(x) for x in strings])
+    assert got[0].tobytes() == expected.tobytes()
+
+
+def test_c_parser_matches_loadtxt_on_hypothesis_doubles(c_parser):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    doubles = finite | st.integers(0, 2**64 - 1).map(_from_bits).filter(math.isfinite)
+    extremes = [sys.float_info.max, 5e-324, sys.float_info.min]
+    extremes += [-x for x in extremes]
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(doubles)
+    def check(x):
+        # The shortest digits, 17 in exponent or fixed form, and 18.
+        values = [*_every_exponent(x).tolist(), *extremes]
+        text = "split,t,v,m,is_noisy\n" + "".join(
+            f"train,{v!r},{v:.17g},{v:.17e},1\n" for v in values
+        )
+        got = _c_column(c_parser, text)
+        assert got is not None
+        expected = np.loadtxt(
+            io.StringIO(text), delimiter=",", skiprows=1, usecols=(1, 2, 3)
+        )
+        assert np.column_stack(got).tobytes() == expected.tobytes()
+
+    check()
 
 
 def test_load_reports_short_row_line_number(tmp_path, small_dataset, monkeypatch):
@@ -1204,7 +1450,7 @@ def test_load_reports_unknown_split_line_number(tmp_path, small_dataset, monkeyp
 def test_load_needs_both_splits(tmp_path, rows, monkeypatch):
     path = tmp_path / "ds.csv"
     _write_with_sidecar(path, ",".join(DATASET_COLUMNS) + "\n" + rows)
-    _raises_both_ways(monkeypatch, path, "needs both train and test")
+    _raises_both_ways(monkeypatch, path, "needs both train and test", c_reads=True)
 
 
 def _quoted_field(text, line, field):
@@ -1239,7 +1485,7 @@ def test_load_checks_sidecar_sha256(tmp_path, small_dataset, monkeypatch):
     save_dataset(small_dataset, path)
     text = path.read_text()
     path.write_text(text.replace("train,", "test,", 1))
-    _raises_both_ways(monkeypatch, path, r"sha256.*ds\.csv\.meta\.json")
+    _raises_both_ways(monkeypatch, path, r"sha256.*ds\.csv\.meta\.json", c_reads=True)
 
 
 @pytest.mark.parametrize(
@@ -1262,7 +1508,7 @@ def test_load_validates_sidecar_keys(tmp_path, small_dataset, edit, key, monkeyp
     meta = json.loads(meta_path.read_text())
     edit(meta)
     meta_path.write_text(json.dumps(meta))
-    _raises_both_ways(monkeypatch, path, rf"ds\.csv\.meta\.json: .*'{key}'")
+    _raises_both_ways(monkeypatch, path, rf"ds\.csv\.meta\.json: .*'{key}'", c_reads=True)
 
 
 @pytest.mark.parametrize("body", ['{"seed": 11', "[]"])
@@ -1272,14 +1518,17 @@ def test_load_rejects_sidecar_that_is_not_a_json_object(
     path = tmp_path / "ds.csv"
     save_dataset(small_dataset, path)
     Path(f"{path}.meta.json").write_text(body)
-    _raises_both_ways(monkeypatch, path, r"ds\.csv\.meta\.json: ")
+    _raises_both_ways(monkeypatch, path, r"ds\.csv\.meta\.json: ", c_reads=True)
 
 
 def test_load_rejects_dataset_without_sidecar(tmp_path, small_dataset, monkeypatch):
     path = tmp_path / "ds.csv"
     save_dataset(small_dataset, path)
     Path(f"{path}.meta.json").unlink()
-    _raises_both_ways(monkeypatch, path, r"ds\.csv: missing sidecar .*ds\.csv\.meta\.json")
+    _raises_both_ways(
+        monkeypatch, path, r"ds\.csv: missing sidecar .*ds\.csv\.meta\.json",
+        c_reads=True,
+    )
 
 
 def test_settings_validation():
