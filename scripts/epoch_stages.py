@@ -8,10 +8,12 @@ the heap state train() leaves (``training.HEAP_BLOCK_PER_POINT``), with one
 BLAS thread: for each stage, the median over --repeats runs of the mean
 time of --calls back-to-back calls.
 The stages are the network pass with its tau-derivatives, the two residuals
-with their partials, the hydroxyl chain inside them, the network's
-vector-Jacobian product, the Adam step, unflatten, and the whole
-composite_loss that holds all but the last two. Prints one line per stage
-and writes no file.
+with their partials on numpy, the hydroxyl chain inside them, the residual
+block that composite_loss runs (``_kernel.get_residual_block``: the C block
+and the three sums where it builds, else the numpy residuals and the
+gradient rows), the network's vector-Jacobian product, the Adam step,
+unflatten, and the whole composite_loss that holds all but the last two.
+Prints one line per stage, and the block's kind on stderr; writes no file.
 
     python scripts/epoch_stages.py                  # 2000 epochs, 7 x 300 calls
     python scripts/epoch_stages.py --epochs 2 --calls 3 --repeats 1
@@ -34,6 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
+from pempinn import _kernel
 from pempinn.config import default_config
 from pempinn.constants import K5_SCALE
 from pempinn.degradation import hydroxyl_chain_partials
@@ -84,6 +87,11 @@ def stages(epochs: int):
     v = net.v_ref * np.maximum(y_v, CLAMP_EPS)
     k5 = net.k5_hat * K5_SCALE
     g_y, g_dy = np.ones_like(y), np.ones_like(dy)
+    block = _kernel.get_residual_block()
+    block_args = (
+        y, dy, n_c, net.k5_hat, net.v_ref, net.t_mem_ref, config, coeffs,
+        params, cond, np.zeros_like(y), np.zeros_like(dy),
+    )
     vec = flatten(net)
     _, grad = composite_loss(net, points, config, coeffs, params, cond, v0)
     adam = AdamState.zeros(vec.size)
@@ -95,6 +103,7 @@ def stages(epochs: int):
         )),
         ("hydroxyl_chain_partials",
          lambda: hydroxyl_chain_partials(params, cond, v, k5)),
+        ("residual_block", lambda: block(*block_args)),
         ("mlp_with_tangent_vjp", lambda: mlp_with_tangent_vjp(w, cache, g_y, g_dy)),
         ("adam_step", lambda: adam_step(adam, vec, grad, config)),
         ("unflatten", lambda: unflatten(vec, net)),
@@ -115,7 +124,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.epochs < 0 or args.calls < 1 or args.repeats < 1:
         parser.error("--epochs must be non-negative, --calls and --repeats positive")
-    for name, call in stages(args.epochs):
+    timed = stages(args.epochs)
+    print(f"residual block: {_kernel.residual_kernel_name()}", file=sys.stderr)
+    for name, call in timed:
         call()  # warm up
         print(f"{name:26s} {median_ms(call, args.calls, args.repeats):8.4f} ms")
     return 0

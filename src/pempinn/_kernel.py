@@ -1,4 +1,5 @@
-"""Sequential integration kernels, CSV row formatters and the dataset parser.
+"""Sequential integration kernels, CSV row formatters, the dataset parser
+and the training's residual block.
 
 The coupled system is a single thinning ODE whose right-hand side requires,
 at every Runge-Kutta stage, an implicit voltage solve followed by the
@@ -52,23 +53,41 @@ a narrow grammar (see ``_parse.c``) and declines any other file, which
 ``np.loadtxt`` then reads. ``get_dataset_parser`` gives its ``SplitRows``
 factory, or None.
 
-The three C files are built the same way, on first use in a process and
+``training.composite_loss`` computes its two physics residuals, their
+partials and its gradient rows with ``_residual.c``, wrapped by
+``_residual.py``: ``training.residual_partials``,
+``degradation.hydroxyl_chain_partials`` and the rows of
+``training.residual_block`` in one C pass over the collocation points,
+the same operands in the same order, with ``sqrt`` and the four
+arithmetic operations alone, each correctly rounded in numpy and in C, so
+the same bits. The sums stay in numpy. Where a float operation of the
+pass divides by zero, overflows or is invalid, or the arrays are not laid
+out as the pass reads them, ``training.residual_block`` runs instead, with
+numpy's warnings and errors. ``get_residual_block`` gives the block that
+runs.
+
+The four C files are built the same way, on first use in a process and
 never at import: CPython's C compiler (``sysconfig``'s ``CC``) writes the
 shared library into this package's ``__pycache__``, under a name keyed by
-the sha256 of the source, the generated table text, the compile command
-and the platform, via a temporary file and ``os.replace``; later
-processes load the cached library, trusted as a ``.pyc`` is. Before using
-it, each process checks it once against the Python code: the RK4 loop on
-one fixed case, the formatter on a fixed corpus (``_repr_corpus``),
-comparing bytes, and the parser on that corpus's finite values written
-with ``repr``, comparing the bits ``np.loadtxt`` reads. Without a
-compiler, or when the build fails or times out, the directory cannot be
-written, the library does not load or the check fails, the Python code
-runs, and one stderr line per process says so. No setting picks either;
-``rk4_kernel_name``, ``repr_formatter_name`` and ``dataset_parser_name``
-say which runs, and the manifest entries of the commands that run them
-record it: the first two for ``simulate``, ``generate-data`` and
-``reproduce``, the parser for ``train`` and ``evaluate``.
+the sha256 of the source, of the name and file of the function that
+generates its table (the table text is made only for a build), of the
+compile command and of the platform, via a temporary file and
+``os.replace``; later processes load the cached library, trusted as a
+``.pyc`` is. Before using it, each process checks it once against the
+Python code: the RK4 loop on one fixed case, the formatter on a fixed
+corpus (``_repr_corpus``), comparing bytes, the parser on that corpus's
+finite values written with ``repr``, comparing the bits ``float`` reads,
+and the residual block on a fixed block with every branch
+(``_residual.check_cases``), comparing the bytes of every row and the
+counts. Without a compiler, or when the build fails or times out, the
+directory cannot be written, the library does not load or the check
+fails, the Python code runs, and one stderr line per process says so. No
+setting picks either; ``rk4_kernel_name``, ``repr_formatter_name``,
+``dataset_parser_name`` and ``residual_kernel_name`` say which runs, and
+the manifest entries of the commands that run them record it: the first
+two for ``simulate``, ``generate-data`` and ``reproduce``, the parser for
+``train`` and ``evaluate``, the residual block for training runs with the
+physics terms on.
 
 Status codes returned by the kernels: 0 ok, 1 no sign-definite voltage
 bracket, 2 voltage solve did not converge, 3 membrane thickness reached
@@ -478,16 +497,20 @@ def _compile(argv):
         raise subprocess.CalledProcessError(code, argv)
 
 
-def _library(cc, source, header=""):
+def _library(cc, source, table=None):
     """The shared library ``cc`` builds from the C file ``source``, with
-    the C text ``header`` read before it (``-include``), compiled into
-    ``_CACHE`` unless a process has done so already."""
+    the C text that ``table()`` returns read before it (``-include``),
+    compiled into ``_CACHE`` unless a process has done so already. The key
+    covers the name of ``table`` and the file that defines it, not the
+    text, so that text is made only for a build."""
     import hashlib
     import sysconfig
     import tempfile
 
     key = hashlib.sha256(source.read_bytes())
-    key.update(header.encode())
+    if table is not None:
+        key.update(table.__qualname__.encode())
+        key.update(Path(table.__code__.co_filename).read_bytes())
     key.update(repr((cc, _CFLAGS, sysconfig.get_platform())).encode())
     lib = _CACHE / f"{source.stem}.{key.hexdigest()}.so"
     if lib.exists():
@@ -497,13 +520,13 @@ def _library(cc, source, header=""):
     os.close(fd)
     include = []
     try:
-        if header:
+        if table is not None:
             fd, path = tempfile.mkstemp(
                 prefix=f"{source.stem}.", suffix=".h.tmp", dir=_CACHE
             )
             include = ["-include", path]
             with os.fdopen(fd, "w") as fh:
-                fh.write(header)
+                fh.write(table())
         _compile([*cc, *_CFLAGS, *include, "-o", tmp, str(source), "-lm"])
         os.replace(tmp, lib)
     finally:
@@ -513,8 +536,8 @@ def _library(cc, source, header=""):
     return lib
 
 
-def _load(source, header=""):
-    """``ctypes.CDLL`` of ``_library(source, header)``, or None where it
+def _load(source, table=None):
+    """``ctypes.CDLL`` of ``_library(source, table)``, or None where it
     cannot be built or loaded."""
     import subprocess
 
@@ -522,7 +545,7 @@ def _load(source, header=""):
     if cc is None:
         return None
     try:
-        return ctypes.CDLL(str(_library(cc, source, header)))
+        return ctypes.CDLL(str(_library(cc, source, table)))
     except (OSError, subprocess.SubprocessError):
         return None
 
@@ -706,7 +729,7 @@ def _c_rows(lib):
 def _c_formatter():
     """``_repr.c``'s ``RowFormatter``, or None where it cannot be built or
     loaded."""
-    lib = _load(_REPR_SOURCE, _repr_table())
+    lib = _load(_REPR_SOURCE, _repr_table)
     return None if lib is None else _c_rows(lib)
 
 
@@ -868,7 +891,7 @@ class SplitRows:
 def _c_parser():
     """A ``SplitRows`` factory, ``(usecols, size) -> SplitRows``, over a
     loaded ``_parse.c``, or None where it cannot be built or loaded."""
-    lib = _load(_PARSE_SOURCE, _parse_table())
+    lib = _load(_PARSE_SOURCE, _parse_table)
     if lib is None:
         return None
     parse = lib.pempinn_dataset_rows
@@ -880,39 +903,36 @@ def _c_parser():
     return functools.partial(SplitRows, parse)
 
 
-def _reads_as_loadtxt(parser) -> bool:
+def _reads_as_float(parser) -> bool:
     """Whether ``parser`` reads the finite values of ``_repr_corpus``,
-    written with ``repr`` three to a row in alternating splits, to the bits
-    that ``np.loadtxt`` reads."""
-    import io
-
+    written with ``repr`` three to a row in alternating splits, back to
+    the same doubles: the bits ``float`` reads from each ``repr``, and so
+    those ``np.loadtxt`` reads, which converts each field as ``float``
+    does, through ``PyOS_string_to_double``."""
     floats = np.concatenate(_repr_corpus()[:7])
     floats = floats[np.isfinite(floats)]
-    floats = floats[: len(floats) // 3 * 3].reshape(-1, 3).tolist()
+    floats = floats[: len(floats) // 3 * 3].reshape(-1, 3)
     text = "split,t_hours,voltage_V,thickness_cm,is_noisy\n" + "".join(
         [f"{('train', 'test')[i % 2]},{a!r},{b!r},{c!r},{i % 2}\n"
-         for i, (a, b, c) in enumerate(floats)]
+         for i, (a, b, c) in enumerate(floats.tolist())]
     )
     block = bytearray(text.encode())
     rows = parser((0, 1, 2, 3), len(block))
     if not rows.add(block, len(block)):
         return False
-    expected = np.loadtxt(
-        io.StringIO(text), delimiter=",", skiprows=1, usecols=(1, 2, 3)
-    )
     train, test = rows.columns()
     return (
-        np.column_stack(train).tobytes() == expected[0::2].tobytes()
-        and np.column_stack(test).tobytes() == expected[1::2].tobytes()
+        np.column_stack(train).tobytes() == floats[0::2].tobytes()
+        and np.column_stack(test).tobytes() == floats[1::2].tobytes()
     )
 
 
 @functools.cache
 def _selected_parser():
     """The dataset parser of this process: ``_c_parser``'s factory where it
-    gives one and it passes ``_reads_as_loadtxt``, else None (np.loadtxt)."""
+    gives one and it passes ``_reads_as_float``, else None (np.loadtxt)."""
     parser = _c_parser()
-    if parser is not None and _reads_as_loadtxt(parser):
+    if parser is not None and _reads_as_float(parser):
         return parser
     _fell_back("dataset parser", "np.loadtxt")
     return None
@@ -929,6 +949,40 @@ def dataset_parser_name():
     """Which parser ``get_dataset_parser`` selects in this process: "c" or
     "python" (np.loadtxt)."""
     return "python" if _selected_parser() is None else "c"
+
+
+# -- the physics-residual block: training.residual_block, or _residual.c ---
+
+_RESIDUAL_SOURCE = _SOURCE.with_name("_residual.c")
+
+
+@functools.cache
+def _selected_residual():
+    """The residual block of this process: ``_residual.c``'s
+    ``CResidualBlock`` where it builds, loads and passes ``same_rows``,
+    else ``training.residual_block``. Its glue, ``_residual.py``, is
+    imported here, so that no command start-up compiles it."""
+    from . import _residual, training
+
+    block = _residual.c_block()
+    if block is not None and _residual.same_rows(block):
+        return block
+    _fell_back("residual block", "numpy")
+    return training.residual_block
+
+
+def get_residual_block():
+    """The block that ``training.composite_loss`` runs for the physics
+    residuals, selected on the first call."""
+    return _selected_residual()
+
+
+def residual_kernel_name():
+    """Which block ``get_residual_block`` returns in this process: "c" or
+    "python"."""
+    from .training import residual_block
+
+    return "python" if _selected_residual() is residual_block else "c"
 
 
 def _fell_back(name: str, instead: str) -> None:

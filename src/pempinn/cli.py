@@ -7,7 +7,10 @@ and numpy versions, numpy's SIMD targets and OpenBLAS's core). The entries
 of ``simulate``, ``generate-data`` and ``reproduce``, which integrate and
 write CSV floats, also record which RK4 loop ran and which formatter wrote
 the floats (C or Python each); those of ``train`` and ``evaluate``, which
-read a dataset CSV, record which parser read it. Exit codes are a stable
+read a dataset CSV, record which parser read it; and those of training
+runs with the physics terms on, ``train`` without ``--no-physics`` and
+``reproduce``'s ``train[pinn]``, record which block computed the two
+residuals. Exit codes are a stable
 contract for CI: 0 success, 2 configuration error, 3 numerical failure, 4
 I/O failure (1 is reserved for a completed reproduction run whose
 acceptance checks did not all pass).
@@ -30,7 +33,12 @@ import numpy as np
 
 from . import __version__
 from ._fork import ForkedStage
-from ._kernel import dataset_parser_name, repr_formatter_name, rk4_kernel_name
+from ._kernel import (
+    dataset_parser_name,
+    repr_formatter_name,
+    residual_kernel_name,
+    rk4_kernel_name,
+)
 from .config import RunConfig, config_hash, load_config
 from .constants import K5_SCALE
 from .errors import (
@@ -128,6 +136,9 @@ def _append_manifest(
     if loaded_dataset:
         # The parser that load_dataset selected; the values are the same.
         environment["dataset_parser"] = dataset_parser_name()
+    if command.startswith("train[") and cfg.training.physics_enabled:
+        # The residual block that the epochs ran; the bits are the same.
+        environment["residual_kernel"] = residual_kernel_name()
     runs.append(
         {
             "command": command,

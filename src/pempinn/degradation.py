@@ -7,11 +7,12 @@ Everything here runs on plain floats and numpy arrays. The chain from V to
 c_HO has one implementation: :func:`hydroxyl_chain_partials`, built on
 :func:`peroxide_quadratic_coefficients` and :func:`solve_peroxide_selected`,
 gives c_HO and its partials in V and k5 at every voltage of an array, and
-masks and counts infeasible chemistry instead of raising. Training runs it;
-the tests pin it to complex-step derivatives of a plain-numpy copy of the
-chain (``tests/reference_physics.py``). The fused RK4 kernel
-(``_kernel``) keeps its own inline copy for speed, which the tests pin to
-a per-stage reference bit for bit.
+masks and counts infeasible chemistry instead of raising. Training's numpy
+residual block runs it; the tests pin it to complex-step derivatives of a
+plain-numpy copy of the chain (``tests/reference_physics.py``). The fused
+RK4 kernel (``_kernel``) and the C residual block (``_residual.c``) keep
+their own inline copies for speed, which the tests pin bit for bit to a
+per-stage reference and to this function.
 
 Unit notes: concentrations mol/m3, rates mol/(m3 s), thickness cm, fluoride
 release ug/(h cm2), thinning rate cm/h. The composed conversion factor in

@@ -23,14 +23,24 @@ The residuals are pointwise in time, so their Jacobians are per point:
 dy_v/dtau, dy_m/dtau and k5_hat in closed form on plain arrays, one
 ``(N,)`` row for each partial that varies from point to point, with the
 chemistry's from :func:`~pempinn.degradation.hydroxyl_chain_partials`.
-The chain rule then turns the loss into cotangents of the network outputs,
-written row by row straight into the gradient blocks, and
-:func:`~pempinn.network.mlp_with_tangent_vjp` carries them to the weights.
+:func:`residual_block` turns them, by the chain rule, into cotangents of
+the network outputs, written row by row straight into the gradient
+blocks, and :func:`~pempinn.network.mlp_with_tangent_vjp` carries those to
+the weights.
 
-Everything here runs on plain arrays. The tests pin the closed-form
-partials, and the gradient, to complex-step derivatives of a plain-numpy
-copy of the two residuals and of the loss (``tests/reference_physics.py``,
-``tests/reference_loss.py``).
+composite_loss runs the block that ``_kernel.get_residual_block`` selects:
+``_residual.c``, one C pass over the collocation points that does the work
+of the three functions with the same operations in the same order, so the
+same bits, where it builds and passes its check; else
+:func:`residual_block` itself, which also reruns any epoch in which the C
+pass raised a float fault, so that numpy's warnings and errors stay as
+they are. The sums, the data and initial-condition terms, the network and
+Adam stay in numpy.
+
+Everything else here runs on plain arrays. The tests pin the closed-form
+partials, and the gradient under both blocks, to complex-step derivatives
+of a plain-numpy copy of the two residuals and of the loss
+(``tests/reference_physics.py``, ``tests/reference_loss.py``).
 
 Training is full-batch Adam, bitwise deterministic for a given seed.
 """
@@ -43,6 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernel
 from .constants import K5_SCALE, OperatingConditions, PhysicsParameters
 from .degradation import (
     DiagnosticCounters,
@@ -70,6 +81,7 @@ __all__ = [
     "AdamState",
     "adam_step",
     "residual_partials",
+    "residual_block",
     "LossPoints",
     "loss_points",
     "composite_loss",
@@ -88,10 +100,13 @@ CLAMP_EPS = 0.1
 
 # Float64s per loss point in a block that train() allocates and frees,
 # untouched, before its first epoch. An epoch's temporaries peak at about
-# 1.1 KiB per point and are freed and made again every epoch, and glibc
-# gives the free top of its heap back to the system whenever more than its
-# trim threshold (128 KiB at start) lies there, so a fresh process faulted
-# those pages in again every epoch, which nearly doubled its epoch time.
+# 1.05 KiB per point, in the network passes (tracemalloc, 1101 points; the
+# C residual block moved no peak), and are freed and made again every
+# epoch, and glibc gives the free top of its heap back to the system
+# whenever more than its trim threshold (128 KiB at start) lies there, so
+# a fresh process faulted those pages in again every epoch: a default
+# `pempinn reproduce` took 4.55 s without the block against 3.43 s with it
+# (medians of 4 fresh processes, 2-vCPU x86-64).
 # Freeing a block above the mmap threshold raises that threshold to the
 # block's size, 1 KiB per point here, and the trim threshold to twice it,
 # for the rest of the process (mallopt(3), dynamic mmap threshold). The
@@ -277,6 +292,45 @@ def loss_points(
     )
 
 
+def residual_block(
+    y, dy, n_c, k5_hat, v_ref, t_ref, config: TrainingConfig,
+    coeffs: VoltageCoefficients, params: PhysicsParameters,
+    cond: OperatingConditions, g_y, g_dy, diag=None,
+):
+    """The physics terms of the composite loss at the collocation columns
+    ``[0, n_c)`` of the ``(2, N)`` network outputs ``y`` and their
+    tau-derivatives ``dy``, on numpy.
+
+    Writes those columns of the gradient rows ``g_y[0]``, ``g_y[1]``,
+    ``g_dy[0]`` and ``g_dy[1]``, and returns ``(physics_v, physics_mem,
+    g_k5, rows)``: the weighted mean squares of the two residuals, the
+    gradient in k5_hat, and the three ``(n_c,)`` rows they sum (r_v * r_v,
+    r_m * r_m and the k5_hat terms). ``v_ref`` and ``t_ref`` are the net's
+    output scales. ``_kernel.get_residual_block`` gives this function or
+    its C copy, which writes the same bits.
+    """
+    r_v, (v_yv, v_ym, v_dyv, v_dym), r_m, (m_yv, m_ym, m_k5) = residual_partials(
+        y[0, :n_c], y[1, :n_c], dy[0, :n_c], dy[1, :n_c], k5_hat,
+        coeffs, params, cond, v_ref, t_ref, diag,
+    )
+    rv2 = r_v * r_v
+    physics_v = config.lambda_v * _mean(rv2)
+    rm2 = r_m * r_m
+    physics_mem = config.lambda_tmem * _mean(rm2)
+    # d(lambda * mean(r^2))/dx = (2 lambda / N) * r * dr/dx, per point,
+    # summed over both residuals. The constant partials keep their
+    # products (cm * 0.0, cv * 0.0; cm * 1.0 is cm), so that signed
+    # zeros and NaNs come out as they would from the full Jacobians.
+    cv = (2.0 * config.lambda_v / n_c) * r_v
+    cm = (2.0 * config.lambda_tmem / n_c) * r_m
+    g_y[0, :n_c] = cv * v_yv + cm * m_yv
+    g_y[1, :n_c] = cv * v_ym + cm * m_ym
+    g_dy[0, :n_c] = cv * v_dyv + cm * 0.0
+    g_dy[1, :n_c] = cv * v_dym + cm
+    k5_terms = cv * 0.0 + cm * m_k5
+    return physics_v, physics_mem, float(np.add.reduce(k5_terms)), (rv2, rm2, k5_terms)
+
+
 def composite_loss(
     net: NetworkParameters,
     points: LossPoints,
@@ -307,28 +361,13 @@ def composite_loss(
     g_y[:, data_cols] = (2.0 / n_d) * r
 
     # Physics residuals at the collocation points, with their partials.
-    g_k5 = 0.0
     if n_c:
-        r_v, (v_yv, v_ym, v_dyv, v_dym), r_m, (m_yv, m_ym, m_k5) = residual_partials(
-            y[0, :n_c], y[1, :n_c], dy[0, :n_c], dy[1, :n_c], net.k5_hat,
-            coeffs, params, cond, net.v_ref, net.t_mem_ref, diag,
+        physics_v, physics_mem, g_k5, _ = _kernel.get_residual_block()(
+            y, dy, n_c, net.k5_hat, net.v_ref, net.t_mem_ref, config, coeffs,
+            params, cond, g_y, g_dy, diag,
         )
-        physics_v = config.lambda_v * _mean(r_v * r_v)
-        physics_mem = config.lambda_tmem * _mean(r_m * r_m)
-        # d(lambda * mean(r^2))/dx = (2 lambda / N) * r * dr/dx, per point,
-        # summed over both residuals. The constant partials keep their
-        # products (cm * 0.0, cv * 0.0; cm * 1.0 is cm), so that signed
-        # zeros and NaNs come out as they would from the full Jacobians.
-        cv = (2.0 * config.lambda_v / n_c) * r_v
-        cm = (2.0 * config.lambda_tmem / n_c) * r_m
-        g_y[0, :n_c] = cv * v_yv + cm * m_yv
-        g_y[1, :n_c] = cv * v_ym + cm * m_ym
-        g_dy[0, :n_c] = cv * v_dyv + cm * 0.0
-        g_dy[1, :n_c] = cv * v_dym + cm
-        g_k5 = float(np.add.reduce(cv * 0.0 + cm * m_k5))
     else:
-        physics_v = 0.0
-        physics_mem = 0.0
+        physics_v = physics_mem = g_k5 = 0.0
 
     # Initial condition at tau = 0, the last point.
     ic_v = float(y[0, -1]) - v0 / net.v_ref

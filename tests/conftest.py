@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from pempinn import _kernel
+from pempinn import _kernel, _residual, training
 from pempinn.constants import OperatingConditions, PhysicsParameters
 from pempinn.electrochem import voltage_coefficients
 from pempinn.simulator import generate_dataset, integrate_trajectory
@@ -92,6 +92,31 @@ def dataset_parser(request, monkeypatch):
     ``_parse.c``'s, and give the parser's name."""
     parser = request.getfixturevalue("c_parser") if request.param == "c" else None
     monkeypatch.setattr(_kernel, "_selected_parser", lambda: parser)
+    return request.param
+
+
+@pytest.fixture(scope="session")
+def c_residual():
+    """``_residual.c``'s residual block, built and loaded but not
+    self-checked, so that the tests show where it differs from numpy;
+    skipped where it does not build (no compiler), which CI's "C kernels
+    selected" step rules out there."""
+    block = _residual.c_block()
+    if block is None:
+        pytest.skip("the C residual block does not build here")
+    return block
+
+
+# The numpy run keeps the test's id; the C run's id gains "c_residual".
+@pytest.fixture(params=["python", "c"], ids=[pytest.HIDDEN_PARAM, "c_residual"])
+def residual_kernel(request, monkeypatch):
+    """Pin ``_kernel.get_residual_block()`` to ``training.residual_block``,
+    then to ``_residual.c``'s block, and give the block's name."""
+    if request.param == "c":
+        block = request.getfixturevalue("c_residual")
+    else:
+        block = training.residual_block
+    monkeypatch.setattr(_kernel, "_selected_residual", lambda: block)
     return request.param
 
 

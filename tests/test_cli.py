@@ -927,6 +927,8 @@ def test_manifest_records_environment(
     import numpy as np
     from numpy._core import _multiarray_umath as umath
 
+    from pempinn import _kernel
+
     out = tmp_path / "o"
     config = ["--config", str(fast_config), "--out", str(out)]
     data = ["--data", str(out / "dataset.csv")]
@@ -944,16 +946,20 @@ def test_manifest_records_environment(
         # Only the commands that run the C libraries say which ran.
         kernels = entry["command"] in ("simulate", "generate-data")
         parsed = not kernels
+        trained = entry["command"] == "train[pinn]"
         assert sorted(env) == sorted([
             "numpy", "numpy_simd", "openblas_config", "openblas_core", "python",
             *(["repr_formatter", "rk4_kernel"] if kernels else []),
             *(["dataset_parser"] if parsed else []),
+            *(["residual_kernel"] if trained else []),
         ])
         if kernels:
             assert env["rk4_kernel"] == rk4_kernel
             assert env["repr_formatter"] == repr_formatter
         else:
             assert env["dataset_parser"] == dataset_parser
+        if trained:
+            assert env["residual_kernel"] == _kernel.residual_kernel_name()
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
         # SIMD targets in dispatch order, the baseline first.
@@ -981,6 +987,33 @@ def test_train_and_evaluate_resolve_no_c_library(tmp_path, fast_config, monkeypa
     assert main(["evaluate", *config, *data, *checkpoint]) == 0
 
 
+def test_only_physics_training_selects_the_residual_block(
+    tmp_path, fast_config, monkeypatch
+):
+    # simulate, generate-data, evaluate and ANN training compute no physics
+    # residual: none builds the C block or records one.
+    from pempinn import _kernel
+
+    def unused():
+        raise AssertionError("no physics residual is computed")
+
+    monkeypatch.setattr(_kernel, "_selected_residual", unused)
+    out = tmp_path / "o"
+    config = ["--config", str(fast_config), "--out", str(out)]
+    data = ["--data", str(out / "dataset.csv")]
+    assert main(["simulate", *config]) == 0
+    assert main(["generate-data", *config]) == 0
+    assert main(["train", *config, *data, "--epochs", "2", "--no-physics"]) == 0
+    checkpoint = ["--checkpoint", str(out / "checkpoint.json")]
+    assert main(["evaluate", *config, *data, *checkpoint]) == 0
+    runs = json.loads((out / "manifest.json").read_text())["runs"]
+    assert [run["command"] for run in runs] == [
+        "simulate", "generate-data", "train[ann]", "evaluate"
+    ]
+    for run in runs:
+        assert "residual_kernel" not in run["environment"]
+
+
 def test_commands_that_write_datasets_resolve_no_parser(
     tmp_path, fast_config, monkeypatch
 ):
@@ -1003,6 +1036,9 @@ def test_commands_that_write_datasets_resolve_no_parser(
     ]
     for run in runs:
         assert "dataset_parser" not in run["environment"]
+    # Of these, only the PINN's training computes the physics residuals.
+    recorded = [r["command"] for r in runs if "residual_kernel" in r["environment"]]
+    assert recorded == ["train[pinn]"]
 
 
 def test_native_environment_falls_back_to_unknown(tmp_path, monkeypatch):

@@ -36,3 +36,19 @@ def test_importing_the_cli_loads_neither_mmap_nor_signal():
         check=True,
     )
     assert run.stdout == "[]\n"
+
+
+def test_importing_the_cli_selects_no_c_library():
+    # Each C library is built, loaded and checked on first use, never at
+    # import: a command pays only for what it runs.
+    code = (
+        "import pempinn.cli; from pempinn import _kernel; print([getattr("
+        "_kernel, n).cache_info().currsize for n in ('_selected', "
+        "'_selected_formatter', '_selected_parser', '_selected_residual')])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pempinn.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert run.stdout == "[0, 0, 0, 0]\n"

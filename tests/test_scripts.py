@@ -10,6 +10,7 @@ STAGES = [
     "mlp_with_tangent",
     "residual_partials",
     "hydroxyl_chain_partials",
+    "residual_block",
     "mlp_with_tangent_vjp",
     "adam_step",
     "unflatten",

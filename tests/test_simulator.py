@@ -762,7 +762,7 @@ def test_failed_formatter_selects_repr_with_the_same_bytes(
     if fault == "corrupted_table":
         # What the check guards against: the corrupted library writes other
         # digits for this trajectory, whose values the corpus does not hold.
-        lib = _kernel._load(_kernel._REPR_SOURCE, _corrupted_table())
+        lib = _kernel._load(_kernel._REPR_SOURCE, _corrupted_table)
         assert _kernel._c_rows(lib).trajectory_rows(arrays, 0, n) != expected
 
 
@@ -786,6 +786,7 @@ SELECTORS = {
     "RK4 loop": ("_selected", _kernel.get_kernels, "the Python loop"),
     "row formatter": ("_selected_formatter", _kernel.get_formatter, "repr"),
     "dataset parser": ("_selected_parser", _kernel.get_dataset_parser, "np.loadtxt"),
+    "residual block": ("_selected_residual", _kernel.get_residual_block, "numpy"),
 }
 
 
@@ -1379,6 +1380,20 @@ def test_c_parser_rounds_ties_and_range_ends_as_loadtxt(c_parser):
     assert got is not None
     expected = np.array([float(x) for x in strings])
     assert got[0].tobytes() == expected.tobytes()
+
+
+def test_loadtxt_reads_the_parser_check_corpus_as_float():
+    # _reads_as_float checks _parse.c against float() of the corpus
+    # strings, in place of np.loadtxt, which reads each field as float()
+    # does (through PyOS_string_to_double), in the shortest digits and in
+    # 17 of them.
+    floats = np.concatenate(_kernel._repr_corpus()[:7])
+    values = floats[np.isfinite(floats)].tolist()
+    for fmt in (repr, "{:.17g}".format, "{:.17e}".format):
+        strings = [fmt(v) for v in values]
+        got = np.loadtxt(io.StringIO("\n".join(strings)), delimiter=",")
+        expected = np.array([float(x) for x in strings])
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_c_parser_matches_loadtxt_on_hypothesis_doubles(c_parser):

@@ -1,4 +1,7 @@
 import dataclasses
+import functools
+import sys
+import warnings
 
 import complex_step
 import numpy as np
@@ -10,9 +13,13 @@ from reference_physics import (
     voltage_residual_terms,
 )
 
-from pempinn import autodiff
+from pempinn import _kernel, _residual, autodiff
 from pempinn.constants import K5_SCALE
-from pempinn.degradation import DiagnosticCounters, thinning_rate
+from pempinn.degradation import (
+    DiagnosticCounters,
+    peroxide_quadratic_coefficients,
+    thinning_rate,
+)
 from pempinn.electrochem import solve_cell_voltage
 from pempinn.errors import ConfigError, NumericalError
 from pempinn.network import (
@@ -33,6 +40,7 @@ from pempinn.training import (
     composite_loss,
     evaluate,
     loss_points,
+    residual_block,
     residual_partials,
     train,
 )
@@ -370,7 +378,7 @@ def test_train_zero_epochs_returns_init(params, cond, small_dataset):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_train_aborts_on_nonfinite_loss(params, cond, small_dataset):
+def test_train_aborts_on_nonfinite_loss(params, cond, small_dataset, residual_kernel):
     # An absurd learning rate overflows the affine outputs within an epoch;
     # the abort must name the epoch.
     cfg = small_config(max_epochs=10, learning_rate=1e200)
@@ -458,7 +466,9 @@ def test_evaluate_perfect_and_constant_predictors(params, cond, trajectory):
     assert m2.rmse_test_mem == pytest.approx(float(np.std(targets_m)), rel=1e-10)
 
 
-def test_gradient_matches_fd_through_full_loss(params, cond, coeffs, small_dataset):
+def test_gradient_matches_fd_through_full_loss(
+    params, cond, coeffs, small_dataset, residual_kernel
+):
     # Spot check on a physically plausible network (output biases near the
     # operating point) so no clamp is active and FD is well conditioned.
     cfg = small_config(n_collocation=8)
@@ -522,7 +532,9 @@ def _parity_networks(cond, v0):
     return nets
 
 
-def test_gradient_matches_reference_engine(params, cond, coeffs, small_dataset):
+def test_gradient_matches_reference_engine(
+    params, cond, coeffs, small_dataset, residual_kernel
+):
     # The closed-form gradient against the complex-step gradient of the
     # reference loss (tests/reference_loss.py), entry by entry.
     v0 = solve_cell_voltage(coeffs, cond.t_mem0)
@@ -552,7 +564,9 @@ def test_gradient_matches_reference_engine(params, cond, coeffs, small_dataset):
     assert clamped == 4
 
 
-def test_train_steps_along_composite_loss_gradient(params, cond, coeffs, small_dataset):
+def test_train_steps_along_composite_loss_gradient(
+    params, cond, coeffs, small_dataset, residual_kernel
+):
     cfg = small_config(max_epochs=1, seed=9)
     net, metrics = train(small_dataset, params, cond, cfg)
     start = init_parameters(9, input_scale=cond.t_max, t_mem_ref=cond.t_mem0)
@@ -649,7 +663,7 @@ def test_residual_partials_match_complex_step_jacobian(params, cond, coeffs, cas
 
 
 def test_composite_loss_builds_no_value(
-    params, cond, coeffs, small_dataset, monkeypatch
+    params, cond, coeffs, small_dataset, monkeypatch, residual_kernel
 ):
     # The training path runs on plain arrays and never builds a graph.
     def refuse(self, *args, **kwargs):
@@ -666,3 +680,256 @@ def test_composite_loss_builds_no_value(
                 params, cond, v0, DiagnosticCounters(),
             )
             assert np.isfinite(comps["total"]) and np.all(np.isfinite(grad))
+
+
+# -- the residual block: numpy and _residual.c --------------------------------
+
+
+def _block_both_ways(block, case):
+    """``(result, g_y, g_dy, counters, warnings)`` of ``block`` and of
+    ``residual_block`` on ``case``, each with fresh gradient blocks and
+    counters, every warning recorded."""
+    runs = []
+    for fn in (block, residual_block):
+        y = case[0]
+        g_y, g_dy, diag = np.zeros_like(y), np.zeros_like(y), DiagnosticCounters()
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            result = fn(*case, g_y, g_dy, diag)
+        runs.append((result, g_y, g_dy, vars(diag),
+                     [(w.category, str(w.message)) for w in seen]))
+    return runs
+
+
+def _result_bytes(result):
+    """The bytes of a residual block's results, rows included."""
+    *sums, rows = result
+    return np.array(sums).tobytes(), [np.asarray(r).tobytes() for r in rows]
+
+
+def test_check_cases_reach_every_branch():
+    # The self-check's block clamps outputs below, at and for NaN, makes
+    # the chemistry infeasible, clamps the hydroxyl and has a == 0, with
+    # no float fault in numpy (the warnings filter makes one an error).
+    cases = _residual.check_cases()
+    counted = []
+    for case in cases:
+        y = case[0]
+        diag = DiagnosticCounters()
+        residual_block(*case, np.zeros_like(y), np.zeros_like(y), diag)
+        counted.append(vars(diag))
+    assert all(c["output_clamped"] > 0 for c in counted)
+    assert [c["chemistry_infeasible"] > 0 for c in counted] == [True, False, True]
+    assert [c["hydroxyl_clamped"] > 0 for c in counted] == [False, True, False]
+    y, _, n_c, k5_hat, v_ref, *_, case_params, case_cond = cases[2]
+    a = peroxide_quadratic_coefficients(
+        case_params, case_cond, v_ref * y[0, :n_c], k5_hat * K5_SCALE
+    )[0]
+    assert a[0] == 0.0 and np.count_nonzero(a == 0.0) == 1
+    for case in cases:
+        assert np.isnan(case[0][:, :case[2]]).any()
+        assert (case[0][:, :case[2]] == CLAMP_EPS).any()
+
+
+def test_c_residual_writes_numpy_bits_on_the_check_cases(c_residual):
+    for case in _residual.check_cases():
+        y = case[0]
+        g_y, g_dy = np.zeros_like(y), np.zeros_like(y)
+        work, counts = c_residual.rows(*case, g_y, g_dy)
+        (c_result, *c_rest), (result, *rest) = _block_both_ways(c_residual, case)
+        ref_g_y, ref_g_dy, ref_diag, _ = rest
+        assert g_y.tobytes() == ref_g_y.tobytes()
+        assert g_dy.tobytes() == ref_g_dy.tobytes()
+        assert [r.tobytes() for r in work] == _result_bytes(result)[1]
+        assert counts == tuple(ref_diag[k] for k in _residual.COUNTS)
+        # Called as residual_block, the C block gives its results too.
+        assert _result_bytes(c_result) == _result_bytes(result)
+        assert c_rest[2] == ref_diag and c_rest[3] == []
+    assert _residual.same_rows(c_residual)
+
+
+def test_c_residual_matches_numpy_on_hypothesis_blocks(
+    c_residual, coeffs, params, cond
+):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # Outputs around the floor and the operating point, some far out;
+    # derivatives of either sign. NaN outputs are clamped; NaN derivatives
+    # are not drawn, since NaN payloads need not survive a C compiler's
+    # operand order.
+    outputs = st.one_of(
+        st.floats(-1.0, 3.0), st.sampled_from([CLAMP_EPS, 0.0, -0.0, np.nan]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    slopes = st.one_of(st.floats(-5.0, 5.0), st.floats(allow_nan=False))
+    config = small_config()
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(
+        st.integers(1, 24).flatmap(lambda n: st.tuples(
+            st.just(n), st.integers(n, n + 3),
+            st.lists(outputs, min_size=2 * (n + 3), max_size=2 * (n + 3)),
+            st.lists(slopes, min_size=2 * (n + 3), max_size=2 * (n + 3)),
+        )),
+        st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False)),
+    )
+    def check(block, k5_hat):
+        n_c, n, ys, dys = block
+        y = np.array(ys).reshape(2, -1)[:, :n].copy()
+        dy = np.array(dys).reshape(2, -1)[:, :n].copy()
+        case = (y, dy, n_c, k5_hat, 2.0, cond.t_mem0, config, coeffs, params, cond)
+        (c_result, c_g_y, c_g_dy, c_diag, c_warned), (
+            result, g_y, g_dy, diag, warned
+        ) = _block_both_ways(c_residual, case)
+        # The C pass raises a flag exactly where numpy warns before its
+        # sums, which run in numpy either way.
+        rows = c_residual.rows(*case, np.zeros_like(y), np.zeros_like(y))
+        in_rows = [m for _, m in warned if "in reduce" not in m]
+        assert (rows is None) == bool(in_rows)
+        assert c_warned == warned
+        assert c_g_y.tobytes() == g_y.tobytes()
+        assert c_g_dy.tobytes() == g_dy.tobytes()
+        assert _result_bytes(c_result) == _result_bytes(result)
+        assert c_diag == diag
+
+    check()
+
+
+@pytest.mark.parametrize("value", [np.inf, 1e308])
+def test_float_fault_reruns_numpy_with_its_warning(c_residual, value):
+    # An output of inf or 1e308 makes inf * 0 or an overflow in the
+    # residuals: the C block raises a flag and numpy reruns, warning.
+    case = list(_residual.check_cases()[0])
+    case[0] = case[0].copy()
+    case[0][0, 2] = value
+    g_y, g_dy = np.zeros_like(case[0]), np.zeros_like(case[0])
+    assert c_residual.rows(*case, g_y, g_dy) is None
+    (c_result, *c_rest), (result, *rest) = _block_both_ways(c_residual, case)
+    assert rest[3], "numpy warns"
+    assert c_rest[3] == rest[3]
+    assert [a.tobytes() for a in c_rest[:2]] == [a.tobytes() for a in rest[:2]]
+    assert _result_bytes(c_result) == _result_bytes(result)
+    assert c_rest[2] == rest[2]
+    # Under the "error" filter the warning is raised, as numpy raises it.
+    errors = []
+    for block in (c_residual, residual_block):
+        with pytest.raises(RuntimeWarning) as exc:
+            block(*case, np.zeros_like(case[0]), np.zeros_like(case[0]))
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
+def test_train_is_the_same_with_either_residual_block(
+    params, cond, small_dataset, c_residual, monkeypatch
+):
+    cfg = small_config(max_epochs=40, seed=1, checkpoint_every=10)
+    runs = []
+    for block in (residual_block, c_residual):
+        monkeypatch.setattr(_kernel, "_selected_residual", lambda: block)
+        saved = []
+        net, metrics = train(
+            small_dataset, params, cond, cfg,
+            checkpoint_hook=lambda epoch, n: saved.append(flatten(n).tobytes()),
+        )
+        runs.append((
+            flatten(net).tobytes(), metrics.loss_history, saved,
+            metrics.output_clamped, metrics.chemistry_infeasible,
+            metrics.hydroxyl_clamped,
+        ))
+    assert runs[0] == runs[1]
+    assert len(runs[0][2]) == 4 and runs[0][3] > 0
+
+
+@pytest.mark.parametrize("layout", [
+    "fortran_order", "float32", "big_endian", "read_only_gradient", "three_rows",
+    "no_columns", "too_many_columns",
+])
+def test_c_residual_runs_numpy_on_other_layouts(c_residual, layout):
+    case = list(_residual.check_cases()[0])
+    y, dy = case[0], case[1]
+    g_y, g_dy = np.zeros_like(y), np.zeros_like(y)
+    if layout == "fortran_order":
+        y = np.asfortranarray(y)
+    elif layout == "float32":
+        dy = dy.astype(np.float32)
+    elif layout == "big_endian":
+        y = y.astype(">f8")
+    elif layout == "read_only_gradient":
+        g_dy.flags.writeable = False
+    elif layout == "three_rows":
+        y, dy = (np.vstack([a, a[:1]]) for a in (y, dy))
+        g_y, g_dy = np.zeros_like(y), np.zeros_like(y)
+    elif layout == "no_columns":
+        case[2] = 0
+    else:
+        case[2] = y.shape[1] + 1
+    case[:2] = y, dy
+    # The C block declines the arrays and writes nothing ...
+    assert c_residual.rows(*case, g_y, g_dy) is None
+    assert not g_y.any() and not g_dy.any()
+    if layout in ("read_only_gradient", "no_columns", "too_many_columns"):
+        return  # which numpy refuses, or reads as no columns
+    # ... and runs residual_block, which reads them.
+    expected_g = np.zeros_like(g_y), np.zeros_like(g_dy)
+    expected = residual_block(*case, *expected_g)
+    got = c_residual(*case, g_y, g_dy)
+    assert _result_bytes(got) == _result_bytes(expected)
+    assert [g_y.tobytes(), g_dy.tobytes()] == [a.tobytes() for a in expected_g]
+
+
+_SELECTED_RESIDUAL = _kernel._selected_residual
+
+
+def _residual_afresh(monkeypatch, cache, compiler):
+    """The residual block a new process would select with this cache
+    directory and compiler."""
+    monkeypatch.setattr(_kernel, "_CACHE", cache)
+    monkeypatch.setattr(_kernel, "_compiler", lambda: compiler)
+    monkeypatch.setattr(
+        _kernel, "_selected_residual",
+        functools.cache(_SELECTED_RESIDUAL.__wrapped__),
+    )
+    return _kernel.get_residual_block()
+
+
+@pytest.mark.parametrize("fault", ["compiler_exits_1", "self_check_fails"])
+def test_failed_residual_block_selects_numpy_with_the_same_training(
+    tmp_path, monkeypatch, capsys, params, cond, small_dataset, c_residual, fault
+):
+    cfg = small_config(max_epochs=10, seed=4)
+    monkeypatch.setattr(_kernel, "_selected_residual", lambda: c_residual)
+    net, metrics = train(small_dataset, params, cond, cfg)
+    cache = tmp_path / "cache"
+    compiler = _kernel._compiler()
+    if fault == "compiler_exits_1":
+        compiler = [sys.executable, "-c", "raise SystemExit(1)"]
+    else:
+        # A library whose one reassociated sum changes some bits of the
+        # thinning partials.
+        source = tmp_path / "_residual.c"
+        text = _kernel._RESIDUAL_SOURCE.read_text()
+        assert text.count("(s - w + k2) / k3") == 1
+        source.write_text(text.replace("(s - w + k2) / k3", "(s - (w - k2)) / k3"))
+        monkeypatch.setattr(_kernel, "_RESIDUAL_SOURCE", source)
+    capsys.readouterr()
+    assert _residual_afresh(monkeypatch, cache, compiler) is residual_block
+    assert _kernel.residual_kernel_name() == "python"
+    assert capsys.readouterr().err == (
+        "pempinn: the C residual block did not build, load or pass its "
+        "check; using numpy (same output, slower)\n"
+    )
+    again, again_metrics = train(small_dataset, params, cond, cfg)
+    assert flatten(again).tobytes() == flatten(net).tobytes()
+    assert again_metrics.loss_history == metrics.loss_history
+    # No temporary file is left behind; the failing library is kept.
+    left = [p.suffix for p in cache.iterdir()]
+    assert left == ([] if fault == "compiler_exits_1" else [".so"])
+
+
+def test_c_residual_builds_into_an_empty_cache(tmp_path, monkeypatch, c_residual):
+    cache = tmp_path / "cache"
+    block = _residual_afresh(monkeypatch, cache, _kernel._compiler())
+    assert isinstance(block, _residual.CResidualBlock)
+    assert _kernel.residual_kernel_name() == "c"
+    [lib] = cache.iterdir()  # the library alone, no temporary file
+    assert lib.name.startswith("_residual.") and lib.suffix == ".so"
